@@ -20,7 +20,10 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, adjoint_pair
 from .green import green_kernel
 from .mesh import GridFunction2, Mesh, inner_product
-from .ode import B_INV, bvp_eigenfunction, fundamental_matrix
+from .ode import B_INV, delta_scale, eigenfunctions, inv2
+# not called here; kept importable from this module, where bench/spans.py
+# wraps them
+from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 from .spectrum import CLUSTER_TOL, Circle, EigenvalueList, localize
 
@@ -43,12 +46,15 @@ class RootSystemEntry:
 
 @dataclass
 class RootSystem:
+    """Entries hold views into Y and Z: row r of both is index r - 2 m_max."""
     potential: PotentialMatrix
     form: BoundaryMatrixPair
     mesh: Mesh
     m_max: int
     entries: dict
     eigs: EigenvalueList
+    Y: np.ndarray                # (4 m_max + 2, 2, N) root vectors
+    Z: np.ndarray                # (4 m_max + 2, 2, N) dual vectors
 
     def indices(self, m=None):
         m = self.m_max if m is None else m
@@ -58,52 +64,25 @@ class RootSystem:
 
     def biorthogonality_residual(self, sample=None):
         """Max |<y_j, z_k> - delta_jk| over index pairs (all by default)."""
-        idx = list(self.indices()) if sample is None else list(sample)
-        worst = 0.0
-        for j in idx:
-            for k in idx:
-                g = inner_product(self.entries[j].y, self.entries[k].z)
-                worst = max(worst, abs(g - (1.0 if j == k else 0.0)))
-        return worst
+        idx = self.indices() if sample is None else sample
+        rows = np.asarray(list(idx)) + 2 * self.m_max
+        # G[j, k] = <y_j, z_k> as one contraction over components and nodes
+        wy = (self.Y[rows] * self.mesh.weights).reshape(rows.size, -1)
+        G = wy @ np.conj(self.Z[rows]).reshape(rows.size, -1).T
+        return float(np.max(np.abs(G - np.eye(rows.size))))
 
 
-def _associated_function(P, U, lam, y, mesh):
+def _associated_function(U, y, Mn, monodromy, mesh):
     """Minimal-norm solution of (B d/dx + P - lam) u = y with U(u) = 0,
-    via variation of constants; solvable because lam is an eigenvalue."""
-    F = fundamental_matrix(P, lam, mesh)
-    Mn = F.node_values
-    dets = Mn[:, 0, 0] * Mn[:, 1, 1] - Mn[:, 0, 1] * Mn[:, 1, 0]
-    Mn_inv = np.empty_like(Mn)
-    Mn_inv[:, 0, 0] = Mn[:, 1, 1] / dets
-    Mn_inv[:, 1, 1] = Mn[:, 0, 0] / dets
-    Mn_inv[:, 0, 1] = -Mn[:, 0, 1] / dets
-    Mn_inv[:, 1, 0] = -Mn[:, 1, 0] / dets
-    g = np.einsum("nab,bn->an", Mn_inv @ B_INV[None], y.values)
+    via variation of constants from the node values Mn = M(x_j, lam) and
+    the monodromy; solvable because lam is an eigenvalue."""
+    g = np.einsum("nab,bn->an", inv2(Mn) @ B_INV[None], y.values)
     gcum = mesh.cumulative(g)
     gtot = mesh.integrate(g)
-    T = U.C + U.D @ F.monodromy
-    rhs = -U.D @ (F.monodromy @ gtot)
+    T = U.C + U.D @ monodromy
+    rhs = -U.D @ (monodromy @ gtot)
     c, *_ = np.linalg.lstsq(T, rhs, rcond=None)
-    vals = np.einsum("nab,bn->an", Mn, c[:, None] + gcum)
-    return GridFunction2(mesh, vals)
-
-
-def _cluster_basis(P, U, lams, mults, mesh, accept_tol):
-    """Root vectors spanning the root subspace of a cluster: eigenfunctions
-    first, associated functions when the algebraic multiplicity exceeds the
-    geometric one."""
-    basis = []
-    roles = []
-    for lam, mult in zip(lams, mults):
-        r = bvp_eigenfunction(P, U, lam, mesh, accept_tol=accept_tol)
-        funcs = r.functions[:mult]
-        basis.extend(funcs)
-        roles.extend(["eigen"] * len(funcs))
-        if mult > len(funcs):
-            u = _associated_function(P, U, lam, funcs[0], mesh)
-            basis.append(u)
-            roles.append("associated")
-    return basis, roles
+    return np.einsum("nab,bn->an", Mn, c[:, None] + gcum)
 
 
 def _clusters(eigs: EigenvalueList):
@@ -122,49 +101,90 @@ def _clusters(eigs: EigenvalueList):
     return groups
 
 
+def _distinct(eigs: EigenvalueList, groups):
+    """Distinct eigenvalues in index order, and for each its [multiplicity,
+    first row, cluster], where row n + 2 m_max holds index n; values within
+    1e-10 in one cluster count as one."""
+    lams, slots = [], []
+    for group in groups:
+        for n in group:
+            lam = eigs.values[n]
+            if slots and slots[-1][2] is group and abs(lam - lams[-1]) < 1e-10:
+                slots[-1][0] += 1
+            else:
+                lams.append(lam)
+                slots.append([1, n + 2 * eigs.m_max, group])
+    return np.array(lams), slots
+
+
+def _fill_root_vectors(P, U, lams, slots, mesh, out, accept_tol):
+    """Write eigenfunctions, then associated functions where the algebraic
+    multiplicity exceeds the geometric one, into the rows of out (n, 2, N);
+    returns each row's role."""
+    mults = [mult for mult, _, _ in slots]
+    scale = delta_scale(P, U, np.repeat(lams, mults), mesh)
+    roles = []
+    for (mult, row, group), (r, Mn, mono) in zip(
+            slots, eigenfunctions(P, U, lams, mesh, scale,
+                                  accept_tol=accept_tol)):
+        funcs = r.functions[:mult]
+        for i, y in enumerate(funcs):
+            out[row + i] = y.values
+        roles.extend(["eigen"] * len(funcs))
+        if mult > len(funcs) + 1:
+            raise RootSystemError(
+                f"cluster {group}: found {len(funcs) + 1} root vectors at "
+                f"lambda = {r.lam} of multiplicity {mult}")
+        if mult > len(funcs):
+            out[row + len(funcs)] = _associated_function(U, funcs[0], Mn,
+                                                         mono, mesh)
+            roles.append("associated")
+    return roles
+
+
 def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
                 eigs: EigenvalueList = None, accept_tol=1e-6) -> RootSystem:
     """Biorthogonal root system of the operator and its adjoint for all
-    indices in [-2 m_max, 2 m_max + 1]."""
+    indices in [-2 m_max, 2 m_max + 1].
+
+    Each system is accepted against one scale, max(1, median |Delta(lambda_n
+    + 0.49)|), and built from chunked propagate calls over its distinct
+    eigenvalues; z_n are then corrected cluster by cluster to the dual basis
+    <y_j, z_k> = delta_jk."""
     if eigs is None:
         eigs = localize(P, U, m_max, mesh)
-    Pa = P.adjoint()
-    Ua = adjoint_pair(U)
+    groups = _clusters(eigs)
+    lams, slots = _distinct(eigs, groups)
+    shape = (len(eigs.values), 2, mesh.size)
+    Y = np.empty(shape, dtype=complex)
+    Z = np.empty(shape, dtype=complex)
+    roles = _fill_root_vectors(P, U, lams, slots, mesh, Y, accept_tol)
+    _fill_root_vectors(P.adjoint(), adjoint_pair(U), np.conj(lams), slots,
+                       mesh, Z, accept_tol)
+    lo = -2 * eigs.m_max            # index of row 0
     entries = {}
-    for group in _clusters(eigs):
-        lams = []
-        mults = []
-        for n in group:
-            lam = eigs.values[n]
-            if lams and abs(lam - lams[-1]) < 1e-10:
-                mults[-1] += 1
-            else:
-                lams.append(lam)
-                mults.append(1)
-        ys, roles = _cluster_basis(P, U, lams, mults, mesh, accept_tol)
-        zs, _ = _cluster_basis(Pa, Ua, [np.conj(l) for l in lams], mults,
-                               mesh, accept_tol)
-        if len(ys) != len(group) or len(zs) != len(group):
-            raise RootSystemError(
-                f"cluster {group}: found {len(ys)} root vectors for "
-                f"{len(group)} indices")
-        G = np.array([[inner_product(y, z) for z in zs] for y in ys])
-        if np.linalg.cond(G) > GRAM_COND_MAX:
+    for group in groups:
+        members = [RootSystemEntry(index=n, lam=eigs.values[n],
+                                   y=GridFunction2(mesh, Y[n - lo]),
+                                   z=GridFunction2(mesh, Z[n - lo]),
+                                   role=roles[n - lo], cluster=tuple(group))
+                   for n in group]
+        G = np.array([[inner_product(a.y, b.z) for b in members]
+                      for a in members])
+        cond = np.linalg.cond(G)
+        if cond > GRAM_COND_MAX:
             raise RootSystemError(
                 f"cluster {group}: Gram matrix ill-conditioned "
-                f"(cond {np.linalg.cond(G):.2e})")
-        # dual basis: z~_k = sum_j coeff[j, k] z_j with <y_j, z~_k> = delta
+                f"(cond {cond:.2e})")
+        # dual basis in place: z~_k = sum_j coeff[j, k] z_j, so that
+        # <y_j, z~_k> = delta_jk; the entries' z are views of these rows
         coeff = np.conj(np.linalg.inv(G))
-        zt = [GridFunction2(mesh, sum(coeff[j, k] * zs[j].values
-                                      for j in range(len(zs))))
-              for k in range(len(zs))]
-        for pos, n in enumerate(group):
-            entries[n] = RootSystemEntry(index=n, lam=eigs.values[n],
-                                         y=ys[pos], z=zt[pos],
-                                         role=roles[pos],
-                                         cluster=tuple(group))
+        rows = slice(group[0] - lo, group[-1] - lo + 1)
+        Z[rows] = [sum(coeff[j, k] * z for j, z in enumerate(Z[rows]))
+                   for k in range(len(group))]
+        entries.update((e.index, e) for e in members)
     return RootSystem(potential=P, form=U, mesh=mesh, m_max=eigs.m_max,
-                      entries=entries, eigs=eigs)
+                      entries=entries, eigs=eigs, Y=Y, Z=Z)
 
 
 def unperturbed_root_system(U: BoundaryMatrixPair, m_max,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, delta0, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
-from .ode import B_INV, fundamental_matrix
+from .ode import B_INV, det2, fundamental_matrix, inv2
 from .potentials import PotentialMatrix
 
 POLE_TOL = 1e-6
@@ -229,19 +229,14 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
                             f"{min(eigs.values.values(), key=lambda v: abs(lam - v))}")
     F = fundamental_matrix(P, lam, mesh)
     T = U.C + U.D @ F.monodromy
-    det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+    det = det2(T)
     scale = max(1.0, float(np.max(np.abs(F.monodromy))))
     if abs(det) <= POLE_TOL * scale:
         raise PoleError(f"Delta({lam}) ~ 0: resolvent pole")
     Pmat = -np.linalg.solve(T, U.D @ F.monodromy)
 
     Mn = F.node_values
-    dets = (Mn[:, 0, 0] * Mn[:, 1, 1] - Mn[:, 0, 1] * Mn[:, 1, 0])
-    Mn_inv = np.empty_like(Mn)
-    Mn_inv[:, 0, 0] = Mn[:, 1, 1] / dets
-    Mn_inv[:, 1, 1] = Mn[:, 0, 0] / dets
-    Mn_inv[:, 0, 1] = -Mn[:, 0, 1] / dets
-    Mn_inv[:, 1, 0] = -Mn[:, 1, 0] / dets
+    Mn_inv = inv2(Mn)
 
     def evaluator(t, x):
         t = np.asarray(t, dtype=float)
@@ -251,14 +246,8 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
         xb = np.broadcast_to(x, shape).ravel()
         Mt = F.at(tb)
         Mx = F.at(xb)
-        dt = Mt[:, 0, 0] * Mt[:, 1, 1] - Mt[:, 0, 1] * Mt[:, 1, 0]
-        Mt_inv = np.empty_like(Mt)
-        Mt_inv[:, 0, 0] = Mt[:, 1, 1] / dt
-        Mt_inv[:, 1, 1] = Mt[:, 0, 0] / dt
-        Mt_inv[:, 0, 1] = -Mt[:, 0, 1] / dt
-        Mt_inv[:, 1, 0] = -Mt[:, 1, 0] / dt
         mid = Pmat[None] + (tb < xb)[:, None, None] * np.eye(2)[None]
-        out = Mx @ mid @ Mt_inv @ B_INV[None]
+        out = Mx @ mid @ inv2(Mt) @ B_INV[None]
         return out.reshape(shape + (2, 2))
 
     def apply(f: GridFunction2) -> GridFunction2:

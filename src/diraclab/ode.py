@@ -20,6 +20,9 @@ from .potentials import PotentialMatrix
 B_MATRIX = np.diag([-1j, 1j])
 B_INV = np.diag([1j, -1j])
 IM_CAP_DEFAULT = 50.0
+# eigenvalues per propagate call in the batched eigenfunction core; bounds
+# the node matrices alive at once to a chunk
+EIG_CHUNK = 16
 _G2 = 1.0 / (2.0 * np.sqrt(3.0))
 _C4 = np.sqrt(3.0) / 12.0
 
@@ -36,6 +39,22 @@ def _check_cap(lams, im_cap):
     if np.any(np.abs(np.imag(lams)) > im_cap):
         raise OverflowCapError(
             f"|Im lambda| exceeds cap {im_cap}; raise im_cap explicitly if intended")
+
+
+def det2(M):
+    """Determinants of 2x2 matrices (vectorized over leading axes)."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def inv2(M):
+    """Inverses of 2x2 matrices (vectorized over leading axes)."""
+    d = det2(M)
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1] / d
+    out[..., 1, 1] = M[..., 0, 0] / d
+    out[..., 0, 1] = -M[..., 0, 1] / d
+    out[..., 1, 0] = -M[..., 1, 0] / d
+    return out
 
 
 def expm2(M):
@@ -155,9 +174,7 @@ class FundamentalSolution:
         x = self.mesh.nodes
         trace = 1j * (self.potential.p4(x) - self.potential.p1(x))
         target = np.exp(self.mesh.cumulative(trace))
-        dets = (self.node_values[:, 0, 0] * self.node_values[:, 1, 1]
-                - self.node_values[:, 0, 1] * self.node_values[:, 1, 0])
-        return float(np.max(np.abs(dets - target)))
+        return float(np.max(np.abs(det2(self.node_values) - target)))
 
 
 def fundamental_matrix(P: PotentialMatrix, lam, mesh: Mesh,
@@ -173,9 +190,19 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     Mb, _ = propagate(P, lams, mesh, nodes=False, im_cap=im_cap)
-    T = U.C[None] + U.D[None] @ Mb[:, -1]
-    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    det = det2(U.C[None] + U.D[None] @ Mb[:, -1])
     return complex(det[0]) if scalar else det
+
+
+def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh,
+                im_cap=IM_CAP_DEFAULT):
+    """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
+    eigenvalues, from boundary values only, EIG_CHUNK lambdas at a time."""
+    probe = np.asarray(lams, dtype=complex) + 0.49
+    dets = np.concatenate([
+        char_det(P, U, probe[i:i + EIG_CHUNK], mesh, im_cap=im_cap)
+        for i in range(0, probe.size, EIG_CHUNK)])
+    return max(1.0, float(np.median(np.abs(dets))))
 
 
 @dataclass
@@ -201,30 +228,55 @@ def normalize_eigenfunction(y: GridFunction2, value_at_zero=None):
     return GridFunction2(y.mesh, vals * np.conj(phase))
 
 
+def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
+                   mesh: Mesh, scale, accept_tol=1e-7,
+                   im_cap=IM_CAP_DEFAULT):
+    """Eigenfunction(s) at accepted eigenvalues, EIG_CHUNK per propagate
+    call: y = M(., lambda) v with v spanning the numerical null space of
+    C + D M(pi, lambda).
+
+    Yields (EigenfunctionResult, node values M(x_j, lambda), monodromy) for
+    each lambda in order.  The matrices are views into the current chunk;
+    a caller that keeps them past the next step keeps the chunk alive.
+    Raises NotAnEigenvalueError when |Delta(lambda)| > accept_tol * scale.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    for i in range(0, lams.size, EIG_CHUNK):
+        chunk = lams[i:i + EIG_CHUNK]
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True, im_cap=im_cap)
+        mono = Mb[:, -1]
+        T = U.C[None] + U.D[None] @ mono
+        dets = det2(T)
+        bad = np.flatnonzero(np.abs(dets) > accept_tol * scale)
+        if bad.size:
+            b = bad[0]
+            raise NotAnEigenvalueError(
+                f"|Delta({complex(chunk[b])})| = {abs(dets[b]):.3e} exceeds "
+                f"{accept_tol:.1e} * {scale:.3e}")
+        _, s, vh = np.linalg.svd(T)
+        tscale = np.maximum(1.0, np.max(np.abs(mono), axis=(1, 2)))
+        for l, lam in enumerate(chunk):
+            degenerate = bool(s[l, 0] <= 1e-6 * tscale[l])
+            # null space: the last right singular vector, or both
+            vecs = vh[l, (0 if degenerate else 1):].conj()
+            funcs = [normalize_eigenfunction(
+                GridFunction2(mesh, (Mn[l] @ v).T), value_at_zero=v)
+                for v in vecs]
+            yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
+                                       degenerate=degenerate,
+                                       delta=complex(dets[l])),
+                   Mn[l], mono[l])
+
+
 def bvp_eigenfunction(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
                       mesh: Mesh, accept_tol=1e-7,
                       im_cap=IM_CAP_DEFAULT) -> EigenfunctionResult:
-    """Eigenfunction(s) at an accepted eigenvalue: y = M(., lambda) v with v
-    spanning the numerical null space of C + D M(pi, lambda)."""
+    """Eigenfunction(s) at one accepted eigenvalue, accepted against the
+    median |Delta| at four probes lambda +- 0.5, lambda +- 0.5i."""
     lam = complex(lam)
     probe = lam + 0.5 * np.array([1.0, -1.0, 1j, -1j])
-    lams = np.concatenate([[lam], probe])
-    Mb, Mn = propagate(P, lams, mesh, nodes=True, im_cap=im_cap)
-    T_all = U.C[None] + U.D[None] @ Mb[:, -1]
-    dets = (T_all[:, 0, 0] * T_all[:, 1, 1] - T_all[:, 0, 1] * T_all[:, 1, 0])
-    scale = max(1.0, float(np.median(np.abs(dets[1:]))))
-    if abs(dets[0]) > accept_tol * scale:
-        raise NotAnEigenvalueError(
-            f"|Delta({lam})| = {abs(dets[0]):.3e} exceeds {accept_tol:.1e} * {scale:.3e}")
-    T = T_all[0]
-    _, s, vh = np.linalg.svd(T)
-    tscale = max(1.0, float(np.max(np.abs(Mb[0, -1]))))
-    degenerate = s[0] <= 1e-6 * tscale
-    vecs = [vh[1].conj()] if not degenerate else [vh[0].conj(), vh[1].conj()]
-    funcs = []
-    for v in vecs:
-        yvals = (Mn[0] @ v).T          # (2, N)
-        y = GridFunction2(mesh, yvals)
-        funcs.append(normalize_eigenfunction(y, value_at_zero=v))
-    return EigenfunctionResult(lam=lam, functions=funcs,
-                               degenerate=degenerate, delta=complex(dets[0]))
+    scale = max(1.0, float(np.median(np.abs(
+        char_det(P, U, probe, mesh, im_cap=im_cap)))))
+    (result, _, _), = eigenfunctions(P, U, [lam], mesh, scale,
+                                     accept_tol=accept_tol, im_cap=im_cap)
+    return result

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from diraclab import (Circle, GridFunction2, PotentialMatrix, RootSystemError,
-                      expansion_coefficients, inner_product, lp_norm,
-                      partial_sum, partial_sum_contour, projector_contour,
-                      root_system, unperturbed_root_system)
+from diraclab import (Circle, GridFunction2, NotAnEigenvalueError,
+                      PotentialMatrix, RootSystemError, bvp_eigenfunction,
+                      expansion_coefficients, inner_product, localize,
+                      lp_norm, make_potential, partial_sum,
+                      partial_sum_contour, projector_contour, root_system,
+                      unperturbed_root_system)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -109,3 +113,45 @@ def test_coefficient_count(rs_const_m8, mesh96):
     f = _f_smooth(mesh96)
     cs = expansion_coefficients(rs_const_m8, f)
     assert len(cs) == 4 * 8 + 2
+
+
+def test_biorthogonality_residual_matches_pairwise_loop(rs_const_m8):
+    for sample in (None, [-16, -3, 0, 1, 7, 17]):
+        idx = list(rs_const_m8.indices()) if sample is None else sample
+        loop = max(abs(inner_product(rs_const_m8.entries[j].y,
+                                     rs_const_m8.entries[k].z)
+                       - (1.0 if j == k else 0.0))
+                   for j in idx for k in idx)
+        got = rs_const_m8.biorthogonality_residual(sample)
+        assert abs(got - loop) < 1e-14
+
+
+def test_jordan_blocks_antiperiodic_step(antiperiodic, mesh96):
+    # p2-only step: every antiperiodic eigenvalue stays double with a
+    # Jordan block; the jumps pi/4, 3pi/4 are panel boundaries of mesh96
+    P = make_potential({"family": "step", "breaks": [PI / 4, 3 * PI / 4],
+                        "values": [0.5, 1.0, -0.5]})
+    rs = root_system(P, antiperiodic, 2, mesh96)
+    assert any(e.role == "associated" for e in rs.entries.values())
+    assert rs.biorthogonality_residual() < 1e-8
+
+
+def test_batched_root_vectors_match_per_eigenvalue(const_potential, dirichlet,
+                                                   mesh96):
+    eigs = localize(const_potential, dirichlet, 4, mesh96)
+    rs = root_system(const_potential, dirichlet, 4, mesh96, eigs=eigs)
+    for n, e in rs.entries.items():
+        r = bvp_eigenfunction(const_potential, dirichlet, eigs.values[n],
+                              mesh96, accept_tol=1e-6)
+        assert e.role == "eigen" and not r.degenerate
+        assert np.max(np.abs(e.y.values - r.functions[0].values)) < 1e-12
+
+
+def test_root_system_rejects_shifted_eigenvalue(const_potential, dirichlet,
+                                                mesh96):
+    eigs = localize(const_potential, dirichlet, 4, mesh96)
+    values = dict(eigs.values)
+    values[3] += 0.3
+    with pytest.raises(NotAnEigenvalueError):
+        root_system(const_potential, dirichlet, 4, mesh96,
+                    eigs=dataclasses.replace(eigs, values=values))
