@@ -194,13 +194,12 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
     return complex(det[0]) if scalar else det
 
 
-def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh,
-                im_cap=IM_CAP_DEFAULT):
+def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
     """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
     eigenvalues, from boundary values only, EIG_CHUNK lambdas at a time."""
     probe = np.asarray(lams, dtype=complex) + 0.49
     dets = np.concatenate([
-        char_det(P, U, probe[i:i + EIG_CHUNK], mesh, im_cap=im_cap)
+        char_det(P, U, probe[i:i + EIG_CHUNK], mesh)
         for i in range(0, probe.size, EIG_CHUNK)])
     return max(1.0, float(np.median(np.abs(dets))))
 

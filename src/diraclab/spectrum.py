@@ -260,22 +260,17 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     h = 1e-6
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
-    # Delta' at the first member of every collapsed pair, in one batch
-    doubles = [k for k in range(-m_max, m_max + 1)
-               if abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
-    dps = {}
-    if doubles:
-        at = np.array([values[2 * k] for k in doubles])
-        dvals = char_det(P, U, np.concatenate([at + h, at - h]), mesh)
-        dps = dict(zip(doubles, (dvals[:at.size] - dvals[at.size:]) / (2 * h)))
     for k in range(-m_max, m_max + 1):
         ia, ib = 2 * k + 2 * m_max, 2 * k + 1 + 2 * m_max
         a, b = values[2 * k], values[2 * k + 1]
         bad = (not converged[ia] or not converged[ib]
                or res[ia] > 1e-6 * scale or res[ib] > 1e-6 * scale
                or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
-        if not bad and k in dps and abs(dps[k]) > 1e-3 * scale:
-            bad = True              # both members fell into one simple zero
+        if not bad and abs(a - b) < DOUBLE_TOL:
+            dp = (char_det(P, U, a + h, mesh)
+                  - char_det(P, U, a - h, mesh)) / (2.0 * h)
+            if abs(dp) > 1e-3 * scale:
+                bad = True          # both members fell into one simple zero
         if bad:
             gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
             cap = 0.45 * min(gaps) if gaps else 0.9

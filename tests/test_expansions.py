@@ -116,7 +116,7 @@ def test_coefficient_count(rs_const_m8, mesh96):
 
 
 def test_biorthogonality_residual_matches_pairwise_loop(rs_const_m8):
-    for sample in (None, [-16, -3, 0, 1, 7, 17]):
+    for sample in (None, [-16, -3, 0, 1, 7, 17], [3, 3, -5]):
         idx = list(rs_const_m8.indices()) if sample is None else sample
         loop = max(abs(inner_product(rs_const_m8.entries[j].y,
                                      rs_const_m8.entries[k].z)
@@ -124,6 +124,10 @@ def test_biorthogonality_residual_matches_pairwise_loop(rs_const_m8):
                    for j in idx for k in idx)
         got = rs_const_m8.biorthogonality_residual(sample)
         assert abs(got - loop) < 1e-14
+    assert rs_const_m8.biorthogonality_residual([]) == 0.0
+    for bad in (-17, 18):
+        with pytest.raises(KeyError):
+            rs_const_m8.biorthogonality_residual([0, bad])
 
 
 def test_jordan_blocks_antiperiodic_step(antiperiodic, mesh96):
