@@ -25,7 +25,8 @@ from .ode import B_INV, delta_scale, eigenfunctions, inv2
 # wraps them
 from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
-from .spectrum import CLUSTER_TOL, Circle, EigenvalueList, localize
+from .spectrum import CLUSTER_TOL, Circle, ContourError, EigenvalueList, \
+    localize, trapezoid_angles
 
 GRAM_COND_MAX = 1e8
 
@@ -217,22 +218,30 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
                       contour: Circle, f: GridFunction2, mesh: Mesh,
                       n_start=32, tol=1e-8, max_doublings=6) -> GridFunction2:
     """Riesz projector -(1/2 pi i) contour-integral of (L - lambda)^{-1} f
-    by the trapezoid rule with node doubling."""
+    by the trapezoid rule with node doubling.
+
+    The nodes at n are the even nodes at 2n, so each doubling adds only the
+    new odd nodes to a running sum.  Raises ContourError when two successive
+    rules still differ by tol or more after max_doublings."""
+    acc = np.zeros((2, mesh.size), dtype=complex)
     prev = None
     n = n_start
-    for _ in range(max_doublings + 1):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        pts = contour.center + contour.radius * np.exp(1j * theta)
-        dl = 1j * contour.radius * np.exp(1j * theta)
-        acc = np.zeros((2, mesh.size), dtype=complex)
-        for lam, w in zip(pts, dl):
+    for level in range(max_doublings + 1):
+        theta = trapezoid_angles(n)
+        if level:
+            theta = theta[1::2]     # the even nodes are in acc already
+        unit = np.exp(1j * theta)
+        for lam, w in zip(contour.center + contour.radius * unit,
+                          1j * contour.radius * unit):
             acc += w * green_kernel(P, U, lam, mesh).apply(f).values
         cur = -acc / (1j * n)
         if prev is not None and np.max(np.abs(cur - prev)) < tol:
             return GridFunction2(mesh, cur)
         prev = cur
         n *= 2
-    return GridFunction2(mesh, prev)
+    raise ContourError(
+        f"projector on {contour} did not converge to {tol:.1e} after "
+        f"{max_doublings} doublings")
 
 
 def partial_sum_contour(rs: RootSystem, f: GridFunction2, m,

@@ -23,6 +23,9 @@ IM_CAP_DEFAULT = 50.0
 # eigenvalues per propagate call in the batched eigenfunction core; bounds
 # the node matrices alive at once to a chunk
 EIG_CHUNK = 16
+# spectral parameters per propagate call in char_det; bounds the transfer
+# matrices alive at once, so that memory does not grow with the batch
+DET_CHUNK = 64
 _G2 = 1.0 / (2.0 * np.sqrt(3.0))
 _C4 = np.sqrt(3.0) / 12.0
 
@@ -186,22 +189,23 @@ def fundamental_matrix(P: PotentialMatrix, lam, mesh: Mesh,
 
 def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
              im_cap=IM_CAP_DEFAULT):
-    """Characteristic determinant det(C + D M(pi, lambda))."""
+    """Characteristic determinant det(C + D M(pi, lambda)), propagated
+    DET_CHUNK lambdas at a time; each value is independent of the batch."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    Mb, _ = propagate(P, lams, mesh, nodes=False, im_cap=im_cap)
-    det = det2(U.C[None] + U.D[None] @ Mb[:, -1])
+    det = np.empty(lams.shape, dtype=complex)
+    for i in range(0, lams.size, DET_CHUNK):
+        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False,
+                          im_cap=im_cap)
+        det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ Mb[:, -1])
     return complex(det[0]) if scalar else det
 
 
 def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
     """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
-    eigenvalues, from boundary values only, EIG_CHUNK lambdas at a time."""
+    eigenvalues, from boundary values only."""
     probe = np.asarray(lams, dtype=complex) + 0.49
-    dets = np.concatenate([
-        char_det(P, U, probe[i:i + EIG_CHUNK], mesh)
-        for i in range(0, probe.size, EIG_CHUNK)])
-    return max(1.0, float(np.median(np.abs(dets))))
+    return max(1.0, float(np.median(np.abs(char_det(P, U, probe, mesh)))))
 
 
 @dataclass

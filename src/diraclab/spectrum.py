@@ -5,6 +5,10 @@ determinant, seeded by the closed-form unperturbed spectrum (shifted by the
 gauge constant gamma when the potential has diagonal entries).  Winding
 numbers of Delta along circles gamma_n and rectangles Gamma_m validate the
 counts; a bisection fallback recovers zeros when Newton clusters.
+
+Every contour rule here refines by node doubling.  The nodes at n are
+exactly the even nodes at 2n, bit for bit, so each level evaluates Delta
+only at its new odd nodes (:func:`_nested_nodes`).
 """
 from __future__ import annotations
 
@@ -76,14 +80,36 @@ class RectContour:
                 & (np.abs(z.imag) < self.im_half))
 
 
+def trapezoid_angles(n):
+    """Angles 2 pi j / n, j < n, of the trapezoid rule on a circle."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def _nested_nodes(points, evaluate, n, levels):
+    """(n, points(n), values) for n, 2n, ..., 2^(levels-1) n nodes.
+
+    values = evaluate(points(n)) with the node axis last, but each level
+    after the first evaluates only its new odd nodes and interleaves them
+    with the previous level's values, which serve as its even nodes."""
+    pts = points(n)
+    vals = evaluate(pts)
+    yield n, pts, vals
+    for _ in range(levels - 1):
+        n *= 2
+        pts = points(n)
+        vals = np.stack([vals, evaluate(pts[1::2])], axis=-1).reshape(
+            vals.shape[:-1] + (n,))
+        yield n, pts, vals
+
+
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh, quad_order=None, max_doublings=8):
     """Winding number of Delta along the contour; refined until every
     argument increment stays below pi/2."""
     n = quad_order or max(64, int(np.ceil(64 * contour.arc_length)))
-    for _ in range(max_doublings + 1):
-        pts = contour.points(n)
-        vals = char_det(P, U, pts, mesh)
+    for _, _, vals in _nested_nodes(contour.points,
+                                    lambda z: char_det(P, U, z, mesh), n,
+                                    max_doublings + 1):
         vals = np.concatenate([vals, vals[:1]])
         if np.min(np.abs(vals)) == 0.0:
             raise ContourError("Delta vanishes on the contour; adjust it")
@@ -93,7 +119,6 @@ def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
             if abs(total - round(total)) > 0.05:
                 raise ContourError("argument accumulation is not an integer")
             return int(round(total))
-        n *= 2
     raise ContourError(
         "winding did not stabilize after doublings; adjust the contour")
 
@@ -106,6 +131,10 @@ class EigenvalueList:
     multiplicity: dict              # n -> 1 or 2
     N0: int = 0
     diagnostics: list = field(default_factory=list)
+    # winding numbers of the circles validate=True checked, and the
+    # (P, U, mesh) objects they hold for
+    windings: dict = field(default_factory=dict, repr=False, compare=False)
+    windings_for: tuple = field(default=None, repr=False, compare=False)
 
     def indices(self):
         return sorted(self.values)
@@ -156,7 +185,9 @@ def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
 
 
 def _bisect_zero(P, U, mesh, rect, depth=0, max_depth=24):
-    """Locate one zero of Delta inside rect by winding quadrisection."""
+    """Real part of one zero of Delta inside rect, by winding bisection of
+    the real extent; raises ContourError when neither half winds around a
+    zero."""
     if depth >= max_depth:
         return complex(0.5 * (rect.re_min + rect.re_max))
     rm = 0.5 * (rect.re_min + rect.re_max)
@@ -171,21 +202,27 @@ def _bisect_zero(P, U, mesh, rect, depth=0, max_depth=24):
             if halfbox.re_max - halfbox.re_min < 1e-10:
                 return complex(0.5 * (halfbox.re_min + halfbox.re_max))
             return _bisect_zero(P, U, mesh, halfbox, depth + 1, max_depth)
-    return complex(rm)
+    raise ContourError(f"no half of {rect} winds around a zero of Delta")
 
 
 def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
     """The two zeros of Delta inside circ via argument-principle moments
     s_p = (1/2 pi i) oint lam^p Delta'/Delta dlam; requires winding 2."""
     h = 1e-6
+
+    def points(n):
+        return circ.center + circ.radius * np.exp(1j * trapezoid_angles(n))
+
+    def delta_and_slope(z):
+        vals = char_det(P, U, np.concatenate([z, z + h, z - h]), mesh)
+        m = z.size
+        return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
+
     prev_s1 = None
-    for _ in range(max_doublings + 1):
-        th = 2.0 * np.pi * np.arange(n) / n
-        pts = circ.center + circ.radius * np.exp(1j * th)
+    for n, pts, (f, fp) in _nested_nodes(points, delta_and_slope, n,
+                                         max_doublings + 1):
+        th = trapezoid_angles(n)
         dl = 1j * circ.radius * np.exp(1j * th) * (2.0 * np.pi / n)
-        vals = char_det(P, U, np.concatenate([pts, pts + h, pts - h]), mesh)
-        f = vals[:n]
-        fp = (vals[n:2 * n] - vals[2 * n:]) / (2.0 * h)
         logd = fp / f
         s0 = np.sum(logd * dl) / (2j * np.pi)
         s1 = np.sum(pts * logd * dl) / (2j * np.pi)
@@ -196,7 +233,6 @@ def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
             disc = np.sqrt(e1 * e1 - 4.0 * e2 + 0j)
             return 0.5 * (e1 + disc), 0.5 * (e1 - disc)
         prev_s1 = s1
-        n *= 2
     raise ContourError(
         f"moment extraction failed on circle {circ}; s0 = {s0:.4f}")
 
@@ -260,18 +296,25 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     h = 1e-6
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
+    bad = {}
     for k in range(-m_max, m_max + 1):
         ia, ib = 2 * k + 2 * m_max, 2 * k + 1 + 2 * m_max
         a, b = values[2 * k], values[2 * k + 1]
-        bad = (not converged[ia] or not converged[ib]
-               or res[ia] > 1e-6 * scale or res[ib] > 1e-6 * scale
-               or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
-        if not bad and abs(a - b) < DOUBLE_TOL:
-            dp = (char_det(P, U, a + h, mesh)
-                  - char_det(P, U, a - h, mesh)) / (2.0 * h)
-            if abs(dp) > 1e-3 * scale:
-                bad = True          # both members fell into one simple zero
-        if bad:
+        bad[k] = (not converged[ia] or not converged[ib]
+                  or res[ia] > 1e-6 * scale or res[ib] > 1e-6 * scale
+                  or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
+    # a collapsed pair must sit on a double zero: one batched Delta' check
+    collapsed = [k for k in bad if not bad[k]
+                 and abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
+    if collapsed:
+        a = np.array([values[2 * k] for k in collapsed])
+        dp = char_det(P, U, np.concatenate([a + h, a - h]), mesh)
+        dp = (dp[:a.size] - dp[a.size:]) / (2.0 * h)
+        for k, d in zip(collapsed, dp):
+            if abs(d) > 1e-3 * scale:
+                bad[k] = True       # both members fell into one simple zero
+    for k in range(-m_max, m_max + 1):
+        if bad[k]:
             gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
             cap = 0.45 * min(gaps) if gaps else 0.9
             z0, z1 = _recover_pair(P, U, mesh, mids[k], max(cap, delta), delta)
@@ -298,10 +341,11 @@ def _pair_circle(lam_a, lam_b, delta):
 
 def _validate_pairs(P, U, mesh, eigs: EigenvalueList, delta):
     failed = []
+    eigs.windings_for = (P, U, mesh)
     for k in eigs.pair_indices():
         circ = _pair_circle(*eigs.pair(k), delta)
         try:
-            w = winding_count(P, U, circ, mesh)
+            w = eigs.windings[circ] = winding_count(P, U, circ, mesh)
         except ContourError:
             w = -1
         if w != 2:
@@ -350,7 +394,10 @@ class ContourFamily:
 def contour_family(spec0, eigs: EigenvalueList, delta=0.25,
                    P=None, U=None, mesh=None, validate=True) -> ContourFamily:
     """Circles gamma_k around the eigenvalue pairs (lambda_2k, lambda_2k+1)
-    and rectangles Gamma_m, winding-validated when (P, U, mesh) are given."""
+    and rectangles Gamma_m, winding-validated when (P, U, mesh) are given.
+
+    A circle whose winding number localize(validate=True) recorded on eigs
+    for these same P, U and mesh objects is not evaluated again."""
     gammas = {}
     all_vals = eigs.values
     for k in eigs.pair_indices():
@@ -373,10 +420,15 @@ def contour_family(spec0, eigs: EigenvalueList, delta=0.25,
     if validate:
         if P is None or U is None or mesh is None:
             raise ValueError("validation requires P, U and a mesh")
+        same = eigs.windings_for is not None and all(
+            a is b for a, b in zip(eigs.windings_for, (P, U, mesh)))
+        known = eigs.windings if same else {}
         for k, circ in gammas.items():
             needed = eigs.multiplicity[2 * k] if eigs.multiplicity[2 * k] == 2 \
                 else 2
-            w = winding_count(P, U, circ, mesh)
+            w = known.get(circ)
+            if w is None:
+                w = winding_count(P, U, circ, mesh)
             if w != needed:
                 raise ContourError(
                     f"gamma_{k} (center {circ.center:.4f}, r {circ.radius:.3f}) "

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diraclab import (Circle, GridFunction2, NotAnEigenvalueError,
-                      PotentialMatrix, RootSystemError, bvp_eigenfunction,
-                      expansion_coefficients, inner_product, localize,
-                      lp_norm, make_potential, partial_sum,
-                      partial_sum_contour, projector_contour, root_system,
-                      unperturbed_root_system)
+import diraclab.expansions as expansions
+from diraclab import (Circle, ContourError, GridFunction2,
+                      NotAnEigenvalueError, PotentialMatrix, RootSystemError,
+                      bvp_eigenfunction, expansion_coefficients,
+                      inner_product, localize, lp_norm, make_potential,
+                      partial_sum, partial_sum_contour, projector_contour,
+                      root_system, unperturbed_root_system)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -70,16 +71,37 @@ def test_projector_idempotent_and_orthogonal(rs_const_m8, mesh96):
 
 
 def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
-                                                const_potential, dirichlet):
+                                                const_potential, dirichlet,
+                                                monkeypatch):
     f = _f_smooth(mesh96)
     e = rs_const_m8.entries
     circ = Circle(0.5 * (e[0].lam + e[1].lam),
                   0.5 * abs(e[0].lam - e[1].lam) + 0.25)
+    nodes = []
+    inner = expansions.green_kernel
+
+    def counting(P, U, lam, mesh, **kw):
+        nodes.append(lam)
+        return inner(P, U, lam, mesh, **kw)
+
+    monkeypatch.setattr(expansions, "green_kernel", counting)
     via_contour = projector_contour(const_potential, dirichlet, circ, f,
                                     mesh96)
     direct = (inner_product(f, e[0].z) * e[0].y.values
               + inner_product(f, e[1].z) * e[1].y.values)
     assert np.max(np.abs(via_contour.values - direct)) < 1e-8
+    # 32, 64 and 128 nodes, each kernel built once: 128 calls, not 224
+    assert len(nodes) == 128 == len(set(nodes))
+
+
+def test_contour_projector_unconverged_raises(rs_const_m8, mesh96,
+                                              const_potential, dirichlet):
+    # one rule has no successor to agree with, however loose the tolerance
+    circ = Circle(rs_const_m8.entries[0].lam, 0.25)
+    with pytest.raises(ContourError):
+        projector_contour(const_potential, dirichlet, circ,
+                          _f_smooth(mesh96), mesh96, tol=1.0,
+                          max_doublings=0)
 
 
 def test_partial_sum_contour_agreement(rs_const_m8, mesh96):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diraclab.ode as ode
 from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
                       ScalarFunction, boundary_from_config, build_mesh,
                       bvp_eigenfunction, char_det, delta0, expm2,
@@ -80,6 +81,28 @@ def test_char_det_matches_delta0(dirichlet):
     lams = np.array([0.4 + 0.2j, 3.7, -2.0 - 1.5j])
     got = char_det(PotentialMatrix.zero(), dirichlet, lams, mesh)
     assert np.max(np.abs(got - delta0(dirichlet, lams))) < 1e-10
+
+
+def test_char_det_chunks_match_single_lambdas(trig_potential, periodic,
+                                             monkeypatch):
+    # 200 lambdas cross three chunk boundaries; every value equals its
+    # one-lambda call bit for bit
+    mesh = build_mesh(32, order=5)
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(-40, 40, 200) + 1j * rng.uniform(-3, 3, 200)
+    single = np.array([char_det(trig_potential, periodic, lam, mesh)
+                       for lam in lams])
+    sizes = []
+    inner = ode.propagate
+
+    def counting(P, lams, mesh, **kw):
+        sizes.append(np.size(lams))
+        return inner(P, lams, mesh, **kw)
+
+    monkeypatch.setattr(ode, "propagate", counting)
+    batched = char_det(trig_potential, periodic, lams, mesh)
+    assert sizes == [64, 64, 64, 8] and ode.DET_CHUNK == 64
+    assert np.array_equal(batched, single)
 
 
 def test_overflow_cap():

@@ -1,12 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diraclab.spectrum as spectrum
 from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
-                      PotentialMatrix, RectContour, contour_family, localize,
-                      localization_seeds, unperturbed_spectrum, winding_count)
+                      PotentialMatrix, RectContour, build_mesh, contour_family,
+                      localize, localization_seeds, unperturbed_spectrum,
+                      winding_count)
+from diraclab.spectrum import _bisect_zero, _pair_moments, trapezoid_angles
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
+
+
+@pytest.fixture
+def char_det_sizes(monkeypatch):
+    """Sizes of the lambda batches the spectrum module passes to char_det."""
+    sizes = []
+    inner = spectrum.char_det
+
+    def counting(P, U, lam, mesh, **kw):
+        sizes.append(int(np.size(lam)))
+        return inner(P, U, lam, mesh, **kw)
+
+    monkeypatch.setattr(spectrum, "char_det", counting)
+    return sizes
+
+
+@pytest.fixture
+def winding_contours(monkeypatch):
+    """Contours passed to winding_count through the spectrum module."""
+    contours = []
+    inner = spectrum.winding_count
+
+    def recording(P, U, contour, mesh, **kw):
+        contours.append(contour)
+        return inner(P, U, contour, mesh, **kw)
+
+    monkeypatch.setattr(spectrum, "winding_count", recording)
+    return contours
+
+
+finite = st.floats(-50.0, 50.0, allow_nan=False)
+length = st.floats(1e-3, 50.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2000), re=finite, im=finite, radius=length,
+       width=length, half=length)
+def test_contour_nodes_nest_under_doubling(n, re, im, radius, width, half):
+    # the nodes at n are exactly the even nodes at 2n: doubling reuses them
+    circ = Circle(complex(re, im), radius)
+    rect = RectContour(re, re + width, half)
+    for points in (circ.points, rect.points, trapezoid_angles):
+        assert np.array_equal(points(2 * n)[::2], points(n))
 
 
 def test_winding_free_dirichlet(dirichlet, mesh96):
@@ -30,6 +78,34 @@ def test_winding_unstable_contour_raises(dirichlet, mesh96):
     with pytest.raises(ContourError):
         winding_count(P0, dirichlet, Circle(0.0, 2.5), mesh96,
                       quad_order=6, max_doublings=0)
+
+
+def test_winding_doubling_evaluates_only_new_nodes(dirichlet, mesh96,
+                                                   char_det_sizes):
+    # 8 nodes cannot resolve five zeros; the rule doubles twice, to 32, and
+    # evaluates 8 + 8 + 16 = 4 * 8 nodes instead of 8 + 16 + 32
+    circ = Circle(0.0, 2.5)
+    assert winding_count(P0, dirichlet, circ, mesh96, quad_order=8) == 5
+    assert char_det_sizes == [8, 8, 16]
+    assert winding_count(P0, dirichlet, circ, mesh96, quad_order=32,
+                         max_doublings=0) == 5
+
+
+def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
+                                  char_det_sizes):
+    # the double zero sqrt(4 + c^2) needs 256 then 512 nodes, three lambdas
+    # each; the second level adds only the 256 odd nodes
+    root = np.sqrt(4.0 + 0.3 ** 2)
+    z0, z1 = _pair_moments(const_potential, periodic, mesh96,
+                           Circle(complex(root), 0.25))
+    assert char_det_sizes == [768, 768]
+    assert abs(z0 - root) < 1e-4 and abs(z1 - root) < 1e-4
+
+
+def test_bisect_zero_without_zero_raises(dirichlet, mesh96):
+    # the free Dirichlet zeros are the integers: none lies in (0.2, 0.8)
+    with pytest.raises(ContourError):
+        _bisect_zero(P0, dirichlet, mesh96, RectContour(0.2, 0.8, 0.3))
 
 
 def test_localize_requires_regular_form(mesh96):
@@ -108,6 +184,22 @@ def test_contour_family_perturbed(const_potential, periodic, mesh96):
     circ = fam.gamma(0)
     assert np.all(circ.contains(np.array(eigs.pair(0))))
     assert not np.any(circ.contains(np.array(eigs.pair(1))))
+
+
+def test_contour_family_reuses_localize_windings(const_potential, periodic,
+                                                 mesh96, winding_contours):
+    spec0 = unperturbed_spectrum(periodic)
+    eigs = localize(const_potential, periodic, 2, mesh96, validate=True)
+    circles = len(winding_contours)
+    assert circles >= 5
+    del winding_contours[:]
+    contour_family(spec0, eigs, P=const_potential, U=periodic, mesh=mesh96)
+    assert [type(c) for c in winding_contours] == [RectContour]
+    # an equal mesh that is another object certifies nothing: all again
+    del winding_contours[:]
+    contour_family(spec0, eigs, P=const_potential, U=periodic,
+                   mesh=build_mesh(96, order=5))
+    assert [type(c) for c in winding_contours] == [Circle] * 5 + [RectContour]
 
 
 def test_contour_family_needs_operator_for_validation(dirichlet, mesh96):
