@@ -11,7 +11,8 @@ from .expansions import (RootSystem, RootSystemError, expansion_coefficients,
                          partial_sum, partial_sum_contour, projector_contour,
                          root_system, unperturbed_root_system)
 from .green import (GreenKernel, OpNormEstimate, PoleError, apply_resolvent,
-                    green0_kernel, green_kernel, kernel_sup, opnorm_scaling)
+                    green0_kernel, green_kernel, green_kernels, kernel_sup,
+                    opnorm_scaling)
 from .harness import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, load_report_json, make_function,
@@ -19,8 +20,8 @@ from .harness import (CSV_HEADER, EquiconvReport, ExperimentConfig,
 from .mesh import (GridFunction2, Mesh, MeshMismatchError, build_mesh,
                    inner_product, lp_norm)
 from .ode import (FundamentalSolution, NotAnEigenvalueError, OverflowCapError,
-                  bvp_eigenfunction, char_det, expm2, fundamental_matrix,
-                  normalize_eigenfunction, propagate)
+                  bvp_eigenfunction, char_det, expm2, fundamental_matrices,
+                  fundamental_matrix, normalize_eigenfunction, propagate)
 from .potentials import (GaugeReduction, PotentialMatrix, ScalarFunction,
                          comparison_operator, gauge_reduce, make_potential)
 from .spectrum import (CLUSTER_TOL, Circle, ContourError, ContourFamily,

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryMatrixPair, adjoint_pair
-from .green import green_kernel
+from .green import green_kernels
 from .mesh import GridFunction2, Mesh, inner_product
 from .ode import B_INV, delta_scale, eigenfunctions, inv2
 # not called here; kept importable from this module, where bench/spans.py
 # wraps them
+from .green import green_kernel  # noqa: F401
 from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 from .spectrum import CLUSTER_TOL, Circle, ContourError, EigenvalueList, \
@@ -221,7 +222,8 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
     by the trapezoid rule with node doubling.
 
     The nodes at n are the even nodes at 2n, so each doubling adds only the
-    new odd nodes to a running sum.  Raises ContourError when two successive
+    new odd nodes to a running sum; the kernels of one level come from one
+    batched green_kernels call.  Raises ContourError when two successive
     rules still differ by tol or more after max_doublings."""
     acc = np.zeros((2, mesh.size), dtype=complex)
     prev = None
@@ -231,9 +233,10 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
         if level:
             theta = theta[1::2]     # the even nodes are in acc already
         unit = np.exp(1j * theta)
-        for lam, w in zip(contour.center + contour.radius * unit,
-                          1j * contour.radius * unit):
-            acc += w * green_kernel(P, U, lam, mesh).apply(f).values
+        kernels = green_kernels(P, U, contour.center + contour.radius * unit,
+                                mesh)
+        for K, w in zip(kernels, 1j * contour.radius * unit):
+            acc += w * K.apply(f).values
         cur = -acc / (1j * n)
         if prev is not None and np.max(np.abs(cur - prev)) < tol:
             return GridFunction2(mesh, cur)

@@ -6,7 +6,8 @@ green0_kernel evaluates the explicit free kernel
                 + (i/Delta0) diag(e^{i lam (x-pi)}, -e^{i lam (pi-x)})
                   [[J14, J24], [J13, J23]] diag(e^{-i lam t}, -e^{i lam t});
 
-green_kernel builds the perturbed kernel from the fundamental system,
+green_kernel (one lambda) and green_kernels (a batch, propagated in chunks)
+build the perturbed kernel from the fundamental system,
 
     G(t,x,lam) = M(x) [ -(C + D M(pi))^{-1} D M(pi) + chi_{t<x} I ] M(t)^{-1} B^{-1},
 
@@ -22,7 +23,10 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, delta0, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
-from .ode import B_INV, det2, fundamental_matrix, inv2
+from .ode import B_INV, FundamentalSolution, det2, fundamental_matrices, inv2
+# not called here; kept importable from this module, where bench/spans.py
+# wraps it
+from .ode import fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 
 POLE_TOL = 1e-6
@@ -218,16 +222,10 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
                        provenance="explicit-G0", _apply=apply)
 
 
-def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
-                 eigs=None, accept_tol=1e-7) -> GreenKernel:
-    """Perturbed Green kernel built from the fundamental system."""
-    lam = complex(lam)
-    if eigs is not None:
-        dists = [abs(lam - v) for v in eigs.values.values()]
-        if dists and min(dists) < 10 * accept_tol:
-            raise PoleError(f"lambda within pole tolerance of eigenvalue "
-                            f"{min(eigs.values.values(), key=lambda v: abs(lam - v))}")
-    F = fundamental_matrix(P, lam, mesh)
+def _constructed_kernel(U: BoundaryMatrixPair, F: FundamentalSolution):
+    """Perturbed Green kernel at F.lam from its fundamental system; raises
+    PoleError where Delta(lambda) ~ 0."""
+    lam, mesh = F.lam, F.mesh
     T = U.C + U.D @ F.monodromy
     det = det2(T)
     scale = max(1.0, float(np.max(np.abs(F.monodromy))))
@@ -262,6 +260,30 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
 
     return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
                        provenance="constructed", _apply=apply)
+
+
+def green_kernels(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
+                  mesh: Mesh):
+    """Perturbed Green kernels for a batch of lambdas, in order, built from
+    fundamental systems propagated EIG_CHUNK at a time.  A kernel kept
+    past the next step keeps its chunk alive."""
+    for F in fundamental_matrices(P, lams, mesh):
+        yield _constructed_kernel(U, F)
+
+
+def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
+                 eigs=None, accept_tol=1e-7) -> GreenKernel:
+    """Perturbed Green kernel at one lambda, the one-lambda case of
+    green_kernels; with eigs, raises PoleError within 10 accept_tol of a
+    known eigenvalue."""
+    lam = complex(lam)
+    if eigs is not None:
+        dists = [abs(lam - v) for v in eigs.values.values()]
+        if dists and min(dists) < 10 * accept_tol:
+            raise PoleError(f"lambda within pole tolerance of eigenvalue "
+                            f"{min(eigs.values.values(), key=lambda v: abs(lam - v))}")
+    K, = green_kernels(P, U, [lam], mesh)
+    return K
 
 
 def apply_resolvent(K: GreenKernel, f: GridFunction2) -> GridFunction2:

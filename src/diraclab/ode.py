@@ -180,11 +180,32 @@ class FundamentalSolution:
         return float(np.max(np.abs(det2(self.node_values) - target)))
 
 
+def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh, im_cap):
+    """(chunk, Mb, Mn) for EIG_CHUNK lambdas per propagate(nodes=True)
+    call, in order."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    for i in range(0, lams.size, EIG_CHUNK):
+        chunk = lams[i:i + EIG_CHUNK]
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True, im_cap=im_cap)
+        yield chunk, Mb, Mn
+
+
+def fundamental_matrices(P: PotentialMatrix, lams, mesh: Mesh,
+                         im_cap=IM_CAP_DEFAULT):
+    """FundamentalSolution for each lambda in order, EIG_CHUNK per
+    propagate call.  Its matrices are views into the current chunk; a
+    caller that keeps one past the next step keeps the chunk alive."""
+    for chunk, Mb, Mn in _node_chunks(P, lams, mesh, im_cap):
+        for l, lam in enumerate(chunk):
+            yield FundamentalSolution(potential=P, lam=complex(lam),
+                                      mesh=mesh, boundary_values=Mb[l],
+                                      node_values=Mn[l])
+
+
 def fundamental_matrix(P: PotentialMatrix, lam, mesh: Mesh,
                        im_cap=IM_CAP_DEFAULT) -> FundamentalSolution:
-    Mb, Mn = propagate(P, [lam], mesh, nodes=True, im_cap=im_cap)
-    return FundamentalSolution(potential=P, lam=complex(lam), mesh=mesh,
-                               boundary_values=Mb[0], node_values=Mn[0])
+    F, = fundamental_matrices(P, [lam], mesh, im_cap=im_cap)
+    return F
 
 
 def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
@@ -243,10 +264,7 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
     a caller that keeps them past the next step keeps the chunk alive.
     Raises NotAnEigenvalueError when |Delta(lambda)| > accept_tol * scale.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    for i in range(0, lams.size, EIG_CHUNK):
-        chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True, im_cap=im_cap)
+    for chunk, Mb, Mn in _node_chunks(P, lams, mesh, im_cap):
         mono = Mb[:, -1]
         T = U.C[None] + U.D[None] @ mono
         dets = det2(T)

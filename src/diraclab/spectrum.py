@@ -239,18 +239,22 @@ def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
 
 def _recover_pair(P, U, mesh, seed_mid, cap, delta):
     """Both zeros of a pair whose Newton iterations failed: grow a circle
-    around the seed midpoint until it winds twice, then take moments."""
+    around the seed midpoint until it winds twice, then take moments.
+    Returns [(zero, polished)] sorted by zero; polished is False where the
+    Newton polish did not converge within 0.1 and the moment estimate is
+    kept."""
     r = delta
     while r <= cap:
         circ = Circle(complex(seed_mid), float(r))
         try:
             if winding_count(P, U, circ, mesh) == 2:
-                z0, z1 = _pair_moments(P, U, mesh, circ)
-                lam, conv = _newton(P, U, mesh, np.array([z0, z1]))
-                z0 = complex(lam[0]) if conv[0] and abs(lam[0] - z0) < 0.1 else z0
-                z1 = complex(lam[1]) if conv[1] and abs(lam[1] - z1) < 0.1 else z1
-                return sorted([complex(z0), complex(z1)],
-                              key=lambda z: (z.real, z.imag))
+                moments = _pair_moments(P, U, mesh, circ)
+                lam, conv = _newton(P, U, mesh, np.array(moments))
+                out = []
+                for z, zn, c in zip(moments, lam, conv):
+                    polished = bool(c and abs(zn - z) < 0.1)
+                    out.append((complex(zn if polished else z), polished))
+                return sorted(out, key=lambda p: (p[0].real, p[0].imag))
         except ContourError:
             pass
         r *= 1.4
@@ -317,9 +321,14 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         if bad[k]:
             gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
             cap = 0.45 * min(gaps) if gaps else 0.9
-            z0, z1 = _recover_pair(P, U, mesh, mids[k], max(cap, delta), delta)
-            values[2 * k], values[2 * k + 1] = z0, z1
+            pair = _recover_pair(P, U, mesh, mids[k], max(cap, delta), delta)
             diagnostics.append(f"pair {k} recovered by contour moments")
+            for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
+                values[n] = z
+                if not polished:
+                    diagnostics.append(
+                        f"lambda_{n}: Newton polish did not converge within "
+                        f"0.1 of the moment estimate {z}; estimate kept")
     for k in range(-m_max, m_max + 1):
         a, b = values[2 * k], values[2 * k + 1]
         if abs(a - b) < DOUBLE_TOL:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import diraclab.expansions as expansions
+import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
                       bvp_eigenfunction, expansion_coefficients,
@@ -77,21 +77,24 @@ def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
     e = rs_const_m8.entries
     circ = Circle(0.5 * (e[0].lam + e[1].lam),
                   0.5 * abs(e[0].lam - e[1].lam) + 0.25)
-    nodes = []
-    inner = expansions.green_kernel
+    batches = []
+    inner = ode.propagate
 
-    def counting(P, U, lam, mesh, **kw):
-        nodes.append(lam)
-        return inner(P, U, lam, mesh, **kw)
+    def counting(P, lams, mesh, **kw):
+        batches.append(np.asarray(lams))
+        return inner(P, lams, mesh, **kw)
 
-    monkeypatch.setattr(expansions, "green_kernel", counting)
+    monkeypatch.setattr(ode, "propagate", counting)
     via_contour = projector_contour(const_potential, dirichlet, circ, f,
                                     mesh96)
     direct = (inner_product(f, e[0].z) * e[0].y.values
               + inner_product(f, e[1].z) * e[1].y.values)
     assert np.max(np.abs(via_contour.values - direct)) < 1e-8
-    # 32, 64 and 128 nodes, each kernel built once: 128 calls, not 224
+    # 32, 64 and 128 nodes, each kernel built once: 128 nodes, not 224,
+    # propagated 16 per call as 2 + 2 + 4 calls
+    nodes = np.concatenate(batches).tolist()
     assert len(nodes) == 128 == len(set(nodes))
+    assert len(batches) == 8
 
 
 def test_contour_projector_unconverged_raises(rs_const_m8, mesh96,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import diraclab.ode as ode
 from diraclab import (GridFunction2, PoleError, PotentialMatrix,
                       apply_resolvent, green0_kernel, green_kernel,
-                      kernel_sup, lp_norm, opnorm_scaling)
+                      green_kernels, kernel_sup, lp_norm, opnorm_scaling)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -98,6 +99,38 @@ def test_pole_error_near_spectrum(dirichlet, mesh96):
     assert "2" in str(ei.value)
     with pytest.raises(PoleError):
         green_kernel(P0, dirichlet, 2.0 + 1e-9j, mesh96)
+
+
+def test_batched_kernels_match_single(trig_potential, dirichlet, mesh96,
+                                      monkeypatch):
+    # 40 lambdas make 3 chunks of at most 16; each kernel is the one-lambda
+    # kernel bit for bit
+    lams = np.linspace(-4.0, 4.0, 40) + 0.7j
+    calls = []
+    inner = ode.propagate
+
+    def counting(P, lams, mesh, **kw):
+        calls.append(np.size(lams))
+        return inner(P, lams, mesh, **kw)
+
+    monkeypatch.setattr(ode, "propagate", counting)
+    batched = list(green_kernels(trig_potential, dirichlet, lams, mesh96))
+    assert calls == [16, 16, 8]
+    monkeypatch.undo()
+    f = _rand_f(mesh96, seed=7)
+    ts = np.linspace(0.1, PI - 0.1, 7)
+    xs = np.linspace(0.15, PI - 0.05, 5)
+    for lam, K in zip(lams, batched):
+        single = green_kernel(trig_potential, dirichlet, lam, mesh96)
+        assert K.lam == single.lam == complex(lam)
+        assert np.array_equal(K.apply(f).values, single.apply(f).values)
+        assert np.array_equal(K.eval_grid(ts, xs), single.eval_grid(ts, xs))
+
+
+def test_batched_kernels_pole_error(dirichlet, mesh96):
+    lams = [0.4 + 0.3j, 1.1 - 0.5j, 2.0 + 1e-9j, 2.5 + 0.2j]
+    with pytest.raises(PoleError):
+        list(green_kernels(P0, dirichlet, lams, mesh96))
 
 
 def test_kernel_sup_positive_and_finite(dirichlet, mesh96):

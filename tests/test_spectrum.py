@@ -138,6 +138,35 @@ def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96):
     assert any("contour moments" in d for d in eigs.diagnostics)
 
 
+def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
+                                          monkeypatch):
+    # every pair here is recovered by moments; force each Newton polish
+    # after localize's first run to fail, so each member keeps its moment
+    # estimate and says so
+    normal = localize(const_potential, periodic, 3, mesh96)
+    assert not any("polish" in d for d in normal.diagnostics)
+    inner = spectrum._newton
+    runs = []
+
+    def failing(P, U, mesh, seeds, **kw):
+        runs.append(seeds.size)
+        lam, conv = inner(P, U, mesh, seeds, **kw)
+        if len(runs) > 1:
+            return seeds.astype(complex), np.zeros(seeds.shape, dtype=bool)
+        return lam, conv
+
+    monkeypatch.setattr(spectrum, "_newton", failing)
+    eigs = localize(const_potential, periodic, 3, mesh96)
+    assert runs == [14] + [2] * 7
+    marked = [d for d in eigs.diagnostics if "polish" in d]
+    assert [d.split(":")[0] for d in marked] == [
+        f"lambda_{n}" for n in range(-6, 8)]
+    # the benchmark counts recovered pairs by this word
+    assert sum("recovered" in d for d in eigs.diagnostics) == 7
+    for n, lam in eigs.values.items():
+        assert abs(lam - normal.values[n]) < 1e-4
+
+
 def test_localize_antiperiodic_free(antiperiodic, mesh96):
     eigs = localize(P0, antiperiodic, 2, mesh96)
     for n, lam in eigs.values.items():
