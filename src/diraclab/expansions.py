@@ -124,7 +124,7 @@ def _distinct(eigs: EigenvalueList, groups):
     return np.array(lams), slots
 
 
-def _fill_root_vectors(P, U, lams, slots, mesh, out, accept_tol):
+def _fill_root_vectors(P, U, lams, slots, mesh, out):
     """Write eigenfunctions, then associated functions where the algebraic
     multiplicity exceeds the geometric one, into the rows of out (n, 2, N);
     returns each row's role."""
@@ -132,8 +132,7 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out, accept_tol):
     scale = delta_scale(P, U, np.repeat(lams, mults), mesh)
     roles = []
     for (mult, row, group), (r, Mn, mono) in zip(
-            slots, eigenfunctions(P, U, lams, mesh, scale,
-                                  accept_tol=accept_tol)):
+            slots, eigenfunctions(P, U, lams, mesh, scale)):
         funcs = r.functions[:mult]
         for i, y in enumerate(funcs):
             out[row + i] = y.values
@@ -150,7 +149,7 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out, accept_tol):
 
 
 def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
-                eigs: EigenvalueList = None, accept_tol=1e-6) -> RootSystem:
+                eigs: EigenvalueList = None) -> RootSystem:
     """Biorthogonal root system of the operator and its adjoint for all
     indices in [-2 m_max, 2 m_max + 1].
 
@@ -166,9 +165,9 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     # one block for both: fewer large blocks to place on the heap (a kept
     # system held Y and Z apart raised peak RSS by ~4 MB in the benchmark)
     Y, Z = np.empty((2,) + shape, dtype=complex)
-    roles = _fill_root_vectors(P, U, lams, slots, mesh, Y, accept_tol)
+    roles = _fill_root_vectors(P, U, lams, slots, mesh, Y)
     _fill_root_vectors(P.adjoint(), adjoint_pair(U), np.conj(lams), slots,
-                       mesh, Z, accept_tol)
+                       mesh, Z)
     lo = -2 * eigs.m_max            # index of row 0
     entries = {}
     for group in groups:
@@ -217,9 +216,9 @@ def partial_sum(rs: RootSystem, f: GridFunction2, m=None) -> GridFunction2:
 
 def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
                       contour: Circle, f: GridFunction2, mesh: Mesh,
-                      n_start=32, tol=1e-8, max_doublings=6) -> GridFunction2:
+                      tol=1e-8, max_doublings=6) -> GridFunction2:
     """Riesz projector -(1/2 pi i) contour-integral of (L - lambda)^{-1} f
-    by the trapezoid rule with node doubling.
+    by the trapezoid rule with node doubling from 32 nodes.
 
     The nodes at n are the even nodes at 2n, so each doubling adds only the
     new odd nodes to a running sum; the kernels of one level come from one
@@ -227,7 +226,7 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
     rules still differ by tol or more after max_doublings."""
     acc = np.zeros((2, mesh.size), dtype=complex)
     prev = None
-    n = n_start
+    n = 32
     for level in range(max_doublings + 1):
         theta = trapezoid_angles(n)
         if level:
@@ -247,16 +246,15 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
         f"{max_doublings} doublings")
 
 
-def partial_sum_contour(rs: RootSystem, f: GridFunction2, m,
-                        delta=0.25, **kw) -> GridFunction2:
+def partial_sum_contour(rs: RootSystem, f: GridFunction2,
+                        m) -> GridFunction2:
     """Cross-check of partial_sum: sum of contour projectors over the
     circles gamma_k, k in [-m, m]."""
     from .spectrum import contour_family, localization_seeds
     spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
-    fam = contour_family(spec0, rs.eigs, delta=delta, P=rs.potential,
-                         U=rs.form, mesh=rs.mesh, validate=False)
+    fam = contour_family(spec0, rs.eigs, validate=False)
     acc = np.zeros((2, rs.mesh.size), dtype=complex)
     for k in range(-m, m + 1):
         acc += projector_contour(rs.potential, rs.form, fam.gamma(k), f,
-                                 rs.mesh, **kw).values
+                                 rs.mesh).values
     return GridFunction2(rs.mesh, acc)

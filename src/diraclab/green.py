@@ -6,8 +6,8 @@ green0_kernel evaluates the explicit free kernel
                 + (i/Delta0) diag(e^{i lam (x-pi)}, -e^{i lam (pi-x)})
                   [[J14, J24], [J13, J23]] diag(e^{-i lam t}, -e^{i lam t});
 
-green_kernel (one lambda) and green_kernels (a batch, propagated in chunks)
-build the perturbed kernel from the fundamental system,
+green_kernels (a batch of lambdas, propagated in chunks; green_kernel is its
+one-lambda case) builds the perturbed kernel from the fundamental system,
 
     G(t,x,lam) = M(x) [ -(C + D M(pi))^{-1} D M(pi) + chi_{t<x} I ] M(t)^{-1} B^{-1},
 
@@ -30,6 +30,9 @@ from .ode import fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 
 POLE_TOL = 1e-6
+# sample points per axis of kernel_sup, and its band around the diagonal
+SUP_GRID = 40
+SUP_EXCLUDE = 0.02
 
 
 class PoleError(ValueError):
@@ -271,17 +274,9 @@ def green_kernels(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
         yield _constructed_kernel(U, F)
 
 
-def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
-                 eigs=None, accept_tol=1e-7) -> GreenKernel:
-    """Perturbed Green kernel at one lambda, the one-lambda case of
-    green_kernels; with eigs, raises PoleError within 10 accept_tol of a
-    known eigenvalue."""
-    lam = complex(lam)
-    if eigs is not None:
-        dists = [abs(lam - v) for v in eigs.values.values()]
-        if dists and min(dists) < 10 * accept_tol:
-            raise PoleError(f"lambda within pole tolerance of eigenvalue "
-                            f"{min(eigs.values.values(), key=lambda v: abs(lam - v))}")
+def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
+                 mesh: Mesh) -> GreenKernel:
+    """Perturbed Green kernel at one lambda."""
     K, = green_kernels(P, U, [lam], mesh)
     return K
 
@@ -291,12 +286,13 @@ def apply_resolvent(K: GreenKernel, f: GridFunction2) -> GridFunction2:
     return K.apply(f)
 
 
-def kernel_sup(K: GreenKernel, nt=40, nx=40, exclude=0.02):
-    """Max |g_jk| over an off-diagonal sample grid."""
-    ts = np.linspace(0.013, np.pi - 0.009, nt)
-    xs = np.linspace(0.007, np.pi - 0.011, nx)
+def kernel_sup(K: GreenKernel):
+    """Max |g_jk| over a SUP_GRID x SUP_GRID sample grid, off the band
+    |x - t| <= SUP_EXCLUDE around the diagonal jump."""
+    ts = np.linspace(0.013, np.pi - 0.009, SUP_GRID)
+    xs = np.linspace(0.007, np.pi - 0.011, SUP_GRID)
     vals = K.eval_grid(ts, xs)
-    mask = np.abs(xs[:, None] - ts[None, :]) > exclude
+    mask = np.abs(xs[:, None] - ts[None, :]) > SUP_EXCLUDE
     return float(np.max(np.abs(vals[mask])))
 
 

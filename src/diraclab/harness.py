@@ -284,7 +284,6 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
         M_est = kernel_sup(green_kernel(P, U, lam_probe, mesh))
     timings["metadata"] = st.elapsed
     metadata = {
-        "N0": rs.eigs.N0,
         "M_est": M_est,
         "mesh_panels": mesh.n_panels,
         "mesh_order": mesh.order,

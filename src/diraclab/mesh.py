@@ -2,10 +2,10 @@
 
 The mesh is a partition of [0, pi] into panels, each carrying a fixed-order
 Gauss-Legendre rule.  Panels adjacent to a declared singular point are
-geometrically refined toward it (ratio 1/2 by default), so that integrable
-power singularities |x - x0|^(-alpha), alpha < 1, are resolved by the
-quadrature.  Singular points always land on panel boundaries and never on
-quadrature nodes (Gauss nodes are interior).
+geometrically refined toward it (GRADING_DEPTH panels, each GRADING_RATIO
+times the last), so that integrable power singularities |x - x0|^(-alpha),
+alpha < 1, are resolved by the quadrature.  Singular points always land on
+panel boundaries and never on quadrature nodes (Gauss nodes are interior).
 """
 from __future__ import annotations
 
@@ -15,6 +15,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 PI = np.pi
+# graded panels on each side of a singular point, and their length ratio
+GRADING_DEPTH = 20
+GRADING_RATIO = 0.5
 
 
 class MeshMismatchError(ValueError):
@@ -159,8 +162,7 @@ class Mesh:
         return out[..., 0] if scalar else out
 
 
-def build_mesh(panels=512, order=5, singular_points=(),
-               grading_depth=20, grading_ratio=0.5):
+def build_mesh(panels=512, order=5, singular_points=()):
     """Uniform panels on [0, pi] plus geometric grading toward each
     declared singular point."""
     base = np.linspace(0.0, PI, panels + 1)
@@ -178,11 +180,11 @@ def build_mesh(panels=512, order=5, singular_points=(),
         if abs(right - x0) < 1e-12 * PI:
             right = min(PI, right + h0)
         if x0 > 0.0:
-            for j in range(grading_depth + 1):
-                pts.add(round(x0 - (x0 - left) * grading_ratio ** j, 15))
+            for j in range(GRADING_DEPTH + 1):
+                pts.add(round(x0 - (x0 - left) * GRADING_RATIO ** j, 15))
         if x0 < PI:
-            for j in range(grading_depth + 1):
-                pts.add(round(x0 + (right - x0) * grading_ratio ** j, 15))
+            for j in range(GRADING_DEPTH + 1):
+                pts.add(round(x0 + (right - x0) * GRADING_RATIO ** j, 15))
         pts.add(round(x0, 15))
     breaks = np.array(sorted(pts))
     breaks[0], breaks[-1] = 0.0, PI

@@ -16,10 +16,14 @@ import numpy as np
 from .boundary import BoundaryMatrixPair
 from .mesh import GridFunction2, Mesh, lp_norm
 from .potentials import PotentialMatrix
+# B = diag(-i, i) is defined once, in boundary; kept importable from here
+from .boundary import B_MATRIX  # noqa: F401
 
-B_MATRIX = np.diag([-1j, 1j])
 B_INV = np.diag([1j, -1j])
-IM_CAP_DEFAULT = 50.0
+# largest |Im lambda| propagated; e^{+-i lambda x} grows as e^{pi |Im lambda|}
+IM_CAP = 50.0
+# |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
+ACCEPT_TOL = 1e-6
 # eigenvalues per propagate call in the batched eigenfunction core; bounds
 # the node matrices alive at once to a chunk
 EIG_CHUNK = 16
@@ -31,17 +35,16 @@ _C4 = np.sqrt(3.0) / 12.0
 
 
 class OverflowCapError(ValueError):
-    """|Im lambda| exceeds the configured cap for e^{+-i lambda x}."""
+    """|Im lambda| exceeds IM_CAP."""
 
 
 class NotAnEigenvalueError(ValueError):
     """Characteristic determinant not small enough at the requested lambda."""
 
 
-def _check_cap(lams, im_cap):
-    if np.any(np.abs(np.imag(lams)) > im_cap):
-        raise OverflowCapError(
-            f"|Im lambda| exceeds cap {im_cap}; raise im_cap explicitly if intended")
+def _check_cap(lams):
+    if np.any(np.abs(np.imag(lams)) > IM_CAP):
+        raise OverflowCapError(f"|Im lambda| exceeds cap {IM_CAP}")
 
 
 def det2(M):
@@ -121,15 +124,14 @@ def _magnus_factors(P, lams, starts, lengths):
     return expm2(omega)
 
 
-def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True,
-              im_cap=IM_CAP_DEFAULT):
+def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     """Transfer matrices for a batch of spectral parameters.
 
     Returns (Mb, Mn): Mb[l, k] = M(break_k, lam_l) with Mb[l, 0] = I, and
     Mn[l, j] = M(node_j, lam_l) (or None when nodes=False).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    _check_cap(lams, im_cap)
+    _check_cap(lams)
     K = mesh.n_panels
     T = _magnus_factors(P, lams, mesh.panel_starts, mesh.panel_lengths)
     L = lams.size
@@ -180,44 +182,41 @@ class FundamentalSolution:
         return float(np.max(np.abs(det2(self.node_values) - target)))
 
 
-def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh, im_cap):
+def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh):
     """(chunk, Mb, Mn) for EIG_CHUNK lambdas per propagate(nodes=True)
     call, in order."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     for i in range(0, lams.size, EIG_CHUNK):
         chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True, im_cap=im_cap)
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
         yield chunk, Mb, Mn
 
 
-def fundamental_matrices(P: PotentialMatrix, lams, mesh: Mesh,
-                         im_cap=IM_CAP_DEFAULT):
+def fundamental_matrices(P: PotentialMatrix, lams, mesh: Mesh):
     """FundamentalSolution for each lambda in order, EIG_CHUNK per
     propagate call.  Its matrices are views into the current chunk; a
     caller that keeps one past the next step keeps the chunk alive."""
-    for chunk, Mb, Mn in _node_chunks(P, lams, mesh, im_cap):
+    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
         for l, lam in enumerate(chunk):
             yield FundamentalSolution(potential=P, lam=complex(lam),
                                       mesh=mesh, boundary_values=Mb[l],
                                       node_values=Mn[l])
 
 
-def fundamental_matrix(P: PotentialMatrix, lam, mesh: Mesh,
-                       im_cap=IM_CAP_DEFAULT) -> FundamentalSolution:
-    F, = fundamental_matrices(P, [lam], mesh, im_cap=im_cap)
+def fundamental_matrix(P: PotentialMatrix, lam,
+                       mesh: Mesh) -> FundamentalSolution:
+    F, = fundamental_matrices(P, [lam], mesh)
     return F
 
 
-def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh,
-             im_cap=IM_CAP_DEFAULT):
+def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh):
     """Characteristic determinant det(C + D M(pi, lambda)), propagated
     DET_CHUNK lambdas at a time; each value is independent of the batch."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)
     for i in range(0, lams.size, DET_CHUNK):
-        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False,
-                          im_cap=im_cap)
+        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False)
         det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ Mb[:, -1])
     return complex(det[0]) if scalar else det
 
@@ -253,8 +252,7 @@ def normalize_eigenfunction(y: GridFunction2, value_at_zero=None):
 
 
 def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
-                   mesh: Mesh, scale, accept_tol=1e-7,
-                   im_cap=IM_CAP_DEFAULT):
+                   mesh: Mesh, scale):
     """Eigenfunction(s) at accepted eigenvalues, EIG_CHUNK per propagate
     call: y = M(., lambda) v with v spanning the numerical null space of
     C + D M(pi, lambda).
@@ -262,18 +260,18 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
     Yields (EigenfunctionResult, node values M(x_j, lambda), monodromy) for
     each lambda in order.  The matrices are views into the current chunk;
     a caller that keeps them past the next step keeps the chunk alive.
-    Raises NotAnEigenvalueError when |Delta(lambda)| > accept_tol * scale.
+    Raises NotAnEigenvalueError when |Delta(lambda)| > ACCEPT_TOL * scale.
     """
-    for chunk, Mb, Mn in _node_chunks(P, lams, mesh, im_cap):
+    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
         mono = Mb[:, -1]
         T = U.C[None] + U.D[None] @ mono
         dets = det2(T)
-        bad = np.flatnonzero(np.abs(dets) > accept_tol * scale)
+        bad = np.flatnonzero(np.abs(dets) > ACCEPT_TOL * scale)
         if bad.size:
             b = bad[0]
             raise NotAnEigenvalueError(
                 f"|Delta({complex(chunk[b])})| = {abs(dets[b]):.3e} exceeds "
-                f"{accept_tol:.1e} * {scale:.3e}")
+                f"{ACCEPT_TOL:.1e} * {scale:.3e}")
         _, s, vh = np.linalg.svd(T)
         tscale = np.maximum(1.0, np.max(np.abs(mono), axis=(1, 2)))
         for l, lam in enumerate(chunk):
@@ -290,14 +288,9 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
 
 
 def bvp_eigenfunction(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
-                      mesh: Mesh, accept_tol=1e-7,
-                      im_cap=IM_CAP_DEFAULT) -> EigenfunctionResult:
-    """Eigenfunction(s) at one accepted eigenvalue, accepted against the
-    median |Delta| at four probes lambda +- 0.5, lambda +- 0.5i."""
-    lam = complex(lam)
-    probe = lam + 0.5 * np.array([1.0, -1.0, 1j, -1j])
-    scale = max(1.0, float(np.median(np.abs(
-        char_det(P, U, probe, mesh, im_cap=im_cap)))))
-    (result, _, _), = eigenfunctions(P, U, [lam], mesh, scale,
-                                     accept_tol=accept_tol, im_cap=im_cap)
+                      mesh: Mesh) -> EigenfunctionResult:
+    """Eigenfunction(s) at one eigenvalue, the one-eigenvalue case of
+    eigenfunctions, accepted against delta_scale at that eigenvalue."""
+    (result, _, _), = eigenfunctions(P, U, [lam], mesh,
+                                     delta_scale(P, U, [lam], mesh))
     return result

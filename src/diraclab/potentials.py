@@ -224,10 +224,6 @@ def gauge_reduce(P: PotentialMatrix, U: BoundaryMatrixPair,
 
 def comparison_operator(P: PotentialMatrix, U: BoundaryMatrixPair, mesh: Mesh):
     """Diagonal comparison potential P0 = diag(p1, p4) with the rescaled
-    form (C, exp((i/2) int (p4 - p1)) D)."""
+    form (C, exp((i/2) int (p4 - p1)) D) of gauge_reduce."""
     z = ScalarFunction.zero()
-    P0 = PotentialMatrix(P.p1, z, z, P.p4)
-    int_p1 = complex(mesh.integrate(P.p1(mesh.nodes)))
-    int_p4 = complex(mesh.integrate(P.p4(mesh.nodes)))
-    form = BoundaryMatrixPair(U.C, np.exp(0.5j * (int_p4 - int_p1)) * U.D)
-    return P0, form
+    return PotentialMatrix(P.p1, z, z, P.p4), gauge_reduce(P, U, mesh).form

@@ -4,7 +4,8 @@ Perturbed eigenvalues are found by Newton iteration on the characteristic
 determinant, seeded by the closed-form unperturbed spectrum (shifted by the
 gauge constant gamma when the potential has diagonal entries).  Winding
 numbers of Delta along circles gamma_n and rectangles Gamma_m validate the
-counts; a bisection fallback recovers zeros when Newton clusters.
+counts; a pair whose Newton iterations fail is recovered from
+argument-principle moments on a circle around its seeds.
 
 Every contour rule here refines by node doubling.  The nodes at n are
 exactly the even nodes at 2n, bit for bit, so each level evaluates Delta
@@ -19,11 +20,13 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, is_regular, \
     unperturbed_spectrum
 from .mesh import Mesh
-from .ode import char_det
+from .ode import ACCEPT_TOL, char_det
 from .potentials import PotentialMatrix, gauge_reduce
 
 DOUBLE_TOL = 1e-8
 CLUSTER_TOL = 1e-4
+# radius margin of the circles gamma_k around the eigenvalue pairs
+DELTA = 0.25
 
 
 class ContourError(RuntimeError):
@@ -36,8 +39,7 @@ class Circle:
     radius: float
 
     def points(self, n):
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return self.center + self.radius * np.exp(1j * th)
+        return self.center + self.radius * np.exp(1j * trapezoid_angles(n))
 
     @property
     def arc_length(self):
@@ -129,7 +131,6 @@ class EigenvalueList:
     values: dict                    # n -> lambda_n
     seeds: dict                     # n -> lambda_n^0 (possibly gamma-shifted)
     multiplicity: dict              # n -> 1 or 2
-    N0: int = 0
     diagnostics: list = field(default_factory=list)
     # winding numbers of the circles validate=True checked, and the
     # (P, U, mesh) objects they hold for
@@ -184,34 +185,10 @@ def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
     return lam, ~active
 
 
-def _bisect_zero(P, U, mesh, rect, depth=0, max_depth=24):
-    """Real part of one zero of Delta inside rect, by winding bisection of
-    the real extent; raises ContourError when neither half winds around a
-    zero."""
-    if depth >= max_depth:
-        return complex(0.5 * (rect.re_min + rect.re_max))
-    rm = 0.5 * (rect.re_min + rect.re_max)
-    halves = [RectContour(rect.re_min, rm, rect.im_half),
-              RectContour(rm, rect.re_max, rect.im_half)]
-    for halfbox in halves:
-        try:
-            w = winding_count(P, U, halfbox, mesh)
-        except ContourError:
-            continue
-        if w >= 1:
-            if halfbox.re_max - halfbox.re_min < 1e-10:
-                return complex(0.5 * (halfbox.re_min + halfbox.re_max))
-            return _bisect_zero(P, U, mesh, halfbox, depth + 1, max_depth)
-    raise ContourError(f"no half of {rect} winds around a zero of Delta")
-
-
 def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
     """The two zeros of Delta inside circ via argument-principle moments
     s_p = (1/2 pi i) oint lam^p Delta'/Delta dlam; requires winding 2."""
     h = 1e-6
-
-    def points(n):
-        return circ.center + circ.radius * np.exp(1j * trapezoid_angles(n))
 
     def delta_and_slope(z):
         vals = char_det(P, U, np.concatenate([z, z + h, z - h]), mesh)
@@ -219,7 +196,7 @@ def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
         return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
 
     prev_s1 = None
-    for n, pts, (f, fp) in _nested_nodes(points, delta_and_slope, n,
+    for n, pts, (f, fp) in _nested_nodes(circ.points, delta_and_slope, n,
                                          max_doublings + 1):
         th = trapezoid_angles(n)
         dl = 1j * circ.radius * np.exp(1j * th) * (2.0 * np.pi / n)
@@ -237,13 +214,13 @@ def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
         f"moment extraction failed on circle {circ}; s0 = {s0:.4f}")
 
 
-def _recover_pair(P, U, mesh, seed_mid, cap, delta):
+def _recover_pair(P, U, mesh, seed_mid, cap):
     """Both zeros of a pair whose Newton iterations failed: grow a circle
     around the seed midpoint until it winds twice, then take moments.
     Returns [(zero, polished)] sorted by zero; polished is False where the
     Newton polish did not converge within 0.1 and the moment estimate is
     kept."""
-    r = delta
+    r = DELTA
     while r <= cap:
         circ = Circle(complex(seed_mid), float(r))
         try:
@@ -273,9 +250,10 @@ def localization_seeds(P: PotentialMatrix, U: BoundaryMatrixPair, mesh: Mesh):
 
 
 def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
-             delta=0.25, validate=False) -> EigenvalueList:
+             validate=False) -> EigenvalueList:
     """Eigenvalues lambda_n for n in [-2 m_max, 2 m_max + 1], paired to
-    their seeds."""
+    their seeds.  With validate, each pair's circle gamma_k must wind twice
+    around the zeros of Delta, or ContourError is raised."""
     ok, _ = is_regular(U)
     if not ok:
         raise NotRegularError("localization requires a regular form")
@@ -305,7 +283,8 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         ia, ib = 2 * k + 2 * m_max, 2 * k + 1 + 2 * m_max
         a, b = values[2 * k], values[2 * k + 1]
         bad[k] = (not converged[ia] or not converged[ib]
-                  or res[ia] > 1e-6 * scale or res[ib] > 1e-6 * scale
+                  or res[ia] > ACCEPT_TOL * scale
+                  or res[ib] > ACCEPT_TOL * scale
                   or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
     # a collapsed pair must sit on a double zero: one batched Delta' check
     collapsed = [k for k in bad if not bad[k]
@@ -321,7 +300,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         if bad[k]:
             gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
             cap = 0.45 * min(gaps) if gaps else 0.9
-            pair = _recover_pair(P, U, mesh, mids[k], max(cap, delta), delta)
+            pair = _recover_pair(P, U, mesh, mids[k], max(cap, DELTA))
             diagnostics.append(f"pair {k} recovered by contour moments")
             for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
                 values[n] = z
@@ -338,39 +317,32 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     eigs = EigenvalueList(m_max=m_max, values=values, seeds=seedmap,
                           multiplicity=mult, diagnostics=diagnostics)
     if validate:
-        _validate_pairs(P, U, mesh, eigs, delta)
+        _validate_pairs(P, U, mesh, eigs)
     return eigs
 
 
-def _pair_circle(lam_a, lam_b, delta):
+def _pair_circle(lam_a, lam_b):
     center = 0.5 * (lam_a + lam_b)
-    radius = max(delta, 0.5 * abs(lam_a - lam_b) + delta)
+    radius = max(DELTA, 0.5 * abs(lam_a - lam_b) + DELTA)
     return Circle(complex(center), float(radius))
 
 
-def _validate_pairs(P, U, mesh, eigs: EigenvalueList, delta):
-    failed = []
+def _check_gamma(k, circ, w):
+    """Raise ContourError unless gamma_k winds twice around the zeros."""
+    if w != 2:
+        raise ContourError(
+            f"gamma_{k} (center {circ.center:.4f}, r {circ.radius:.3f}) "
+            f"winding {w} != 2")
+
+
+def _validate_pairs(P, U, mesh, eigs: EigenvalueList):
+    """Record the winding number of each circle gamma_k on eigs; raises
+    ContourError at the first one that is not 2."""
     eigs.windings_for = (P, U, mesh)
     for k in eigs.pair_indices():
-        circ = _pair_circle(*eigs.pair(k), delta)
-        try:
-            w = eigs.windings[circ] = winding_count(P, U, circ, mesh)
-        except ContourError:
-            w = -1
-        if w != 2:
-            failed.append(k)
-            eigs.diagnostics.append(f"gamma_{k} winding {w} != 2")
-            # recover by bisection inside the circle's bounding box
-            box = RectContour(circ.center.real - circ.radius,
-                              circ.center.real + circ.radius, circ.radius)
-            z = _bisect_zero(P, U, mesh, box)
-            d_a = abs(z - eigs.values[2 * k])
-            d_b = abs(z - eigs.values[2 * k + 1])
-            if d_a > d_b:
-                eigs.values[2 * k] = z
-            else:
-                eigs.values[2 * k + 1] = z
-    eigs.N0 = (max(abs(k) for k in failed) + 1) if failed else 0
+        circ = _pair_circle(*eigs.pair(k))
+        w = eigs.windings[circ] = winding_count(P, U, circ, mesh)
+        _check_gamma(k, circ, w)
 
 
 @dataclass
@@ -400,8 +372,8 @@ class ContourFamily:
         return RectContour(left, right, self.half_height)
 
 
-def contour_family(spec0, eigs: EigenvalueList, delta=0.25,
-                   P=None, U=None, mesh=None, validate=True) -> ContourFamily:
+def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
+                   validate=True) -> ContourFamily:
     """Circles gamma_k around the eigenvalue pairs (lambda_2k, lambda_2k+1)
     and rectangles Gamma_m, winding-validated when (P, U, mesh) are given.
 
@@ -410,7 +382,7 @@ def contour_family(spec0, eigs: EigenvalueList, delta=0.25,
     gammas = {}
     all_vals = eigs.values
     for k in eigs.pair_indices():
-        circ = _pair_circle(*eigs.pair(k), delta)
+        circ = _pair_circle(*eigs.pair(k))
         outside = [abs(all_vals[n] - circ.center) for n in all_vals
                    if n not in (2 * k, 2 * k + 1)]
         if outside:
@@ -433,15 +405,10 @@ def contour_family(spec0, eigs: EigenvalueList, delta=0.25,
             a is b for a, b in zip(eigs.windings_for, (P, U, mesh)))
         known = eigs.windings if same else {}
         for k, circ in gammas.items():
-            needed = eigs.multiplicity[2 * k] if eigs.multiplicity[2 * k] == 2 \
-                else 2
             w = known.get(circ)
             if w is None:
                 w = winding_count(P, U, circ, mesh)
-            if w != needed:
-                raise ContourError(
-                    f"gamma_{k} (center {circ.center:.4f}, r {circ.radius:.3f}) "
-                    f"winding {w} != {needed}")
+            _check_gamma(k, circ, w)
         m_small = min(2, eigs.m_max)
         rect = fam.big_contour(m_small)
         w = winding_count(P, U, rect, mesh)

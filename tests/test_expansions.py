@@ -171,7 +171,7 @@ def test_batched_root_vectors_match_per_eigenvalue(const_potential, dirichlet,
     rs = root_system(const_potential, dirichlet, 4, mesh96, eigs=eigs)
     for n, e in rs.entries.items():
         r = bvp_eigenfunction(const_potential, dirichlet, eigs.values[n],
-                              mesh96, accept_tol=1e-6)
+                              mesh96)
         assert e.role == "eigen" and not r.degenerate
         assert np.max(np.abs(e.y.values - r.functions[0].values)) < 1e-12
 

@@ -100,7 +100,6 @@ def test_run_equiconv_zero_potential_control():
     rep = run_equiconv(cfg)
     for r in rep.rows:
         assert r["norm_diff"] < 1e-8
-    assert rep.metadata["N0"] == 0
 
 
 def test_run_equiconv_decay_and_verdicts():

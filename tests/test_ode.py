@@ -109,8 +109,6 @@ def test_overflow_cap():
     mesh = build_mesh(8, order=5)
     with pytest.raises(OverflowCapError):
         propagate(PotentialMatrix.zero(), [100j], mesh)
-    # explicit cap raise permits it
-    propagate(PotentialMatrix.zero(), [100j], mesh, im_cap=200.0)
 
 
 def test_bvp_eigenfunction_free_dirichlet(dirichlet):

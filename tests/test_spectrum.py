@@ -8,7 +8,7 @@ from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
                       localize, localization_seeds, unperturbed_spectrum,
                       winding_count)
-from diraclab.spectrum import _bisect_zero, _pair_moments, trapezoid_angles
+from diraclab.spectrum import _pair_moments, trapezoid_angles
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -100,12 +100,6 @@ def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
                            Circle(complex(root), 0.25))
     assert char_det_sizes == [768, 768]
     assert abs(z0 - root) < 1e-4 and abs(z1 - root) < 1e-4
-
-
-def test_bisect_zero_without_zero_raises(dirichlet, mesh96):
-    # the free Dirichlet zeros are the integers: none lies in (0.2, 0.8)
-    with pytest.raises(ContourError):
-        _bisect_zero(P0, dirichlet, mesh96, RectContour(0.2, 0.8, 0.3))
 
 
 def test_localize_requires_regular_form(mesh96):
@@ -242,6 +236,23 @@ def test_contour_family_needs_operator_for_validation(dirichlet, mesh96):
 
 def test_validate_flag_smoke(trig_potential, dirichlet, mesh96):
     eigs = localize(trig_potential, dirichlet, 2, mesh96, validate=True)
-    assert eigs.N0 == 0
     rows = eigs.as_rows()
     assert [r[0] for r in rows] == list(range(-4, 6))
+
+
+def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
+                                       winding_contours):
+    # hand validation a list with lambda_3 = 3 moved to 5.7: gamma_1 then
+    # encloses the zeros 2, 3, 4 and 5, and localize raises at once, after
+    # circle windings only
+    inner = spectrum.EigenvalueList
+
+    def shifted(**kw):
+        kw["values"][3] += 2.7
+        return inner(**kw)
+
+    monkeypatch.setattr(spectrum, "EigenvalueList", shifted)
+    with pytest.raises(ContourError, match=r"gamma_1 \(center 3.8500"
+                       r"\+0.0000j, r 2.100\) winding 4 != 2"):
+        localize(P0, dirichlet, 2, mesh96, validate=True)
+    assert [type(c) for c in winding_contours] == [Circle] * 4
