@@ -63,6 +63,41 @@ def inv2(M):
     return out
 
 
+def mul2(A, B):
+    """Products A @ B of 2x2 matrices (vectorized over broadcast leading
+    axes), rounded exactly as np.einsum rounds them.
+
+    Each entry is formed in real arithmetic, in einsum's order,
+    re = (a0r b0r - a0i b0i) + (a1r b1r - a1i b1i) and
+    im = (a0r b0i + a0i b0r) + (a1r b1i + a1i b1r), through three float
+    buffers reused for every entry."""
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    out = np.empty(lead + (2, 2), dtype=complex)
+    t, u, v = np.empty(lead), np.empty(lead), np.empty(lead)
+    ar, ai, br, bi = A.real, A.imag, B.real, B.imag
+    for i in range(2):
+        for j in range(2):
+            a0r, a0i = ar[..., i, 0], ai[..., i, 0]
+            a1r, a1i = ar[..., i, 1], ai[..., i, 1]
+            b0r, b0i = br[..., 0, j], bi[..., 0, j]
+            b1r, b1i = br[..., 1, j], bi[..., 1, j]
+            np.multiply(a0r, b0r, out=t)
+            np.multiply(a0i, b0i, out=u)
+            np.subtract(t, u, out=t)
+            np.multiply(a1r, b1r, out=u)
+            np.multiply(a1i, b1i, out=v)
+            np.subtract(u, v, out=u)
+            np.add(t, u, out=out.real[..., i, j])
+            np.multiply(a0r, b0i, out=t)
+            np.multiply(a0i, b0r, out=u)
+            np.add(t, u, out=t)
+            np.multiply(a1r, b1i, out=u)
+            np.multiply(a1i, b1r, out=v)
+            np.add(u, v, out=u)
+            np.add(t, u, out=out.imag[..., i, j])
+    return out
+
+
 def expm2(M):
     """Exact exponential of 2x2 matrices (vectorized over leading axes)."""
     tau = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
@@ -144,7 +179,7 @@ def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
     sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
     Tn = _magnus_factors(P, lams, sub_start, sub_len)
-    Mn = np.einsum("lkjab,lkbc->lkjac", Tn, Mb[:, :-1])
+    Mn = mul2(Tn, Mb[:, :-1, None])
     return Mb, Mn.reshape(L, mesh.size, 2, 2)
 
 

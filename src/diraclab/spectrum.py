@@ -20,7 +20,7 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, is_regular, \
     unperturbed_spectrum
 from .mesh import Mesh
-from .ode import ACCEPT_TOL, char_det
+from .ode import ACCEPT_TOL, char_det, delta_scale
 from .potentials import PotentialMatrix, gauge_reduce
 
 DOUBLE_TOL = 1e-8
@@ -106,9 +106,10 @@ def _nested_nodes(points, evaluate, n, levels):
 
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh, quad_order=None, max_doublings=8):
-    """Winding number of Delta along the contour; refined until every
+    """Winding number of Delta along the contour.  The rule starts at 16
+    nodes per unit arc length (at least 16) and doubles until every
     argument increment stays below pi/2."""
-    n = quad_order or max(64, int(np.ceil(64 * contour.arc_length)))
+    n = quad_order or max(16, int(np.ceil(16 * contour.arc_length)))
     for _, _, vals in _nested_nodes(contour.points,
                                     lambda z: char_det(P, U, z, mesh), n,
                                     max_doublings + 1):
@@ -261,19 +262,22 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     ns = np.arange(-2 * m_max, 2 * m_max + 2)
     seeds = spec0.lambda0(ns).astype(complex) + gamma
     lam, converged = _newton(P, U, mesh, seeds)
+    # a seed already on a (possibly double) zero is kept
+    unconverged = np.flatnonzero(~converged)
+    if unconverged.size:
+        on_zero = unconverged[np.abs(
+            char_det(P, U, seeds[unconverged], mesh)) < 1e-9]
+        lam[on_zero] = seeds[on_zero]
+        converged[on_zero] = True
     diagnostics = []
     values, seedmap, mult = {}, {}, {}
     for i, n in enumerate(ns):
-        if not converged[i] and abs(char_det(P, U, seeds[i], mesh)) < 1e-9:
-            lam[i] = seeds[i]       # seed already on a (possibly double) zero
-            converged[i] = True
         values[int(n)] = complex(lam[i])
         seedmap[int(n)] = complex(seeds[i])
         mult[int(n)] = 1
     # residual-based acceptance; failed or collapsed pairs are recovered by
     # contour moments around the seed midpoint
-    probe = char_det(P, U, seeds + 0.49, mesh)
-    scale = max(1.0, float(np.median(np.abs(probe))))
+    scale = delta_scale(P, U, seeds, mesh)
     res = np.abs(char_det(P, U, lam, mesh))
     h = 1e-6
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])

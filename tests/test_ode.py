@@ -6,6 +6,7 @@ from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
                       ScalarFunction, boundary_from_config, build_mesh,
                       bvp_eigenfunction, char_det, delta0, expm2,
                       fundamental_matrix, lp_norm, make_potential, propagate)
+from diraclab.ode import mul2
 
 PI = np.pi
 
@@ -26,6 +27,34 @@ def test_expm2_against_eig():
         w, V = np.linalg.eig(M)
         ref = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
         assert np.allclose(expm2(M), ref, atol=1e-10)
+
+
+def test_mul2_matches_einsum_bitwise():
+    # mul2 rounds each entry in einsum's order, so the products agree bit
+    # for bit, also where B broadcasts over an axis of A
+    rng = np.random.default_rng(7)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A, B = cnormal(3, 4, 5, 2, 2), cnormal(3, 4, 2, 2)
+    ref = np.einsum("lkjab,lkbc->lkjac", A, B)
+    assert np.array_equal(mul2(A, B[:, :, None]), ref)
+    A, B = cnormal(6, 2, 2), cnormal(6, 2, 2)
+    assert np.array_equal(mul2(A, B), np.einsum("lab,lbc->lac", A, B))
+
+
+def test_propagate_nodes_match_einsum_formula(full_trig_potential):
+    # node matrices M(x_j) = T(panel start -> x_j) M(panel start), with the
+    # product taken as np.einsum takes it
+    mesh = build_mesh(24, order=5)
+    lams = np.array([0.3 + 0.1j, 5.7 - 0.02j, -31.9 + 0.4j])
+    Mb, Mn = propagate(full_trig_potential, lams, mesh)
+    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
+    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
+    Tn = ode._magnus_factors(full_trig_potential, lams, sub_start, sub_len)
+    ref = np.einsum("lkjab,lkbc->lkjac", Tn, Mb[:, :-1])
+    assert np.array_equal(Mn, ref.reshape(lams.size, mesh.size, 2, 2))
 
 
 def test_expm2_nilpotent():

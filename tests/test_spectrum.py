@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import diraclab.spectrum as spectrum
 from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
-                      localize, localization_seeds, unperturbed_spectrum,
-                      winding_count)
+                      localize, localization_seeds, make_potential,
+                      unperturbed_spectrum, winding_count)
 from diraclab.spectrum import _pair_moments, trapezoid_angles
 
 PI = np.pi
@@ -89,6 +89,32 @@ def test_winding_doubling_evaluates_only_new_nodes(dirichlet, mesh96,
     assert char_det_sizes == [8, 8, 16]
     assert winding_count(P0, dirichlet, circ, mesh96, quad_order=32,
                          max_doublings=0) == 5
+
+
+def test_winding_default_start_is_16_per_unit_arc(dirichlet, mesh96,
+                                                  char_det_sizes):
+    # one zero inside, increments below pi/2 at the first level: the rule
+    # evaluates ceil(16 * pi) nodes and never doubles
+    assert winding_count(P0, dirichlet, Circle(0.0, 0.5), mesh96) == 1
+    assert char_det_sizes == [int(np.ceil(16 * PI))] == [51]
+
+
+@pytest.mark.parametrize("pspec, form", [
+    ({"family": "constant_offdiag", "c": 0.3}, "periodic"),
+    ({"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+     "dirichlet"),
+])
+def test_gamma_windings_match_64_per_unit_arc(pspec, form, request):
+    # the 16-per-unit-arc start certifies every gamma_k with the same
+    # winding that a start four times denser gives
+    U = request.getfixturevalue(form)
+    P = make_potential(pspec)
+    mesh = build_mesh(96, order=5, singular_points=P.singular_points)
+    eigs = localize(P, U, 3, mesh, validate=True)
+    assert len(eigs.windings) == 7
+    for circ, w in eigs.windings.items():
+        n64 = int(np.ceil(64 * circ.arc_length))
+        assert winding_count(P, U, circ, mesh, quad_order=n64) == w == 2
 
 
 def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
