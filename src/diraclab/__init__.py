@@ -10,9 +10,8 @@ from .boundary import (B_MATRIX, BoundaryMatrixPair, InvalidBoundaryFormError,
 from .expansions import (RootSystem, RootSystemError, expansion_coefficients,
                          partial_sum, partial_sum_contour, projector_contour,
                          root_system, unperturbed_root_system)
-from .green import (GreenKernel, OpNormEstimate, PoleError, apply_resolvent,
-                    green0_kernel, green_kernel, green_kernels, kernel_sup,
-                    opnorm_scaling)
+from .green import (GreenKernel, OpNormEstimate, PoleError, green0_kernel,
+                    green_kernel, green_kernels, kernel_sup, opnorm_scaling)
 from .harness import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, load_report_json, make_function,

@@ -6,6 +6,13 @@ green0_kernel evaluates the explicit free kernel
                 + (i/Delta0) diag(e^{i lam (x-pi)}, -e^{i lam (pi-x)})
                   [[J14, J24], [J13, J23]] diag(e^{-i lam t}, -e^{i lam t});
 
+only its Im lam >= 0 form is written out.  The rest follows from the
+reflection r(x) = pi - x: if u = v o r, then (B d/dx - lam) u =
+-[(B d/dx + lam) v] o r and C u(0) + D u(pi) = D v(0) + C v(pi), so with
+U' = (D, C) the kernel below the real axis is
+G(t, x, lam) = -G'(pi - t, pi - x, -lam), and a backward integral
+int_x^pi is a forward one on the reflected mesh.
+
 green_kernels (a batch of lambdas, propagated in chunks; green_kernel is its
 one-lambda case) builds the perturbed kernel from the fundamental system,
 
@@ -59,65 +66,24 @@ def _forward_conv(mesh: Mesh, lam, v):
     return out.reshape(v.shape)
 
 
-def _backward_conv(mesh: Mesh, lam, v):
-    """J(x) = int_x^pi e^{i lam (t - x)} v(t) dt at the nodes, stable for
-    Im lam >= 0."""
-    v = np.asarray(v, dtype=complex)
-    vk = v.reshape(v.shape[:-1] + (mesh.n_panels, mesh.order))
-    ends = mesh.breaks[1:]
-    rel = ends[:, None] - mesh.nodes2d
-    u = np.exp(-1j * lam * rel) * vk
-    half = 0.5 * mesh.panel_lengths
-    lloc = np.einsum("ji,...ki->...kj", mesh._wpart, u) * half[:, None]
-    ltot = np.einsum("...ki,ki->...k", u, mesh.weights2d)
-    tloc = ltot[..., :, None] - lloc
-    fac = np.exp(1j * lam * mesh.panel_lengths)
-    Jb = np.zeros(v.shape[:-1] + (mesh.n_panels,), dtype=complex)
-    acc = np.zeros(v.shape[:-1], dtype=complex)
-    for k in range(mesh.n_panels - 1, -1, -1):
-        Jb[..., k] = acc
-        acc = fac[k] * (acc + ltot[..., k])
-    out = np.exp(1j * lam * rel) * (Jb[..., :, None] + tloc)
-    return out.reshape(v.shape)
-
-
 def _g0_coefficients(m, lam):
-    """Region coefficients of G0, normalized so that every exponential
-    appearing in the kernel has a nonpositive growth rate for the given
-    sign of Im lam.  Returns (coeffs dict, dtil)."""
-    if lam.imag >= 0:
-        q = np.exp(1j * lam * np.pi)
-        dt = m.J14 + q * (m.J12 + m.J34) - q * q * m.J23
-        c = {
-            # g11 = c11_lo e^{i lam (x-t)}        (t < x)
-            #     = c11_hi e^{i lam (x-t+pi)}     (t > x)
-            "c11_lo": 1j * (m.J14 + q * m.J12) / dt,
-            "c11_hi": 1j * (q * m.J23 - m.J34) / dt,
-            # g12 = c12 e^{i lam (x+t)}, g21 = c21 e^{i lam (2pi-x-t)}
-            "c12": -1j * m.J24 / dt,
-            "c21": -1j * m.J13 / dt,
-            # g22 = c22_lo e^{i lam (t-x+pi)}     (t < x)
-            #     = c22_hi e^{i lam (t-x)}        (t > x)
-            "c22_lo": 1j * (q * m.J23 - m.J12) / dt,
-            "c22_hi": 1j * (m.J14 + q * m.J34) / dt,
-        }
-    else:
-        p = np.exp(-1j * lam * np.pi)
-        dt = m.J23 - p * (m.J12 + m.J34) - p * p * m.J14
-        c = {
-            # g11 = c11_lo e^{i lam (x-t-pi)}     (t < x)
-            #     = c11_hi e^{i lam (x-t)}        (t > x)
-            "c11_lo": -1j * (m.J12 + p * m.J14) / dt,
-            "c11_hi": -1j * (m.J23 - p * m.J34) / dt,
-            # g12 = c12 e^{i lam (x+t-2pi)}, g21 = c21 e^{-i lam (x+t)}
-            "c12": 1j * m.J24 / dt,
-            "c21": 1j * m.J13 / dt,
-            # g22 = c22_lo e^{i lam (t-x)}        (t < x)
-            #     = c22_hi e^{i lam (t-x-pi)}     (t > x)
-            "c22_lo": 1j * (p * m.J12 - m.J23) / dt,
-            "c22_hi": -1j * (m.J34 + p * m.J14) / dt,
-        }
-    return c, dt
+    """Region coefficients of G0 for Im lam >= 0, normalized so that every
+    exponential appearing in the kernel has a nonpositive growth rate."""
+    q = np.exp(1j * lam * np.pi)
+    dt = m.J14 + q * (m.J12 + m.J34) - q * q * m.J23
+    return {
+        # g11 = c11_lo e^{i lam (x-t)}        (t < x)
+        #     = c11_hi e^{i lam (x-t+pi)}     (t > x)
+        "c11_lo": 1j * (m.J14 + q * m.J12) / dt,
+        "c11_hi": 1j * (q * m.J23 - m.J34) / dt,
+        # g12 = c12 e^{i lam (x+t)}, g21 = c21 e^{i lam (2pi-x-t)}
+        "c12": -1j * m.J24 / dt,
+        "c21": -1j * m.J13 / dt,
+        # g22 = c22_lo e^{i lam (t-x+pi)}     (t < x)
+        #     = c22_hi e^{i lam (t-x)}        (t > x)
+        "c22_lo": 1j * (q * m.J23 - m.J12) / dt,
+        "c22_hi": 1j * (m.J14 + q * m.J34) / dt,
+    }
 
 
 @dataclass
@@ -142,20 +108,10 @@ class GreenKernel:
         return self._apply(f)
 
 
-def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
-    """Explicit free Green kernel; raises PoleError near the unperturbed
-    spectrum."""
-    lam = complex(lam)
-    m = minors(U)
-    d0 = delta0(U, lam)
-    spec0 = unperturbed_spectrum(U)
-    ns = np.arange(-200, 202)
-    lam0 = spec0.lambda0(ns)
-    nearest = lam0[np.argmin(np.abs(lam0 - lam))]
-    scale = max(1.0, abs(np.exp(1j * lam * np.pi)), abs(np.exp(-1j * lam * np.pi)))
-    if abs(d0) <= POLE_TOL * scale:
-        raise PoleError(f"Delta0({lam}) ~ 0; nearest eigenvalue {nearest}")
-    c, _ = _g0_coefficients(m, lam)
+def _g0_upper(U: BoundaryMatrixPair, lam, mesh: Mesh, mirror: Mesh):
+    """Evaluator and node-value apply of G0 for Im lam >= 0; mirror is
+    mesh.reflected(), on which the backward integral runs forward."""
+    c = _g0_coefficients(minors(U), lam)
     pi = np.pi
 
     def evaluator(t, x):
@@ -164,62 +120,70 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
         shape = np.broadcast(t, x).shape
         hi = np.broadcast_to(t > x, shape)
         out = np.zeros(shape + (2, 2), dtype=complex)
-        if lam.imag >= 0:
-            out[..., 0, 0] = np.where(
-                hi, c["c11_hi"] * np.exp(1j * lam * (x - t + pi)),
-                c["c11_lo"] * np.exp(1j * lam * (x - t)))
-            out[..., 0, 1] = c["c12"] * np.exp(1j * lam * (x + t))
-            out[..., 1, 0] = c["c21"] * np.exp(1j * lam * (2 * pi - x - t))
-            out[..., 1, 1] = np.where(
-                hi, c["c22_hi"] * np.exp(1j * lam * (t - x)),
-                c["c22_lo"] * np.exp(1j * lam * (t - x + pi)))
-        else:
-            out[..., 0, 0] = np.where(
-                hi, c["c11_hi"] * np.exp(1j * lam * (x - t)),
-                c["c11_lo"] * np.exp(1j * lam * (x - t - pi)))
-            out[..., 0, 1] = c["c12"] * np.exp(1j * lam * (x + t - 2 * pi))
-            out[..., 1, 0] = c["c21"] * np.exp(-1j * lam * (x + t))
-            out[..., 1, 1] = np.where(
-                hi, c["c22_hi"] * np.exp(1j * lam * (t - x - pi)),
-                c["c22_lo"] * np.exp(1j * lam * (t - x)))
+        out[..., 0, 0] = np.where(
+            hi, c["c11_hi"] * np.exp(1j * lam * (x - t + pi)),
+            c["c11_lo"] * np.exp(1j * lam * (x - t)))
+        out[..., 0, 1] = c["c12"] * np.exp(1j * lam * (x + t))
+        out[..., 1, 0] = c["c21"] * np.exp(1j * lam * (2 * pi - x - t))
+        out[..., 1, 1] = np.where(
+            hi, c["c22_hi"] * np.exp(1j * lam * (t - x)),
+            c["c22_lo"] * np.exp(1j * lam * (t - x + pi)))
         return out
+
+    def apply(values):
+        # integrate each region term with only decaying exponentials
+        xn = mesh.nodes
+        f1, f2 = values
+        out = np.empty((2, mesh.size), dtype=complex)
+        w1 = np.exp(1j * lam * (pi - xn)) * f1
+        C1 = mesh.cumulative(w1)
+        A1 = mesh.integrate(w1)
+        A0 = mesh.integrate(np.exp(1j * lam * xn) * f2)
+        C0 = mesh.cumulative(np.exp(1j * lam * xn) * f2)
+        F1 = _forward_conv(mesh, lam, f1)
+        # int_x^pi e^{i lam (t-x)} f2(t) dt, forward on the mirror mesh
+        B2 = _forward_conv(mirror, lam, f2[::-1])[::-1]
+        out[0] = (c["c11_lo"] * F1
+                  + np.exp(1j * lam * xn) * (c["c11_hi"] * (A1 - C1)
+                                             + c["c12"] * A0))
+        out[1] = (c["c22_hi"] * B2
+                  + np.exp(1j * lam * (pi - xn)) * (c["c22_lo"] * C0
+                                                    + c["c21"] * A1))
+        return out
+
+    return evaluator, apply
+
+
+def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
+    """Explicit free Green kernel; raises PoleError near the unperturbed
+    spectrum of U.  Below the real axis, R_U(lam) f = -[R_U'(-lam)(f o r)] o r
+    with U' = (D, C) and r(x) = pi - x."""
+    lam = complex(lam)
+    d0 = delta0(U, lam)
+    spec0 = unperturbed_spectrum(U)
+    ns = np.arange(-200, 202)
+    lam0 = spec0.lambda0(ns)
+    nearest = lam0[np.argmin(np.abs(lam0 - lam))]
+    scale = max(1.0, abs(np.exp(1j * lam * np.pi)), abs(np.exp(-1j * lam * np.pi)))
+    if abs(d0) <= POLE_TOL * scale:
+        raise PoleError(f"Delta0({lam}) ~ 0; nearest eigenvalue {nearest}")
+    mirror = mesh.reflected()
+    if lam.imag >= 0:
+        evaluator, node_apply = _g0_upper(U, lam, mesh, mirror)
+    else:
+        ev, ap = _g0_upper(BoundaryMatrixPair(U.D, U.C), -lam, mirror, mesh)
+
+        def evaluator(t, x):
+            return -ev(np.pi - np.asarray(t, dtype=float),
+                       np.pi - np.asarray(x, dtype=float))
+
+        def node_apply(values):
+            return -ap(values[:, ::-1])[:, ::-1]
 
     def apply(f: GridFunction2) -> GridFunction2:
         if not mesh.same_as(f.mesh):
             raise ValueError("function must live on the kernel's mesh")
-        xn = mesh.nodes
-        f1, f2 = f.values
-        out = np.empty((2, mesh.size), dtype=complex)
-        if lam.imag >= 0:
-            # integrate each region term with only decaying exponentials
-            w1 = np.exp(1j * lam * (pi - xn)) * f1
-            C1 = mesh.cumulative(w1)
-            A1 = mesh.integrate(w1)
-            A0 = mesh.integrate(np.exp(1j * lam * xn) * f2)
-            C0 = mesh.cumulative(np.exp(1j * lam * xn) * f2)
-            F1 = _forward_conv(mesh, lam, f1)
-            B2 = _backward_conv(mesh, lam, f2)
-            out[0] = (c["c11_lo"] * F1
-                      + np.exp(1j * lam * xn) * (c["c11_hi"] * (A1 - C1)
-                                                 + c["c12"] * A0))
-            out[1] = (c["c22_hi"] * B2
-                      + np.exp(1j * lam * (pi - xn)) * (c["c22_lo"] * C0
-                                                        + c["c21"] * A1))
-        else:
-            w2 = np.exp(1j * lam * (xn - pi)) * f2
-            C1m = mesh.cumulative(w2)
-            A1m = mesh.integrate(w2)
-            A0m = mesh.integrate(np.exp(-1j * lam * xn) * f1)
-            Cm = mesh.cumulative(np.exp(-1j * lam * xn) * f1)
-            B1 = _backward_conv(mesh, -lam, f1)     # int_x^pi e^{i lam (x-t)} f1
-            F2 = _forward_conv(mesh, -lam, f2)      # int_0^x e^{i lam (t-x)} f2
-            out[0] = (c["c11_hi"] * B1
-                      + np.exp(1j * lam * (xn - pi)) * (c["c11_lo"] * Cm
-                                                        + c["c12"] * A1m))
-            out[1] = (c["c22_lo"] * F2
-                      + np.exp(-1j * lam * xn) * (c["c22_hi"] * (A1m - C1m)
-                                                  + c["c21"] * A0m))
-        return GridFunction2(mesh, out)
+        return GridFunction2(mesh, node_apply(f.values))
 
     return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
                        provenance="explicit-G0", _apply=apply)
@@ -281,11 +245,6 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
     return K
 
 
-def apply_resolvent(K: GreenKernel, f: GridFunction2) -> GridFunction2:
-    """R(lambda) f = int_0^pi G(t, ., lambda) f(t) dt."""
-    return K.apply(f)
-
-
 def kernel_sup(K: GreenKernel):
     """Max |g_jk| over a SUP_GRID x SUP_GRID sample grid, off the band
     |x - t| <= SUP_EXCLUDE around the diagonal jump."""
@@ -306,7 +265,6 @@ class OpNormEstimate:
     estimates: np.ndarray
     slope: float
     prefactor: float
-    a_est: float
 
 
 def _test_battery(mesh: Mesh):
@@ -349,8 +307,5 @@ def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
             best = max(best, lp_norm(K.apply(f), nu) / nmu)
         ests[i] = best
     slope, intercept = np.polyfit(np.log(ys), np.log(ests), 1)
-    spec0 = unperturbed_spectrum(U)
-    a_est = max(1.0, abs(spec0.zeta0.imag) + 0.5, abs(spec0.zeta1.imag) + 0.5)
     return OpNormEstimate(mu=mu, nu=nu, y_values=ys, estimates=ests,
-                          slope=float(slope), prefactor=float(np.exp(intercept)),
-                          a_est=float(a_est))
+                          slope=float(slope), prefactor=float(np.exp(intercept)))

@@ -10,6 +10,7 @@ panel boundaries and never on quadrature nodes (Gauss nodes are interior).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,9 +25,11 @@ class MeshMismatchError(ValueError):
     """Two grid functions do not live on the same mesh."""
 
 
+@lru_cache(maxsize=None)
 def _reference_panel(order):
     """Nodes, weights, barycentric weights, partial-integral and
-    differentiation matrices for the Gauss rule on [-1, 1]."""
+    differentiation matrices for the Gauss rule on [-1, 1].  Memoized, so
+    every mesh of one order shares these read-only arrays."""
     xi, w = np.polynomial.legendre.leggauss(order)
     bw = np.array([
         1.0 / np.prod([xi[i] - xi[j] for j in range(order) if j != i])
@@ -51,7 +54,10 @@ def _reference_panel(order):
             if i != j:
                 diff[j, i] = (bw[i] / bw[j]) / (xi[j] - xi[i])
         diff[j, j] = -np.sum(diff[j])
-    return xi, w, bw, wpart, diff
+    out = xi, w, bw, wpart, diff
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 class Mesh:
@@ -78,7 +84,6 @@ class Mesh:
         self.weights2d = half[:, None] * w[None, :]
         self.nodes = self.nodes2d.ravel()
         self.weights = self.weights2d.ravel()
-        self.midpoints = mid
         for s in self.singular_points:
             if np.min(np.abs(self.nodes - s)) == 0.0:
                 raise ValueError("singular point coincides with a node")
@@ -90,6 +95,13 @@ class Mesh:
     @property
     def size(self):
         return self.nodes.size
+
+    def reflected(self):
+        """The mirror mesh under x -> pi - x: its first break is exactly 0
+        and its last exactly pi, and its node j sits at pi - nodes[-1 - j]
+        up to roundoff."""
+        return Mesh(PI - self.breaks[::-1], self.order,
+                    [PI - s for s in self.singular_points])
 
     def same_as(self, other):
         return self is other or (
@@ -231,25 +243,15 @@ class GridFunction2:
             raise MeshMismatchError("grid functions live on different meshes")
 
 
-def lp_norm(f, alpha, mesh=None):
+def lp_norm(f: GridFunction2, alpha):
     """L_alpha norm on [0, pi]; alpha = inf gives the grid max (a lower
     bound of the essential sup)."""
     if alpha != np.inf and alpha < 1:
         raise ValueError("alpha must be >= 1 or inf")
-    if isinstance(f, GridFunction2):
-        mesh = f.mesh
-        vals = f.values
-        if alpha == np.inf:
-            return float(np.max(np.abs(vals)))
-        integrand = np.sum(np.abs(vals) ** alpha, axis=0)
-        return float(mesh.integrate(integrand) ** (1.0 / alpha))
-    if mesh is None:
-        raise ValueError("a mesh is required for callable input")
-    vals = np.asarray(f(mesh.nodes), dtype=complex)
     if alpha == np.inf:
-        vmid = np.asarray(f(mesh.midpoints), dtype=complex)
-        return float(max(np.max(np.abs(vals)), np.max(np.abs(vmid))))
-    return float(mesh.integrate(np.abs(vals) ** alpha) ** (1.0 / alpha))
+        return float(np.max(np.abs(f.values)))
+    integrand = np.sum(np.abs(f.values) ** alpha, axis=0)
+    return float(f.mesh.integrate(integrand) ** (1.0 / alpha))
 
 
 def inner_product(f, g):

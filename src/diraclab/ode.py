@@ -271,15 +271,14 @@ class EigenfunctionResult:
     delta: complex
 
 
-def normalize_eigenfunction(y: GridFunction2, value_at_zero=None):
-    """L2 norm 1 with the first sizable component of y(0) rotated to the
-    positive real axis."""
+def normalize_eigenfunction(y: GridFunction2, value_at_zero):
+    """L2 norm 1 with the first sizable component of value_at_zero, the
+    value y(0), rotated to the positive real axis."""
     nrm = lp_norm(y, 2)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero function")
     vals = y.values / nrm
-    ref = value_at_zero if value_at_zero is not None else vals[:, 0]
-    ref = np.asarray(ref, dtype=complex)
+    ref = np.asarray(value_at_zero, dtype=complex)
     mags = np.abs(ref)
     idx = 0 if mags[0] > 1e-8 * max(mags.max(), 1e-300) else 1
     phase = ref[idx] / abs(ref[idx]) if mags[idx] > 0 else 1.0

@@ -161,19 +161,24 @@ class EigenvalueList:
         return rows
 
 
+def _delta_and_slope(P, U, mesh, z):
+    """Delta and its central-difference slope at the points z, from one
+    char_det call on [z, z + h, z - h]."""
+    h = 1e-6
+    vals = char_det(P, U, np.concatenate([z, z + h, z - h]), mesh)
+    m = z.size
+    return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
+
+
 def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
     lam = seeds.astype(complex).copy()
     active = np.ones(lam.shape, dtype=bool)
-    h = 1e-6
     for _ in range(max_iter):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         cur = lam[idx]
-        probe = np.concatenate([cur, cur + h, cur - h])
-        vals = char_det(P, U, probe, mesh)
-        f = vals[:idx.size]
-        fp = (vals[idx.size:2 * idx.size] - vals[2 * idx.size:]) / (2.0 * h)
+        f, fp = _delta_and_slope(P, U, mesh, cur)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp != 0, f / fp, 0.0)
         mags = np.abs(step)
@@ -189,16 +194,10 @@ def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
 def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
     """The two zeros of Delta inside circ via argument-principle moments
     s_p = (1/2 pi i) oint lam^p Delta'/Delta dlam; requires winding 2."""
-    h = 1e-6
-
-    def delta_and_slope(z):
-        vals = char_det(P, U, np.concatenate([z, z + h, z - h]), mesh)
-        m = z.size
-        return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
-
     prev_s1 = None
-    for n, pts, (f, fp) in _nested_nodes(circ.points, delta_and_slope, n,
-                                         max_doublings + 1):
+    for n, pts, (f, fp) in _nested_nodes(
+            circ.points, lambda z: _delta_and_slope(P, U, mesh, z), n,
+            max_doublings + 1):
         th = trapezoid_angles(n)
         dl = 1j * circ.radius * np.exp(1j * th) * (2.0 * np.pi / n)
         logd = fp / f
@@ -243,9 +242,6 @@ def _recover_pair(P, U, mesh, seed_mid, cap):
 def localization_seeds(P: PotentialMatrix, U: BoundaryMatrixPair, mesh: Mesh):
     """Seeds lambda_n^0 of the gauge-equivalent free operator, shifted by
     the gauge constant gamma."""
-    if P.is_zero or (P.p1.is_zero and P.p4.is_zero):
-        spec0 = unperturbed_spectrum(U)
-        return spec0, 0.0 + 0.0j
     red = gauge_reduce(P, U, mesh)
     return unperturbed_spectrum(red.form), red.gamma
 
@@ -279,7 +275,6 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     # contour moments around the seed midpoint
     scale = delta_scale(P, U, seeds, mesh)
     res = np.abs(char_det(P, U, lam, mesh))
-    h = 1e-6
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
     bad = {}
@@ -295,8 +290,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
                  and abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
     if collapsed:
         a = np.array([values[2 * k] for k in collapsed])
-        dp = char_det(P, U, np.concatenate([a + h, a - h]), mesh)
-        dp = (dp[:a.size] - dp[a.size:]) / (2.0 * h)
+        _, dp = _delta_and_slope(P, U, mesh, a)
         for k, d in zip(collapsed, dp):
             if abs(d) > 1e-3 * scale:
                 bad[k] = True       # both members fell into one simple zero

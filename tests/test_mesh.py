@@ -68,17 +68,21 @@ def test_singular_point_on_panel_boundary():
     assert np.min(np.abs(mesh.nodes - 1.1)) > 1e-12
 
 
+def test_reflected_mesh_mirrors_nodes_and_weights():
+    mesh = build_mesh(96, singular_points=(1.1,))
+    mirror = mesh.reflected()
+    assert mirror.breaks[0] == 0.0 and mirror.breaks[-1] == PI
+    assert np.max(np.abs(mirror.nodes - (PI - mesh.nodes[::-1]))) <= 1e-15
+    assert np.max(np.abs(mirror.weights - mesh.weights[::-1])) <= 1e-15
+    assert mirror.singular_points == (PI - 1.1,)
+
+
 def test_lp_norm_known_values(mesh):
     f = GridFunction2.from_callables(mesh, np.sin, lambda x: 0.0 * x)
     assert lp_norm(f, 2) == pytest.approx(np.sqrt(PI / 2), abs=1e-10)
     # grid max is a lower bound of the sup; 32 panels resolve it to ~1e-5
     assert lp_norm(f, np.inf) == pytest.approx(1.0, abs=1e-4)
     assert lp_norm(f, 1) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_lp_norm_callable_needs_mesh():
-    with pytest.raises(ValueError):
-        lp_norm(lambda x: x, 2)
 
 
 def test_lp_norm_rejects_alpha_below_one(mesh):
