@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import BoundaryMatrixPair, delta0, minors, unperturbed_spectrum
+from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
+    is_regular, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
 from .ode import B_INV, FundamentalSolution, det2, fundamental_matrices, inv2
 # not called here; kept importable from this module, where bench/spans.py
@@ -159,13 +160,13 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
     spectrum of U.  Below the real axis, R_U(lam) f = -[R_U'(-lam)(f o r)] o r
     with U' = (D, C) and r(x) = pi - x."""
     lam = complex(lam)
+    if not is_regular(U)[0]:
+        raise NotRegularError("boundary form is not Birkhoff-regular")
     d0 = delta0(U, lam)
-    spec0 = unperturbed_spectrum(U)
-    ns = np.arange(-200, 202)
-    lam0 = spec0.lambda0(ns)
-    nearest = lam0[np.argmin(np.abs(lam0 - lam))]
     scale = max(1.0, abs(np.exp(1j * lam * np.pi)), abs(np.exp(-1j * lam * np.pi)))
     if abs(d0) <= POLE_TOL * scale:
+        lam0 = unperturbed_spectrum(U).lambda0(np.arange(-200, 202))
+        nearest = lam0[np.argmin(np.abs(lam0 - lam))]
         raise PoleError(f"Delta0({lam}) ~ 0; nearest eigenvalue {nearest}")
     mirror = mesh.reflected()
     if lam.imag >= 0:

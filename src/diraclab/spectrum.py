@@ -27,6 +27,13 @@ DOUBLE_TOL = 1e-8
 CLUSTER_TOL = 1e-4
 # radius margin of the circles gamma_k around the eigenvalue pairs
 DELTA = 0.25
+# Newton on Delta: relative step tolerance, iteration cap and step cap
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
+NEWTON_MAX_STEP = 0.45
+# first level of the pair-moment rule, and how often it may double
+PAIR_NODES = 32
+PAIR_DOUBLINGS = 6
 
 
 class ContourError(RuntimeError):
@@ -170,10 +177,13 @@ def _delta_and_slope(P, U, mesh, z):
     return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
 
 
-def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
-    lam = seeds.astype(complex).copy()
+def _newton(P, U, mesh, seeds):
+    """Newton iterates from the seeds, and which of them converged.  Equal
+    seeds iterate once: each Delta value is independent of its batch, so
+    the result is bit for bit that of a run per seed."""
+    lam, inverse = np.unique(seeds.astype(complex), return_inverse=True)
     active = np.ones(lam.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -183,43 +193,68 @@ def _newton(P, U, mesh, seeds, tol=1e-12, max_iter=30, max_step=0.45):
             step = np.where(fp != 0, f / fp, 0.0)
         mags = np.abs(step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            clipped = step / mags * max_step
-        step = np.where(mags > max_step, clipped, step)
+            clipped = step / mags * NEWTON_MAX_STEP
+        step = np.where(mags > NEWTON_MAX_STEP, clipped, step)
         lam[idx] = cur - step
-        done = np.abs(step) < tol * np.maximum(1.0, np.abs(cur))
+        done = np.abs(step) < NEWTON_TOL * np.maximum(1.0, np.abs(cur))
         active[idx[done]] = False
-    return lam, ~active
+    return lam[inverse], ~active[inverse]
 
 
-def _pair_moments(P, U, mesh, circ: Circle, n=256, max_doublings=6):
-    """The two zeros of Delta inside circ via argument-principle moments
-    s_p = (1/2 pi i) oint lam^p Delta'/Delta dlam; requires winding 2."""
+def _pair_moments(P, U, mesh, circ: Circle):
+    """The two zeros of Delta inside circ from the argument-principle
+    moments s_p = (1/2 pi i) oint z^p Delta'/Delta dz, with one Delta per
+    node and no Delta'.  On a circle z = c + r e^(i theta) that winds twice,
+    g = log(Delta / (z - c)^2) is single-valued, and integration by parts
+    gives s_p = 2 c^p - (p / 2 pi i) oint z^(p-1) g dz; Im g is the argument
+    unwrapped along the nodes.  A level counts only when every argument
+    increment is below pi/2; the circle must then wind twice, or
+    ContourError is raised."""
+    c, r = circ.center, circ.radius
     prev_s1 = None
-    for n, pts, (f, fp) in _nested_nodes(
-            circ.points, lambda z: _delta_and_slope(P, U, mesh, z), n,
-            max_doublings + 1):
-        th = trapezoid_angles(n)
-        dl = 1j * circ.radius * np.exp(1j * th) * (2.0 * np.pi / n)
-        logd = fp / f
-        s0 = np.sum(logd * dl) / (2j * np.pi)
-        s1 = np.sum(pts * logd * dl) / (2j * np.pi)
-        s2 = np.sum(pts ** 2 * logd * dl) / (2j * np.pi)
-        stable = prev_s1 is not None and abs(s1 - prev_s1) < 1e-8
-        if abs(s0 - 2.0) < 1e-2 and stable:
+    for n, pts, f in _nested_nodes(
+            circ.points, lambda z: char_det(P, U, z, mesh), PAIR_NODES,
+            PAIR_DOUBLINGS + 1):
+        e = np.exp(1j * trapezoid_angles(n))
+        q = f / (r * e) ** 2
+        steps = np.angle(np.roll(q, -1) / q)
+        if np.max(np.abs(steps)) >= 0.5 * np.pi:
+            continue
+        winding = steps.sum() / (2.0 * np.pi)
+        if abs(winding) > 1e-2:
+            raise ContourError(f"circle {circ} winds {winding + 2:.4f} "
+                               f"times, not twice")
+        arg = np.angle(q[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+        ge = (np.log(np.abs(q)) + 1j * arg) * e
+        s1 = 2.0 * c - r * np.mean(ge)
+        s2 = 2.0 * c * c - 2.0 * r * np.mean(pts * ge)
+        if prev_s1 is not None and abs(s1 - prev_s1) < 1e-8:
             e1, e2 = s1, 0.5 * (s1 * s1 - s2)
             disc = np.sqrt(e1 * e1 - 4.0 * e2 + 0j)
             return 0.5 * (e1 + disc), 0.5 * (e1 - disc)
         prev_s1 = s1
-    raise ContourError(
-        f"moment extraction failed on circle {circ}; s0 = {s0:.4f}")
+    raise ContourError(f"moments did not settle on circle {circ}")
+
+
+def _label_order(members):
+    """The two (zero, ...) members of a pair in label order: by real part,
+    and where the real parts agree to 1e-12 relative, by
+    Im lam * sign(Re lam) (by Im lam where Re lam = 0).  lam -> -conj(lam)
+    carries this order from pair k to pair -k-1 with the members swapped,
+    so lambda_(-n-1) = -conj(lambda_n) survives roundoff in the zeros."""
+    a, b = (m[0] for m in members)
+    if abs(a.real - b.real) > 1e-12 * max(1.0, abs(a.real), abs(b.real)):
+        return sorted(members, key=lambda m: m[0].real)
+    return sorted(members,
+                  key=lambda m: m[0].imag * (np.sign(m[0].real) or 1.0))
 
 
 def _recover_pair(P, U, mesh, seed_mid, cap):
     """Both zeros of a pair whose Newton iterations failed: grow a circle
     around the seed midpoint until it winds twice, then take moments.
-    Returns [(zero, polished)] sorted by zero; polished is False where the
-    Newton polish did not converge within 0.1 and the moment estimate is
-    kept."""
+    Returns [(zero, polished)] in label order (_label_order); polished is
+    False where the Newton polish did not converge within 0.1 and the
+    moment estimate is kept."""
     r = DELTA
     while r <= cap:
         circ = Circle(complex(seed_mid), float(r))
@@ -231,7 +266,7 @@ def _recover_pair(P, U, mesh, seed_mid, cap):
                 for z, zn, c in zip(moments, lam, conv):
                     polished = bool(c and abs(zn - z) < 0.1)
                     out.append((complex(zn if polished else z), polished))
-                return sorted(out, key=lambda p: (p[0].real, p[0].imag))
+                return _label_order(out)
         except ContourError:
             pass
         r *= 1.4

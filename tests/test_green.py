@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import diraclab.ode as ode
-from diraclab import (GridFunction2, PoleError, PotentialMatrix, build_mesh,
-                      green0_kernel, green_kernel, green_kernels, kernel_sup,
-                      lp_norm, opnorm_scaling)
+from diraclab import (BoundaryMatrixPair, GridFunction2, NotRegularError,
+                      PoleError, PotentialMatrix, build_mesh, green0_kernel,
+                      green_kernel, green_kernels, kernel_sup, lp_norm,
+                      opnorm_scaling)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -107,6 +108,15 @@ def test_pole_error_near_spectrum(dirichlet, mesh96):
         assert "nearest eigenvalue (2" in str(ei.value)
     with pytest.raises(PoleError):
         green_kernel(P0, dirichlet, 2.0 + 1e-9j, mesh96)
+
+
+def test_g0_irregular_form_raises_not_regular(mesh96):
+    # an irregular form is refused before any pole check, off the real axis
+    # and on it alike
+    bf = BoundaryMatrixPair(np.eye(2), np.zeros((2, 2)))
+    for lam in (0.5 + 0.5j, 0.5 - 0.5j, 2.0):
+        with pytest.raises(NotRegularError):
+            green0_kernel(bf, lam, mesh96)
 
 
 def test_batched_kernels_match_single(trig_potential, dirichlet, mesh96,

@@ -8,10 +8,12 @@ from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
                       localize, localization_seeds, make_potential,
                       unperturbed_spectrum, winding_count)
-from diraclab.spectrum import _pair_moments, trapezoid_angles
+from diraclab.ode import char_det
+from diraclab.spectrum import _newton, _pair_moments, trapezoid_angles
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
+AP_TRIG = {"family": "trig", "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]]}
 
 
 @pytest.fixture
@@ -119,13 +121,95 @@ def test_gamma_windings_match_64_per_unit_arc(pspec, form, request):
 
 def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
                                   char_det_sizes):
-    # the double zero sqrt(4 + c^2) needs 256 then 512 nodes, three lambdas
-    # each; the second level adds only the 256 odd nodes
+    # the double zero sqrt(4 + c^2) needs 32 then 64 nodes, one lambda
+    # each; the second level adds only the 32 odd nodes
     root = np.sqrt(4.0 + 0.3 ** 2)
     z0, z1 = _pair_moments(const_potential, periodic, mesh96,
                            Circle(complex(root), 0.25))
-    assert char_det_sizes == [768, 768]
-    assert abs(z0 - root) < 1e-4 and abs(z1 - root) < 1e-4
+    assert char_det_sizes == [32, 32]
+    assert abs(z0 - root) < 1e-7 * root and abs(z1 - root) < 1e-7 * root
+
+
+def test_pair_moments_need_winding_two(dirichlet, mesh96, char_det_sizes):
+    # no zero inside: the first level resolves the argument, which then
+    # does not close for two zeros, and the rule refuses at once
+    with pytest.raises(ContourError, match="not twice"):
+        _pair_moments(P0, dirichlet, mesh96, Circle(0.5, 0.2))
+    assert char_det_sizes == [spectrum.PAIR_NODES] == [32]
+
+
+def _difference_quotient_moments(P, U, mesh, circ, n=512, h=1e-6):
+    """Oracle: both zeros from s_p = (1/2 pi i) oint z^p Delta'/Delta dz
+    with a central-difference Delta' on n trapezoid nodes."""
+    z = circ.points(n)
+    f = char_det(P, U, z, mesh)
+    fp = (char_det(P, U, z + h, mesh) - char_det(P, U, z - h, mesh)) / (2 * h)
+    dz = (z - circ.center) * (2j * PI / n)
+    s0, s1, s2 = (np.sum(z ** p * fp / f * dz) / (2j * PI) for p in range(3))
+    assert abs(s0 - 2.0) < 1e-6
+    disc = np.sqrt(2.0 * s2 - s1 * s1 + 0j)
+    return 0.5 * (s1 + disc), 0.5 * (s1 - disc)
+
+
+# simple zeros only: at a double zero the oracle's square root turns its
+# roundoff into a 3e-6 error (test_pair_moments_reuse_nodes pins that case)
+@pytest.mark.parametrize("pspec, form, center, radius", [
+    ({"family": "constant_offdiag", "c": 0.3}, "periodic", 0.0, 0.5),
+    (AP_TRIG, "antiperiodic", 1.0, 0.4),
+    (AP_TRIG, "antiperiodic", -3.0, 0.4),
+])
+def test_pair_moments_match_difference_quotient(pspec, form, center, radius,
+                                                mesh96, request):
+    P = make_potential(pspec)
+    U = request.getfixturevalue(form)
+    circ = Circle(complex(center), radius)
+    got = _pair_moments(P, U, mesh96, circ)
+    want = _difference_quotient_moments(P, U, mesh96, circ)
+    for z in got:
+        assert min(abs(z - w) for w in want) < 1e-6
+
+
+def test_recovered_labels_keep_reflection_symmetry(antiperiodic, mesh96):
+    # this potential gives lambda_(-n-1) = -conj(lambda_n); its pairs are
+    # recovered by moments, and conjugate members have real parts that tie
+    # up to roundoff, so only the label rule keeps the symmetry
+    eigs = localize(make_potential(AP_TRIG), antiperiodic, 3, mesh96)
+    assert sum("recovered" in d for d in eigs.diagnostics) == 7
+    # pairs k and -k-1 mirror each other for k in [-3, 2]
+    for n in range(-6, 6):
+        lam, mirror = eigs.values[n], eigs.values[-n - 1]
+        assert abs(mirror + np.conj(lam)) < 1e-12
+    a, b = eigs.pair(0)
+    assert abs(a.imag) > 0.1 and a.imag < 0 < b.imag
+
+
+def test_newton_iterates_each_distinct_seed_once(const_potential, periodic,
+                                                 mesh96, monkeypatch):
+    # the free periodic seeds are double: ten seeds, five distinct values
+    spec0, _ = localization_seeds(const_potential, periodic, mesh96)
+    seeds = spec0.lambda0(np.arange(-4, 6)).astype(complex)
+    distinct = np.unique(seeds)
+    assert distinct.size == 5
+    batches = []
+    inner = spectrum.char_det
+
+    def recording(P, U, lam, mesh, **kw):
+        batches.append(np.array(lam))
+        return inner(P, U, lam, mesh, **kw)
+
+    monkeypatch.setattr(spectrum, "char_det", recording)
+    lam, conv = _newton(const_potential, periodic, mesh96, seeds)
+    # each call holds [z, z + h, z - h] for the distinct iterates z
+    assert np.array_equal(batches[0][:5], distinct)
+    for b in batches:
+        z = b[:b.size // 3]
+        assert np.unique(z).size == z.size
+    monkeypatch.undo()
+    for i, seed in enumerate(seeds):
+        lam1, conv1 = _newton(const_potential, periodic, mesh96,
+                              np.array([seed]))
+        assert lam1.tobytes() == lam[i:i + 1].tobytes()
+        assert conv1[0] == conv[i]
 
 
 def test_localize_requires_regular_form(mesh96):
