@@ -4,18 +4,16 @@ eigenfunction expansions and equiconvergence experiments."""
 
 from .boundary import (B_MATRIX, BoundaryMatrixPair, InvalidBoundaryFormError,
                        MinorSet, NotRegularError, UnperturbedSpectrum,
-                       adjoint_pair, boundary_from_config, canonical_form,
-                       delta0, is_regular, minors, row_equivalent,
-                       unperturbed_spectrum)
+                       adjoint_pair, boundary_from_config, delta0, is_regular,
+                       minors, unperturbed_spectrum)
 from .expansions import (RootSystem, RootSystemError, expansion_coefficients,
                          partial_sum, partial_sum_contour, projector_contour,
-                         root_system, unperturbed_root_system)
+                         root_system)
 from .green import (GreenKernel, OpNormEstimate, PoleError, green0_kernel,
                     green_kernel, green_kernels, kernel_sup, opnorm_scaling)
 from .harness import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
-                      emit_report, load_report_json, make_function,
-                      parse_report_csv, run_equiconv, sweep)
+                      emit_report, make_function, run_equiconv, sweep)
 from .mesh import (GridFunction2, Mesh, MeshMismatchError, build_mesh,
                    inner_product, lp_norm)
 from .ode import (FundamentalSolution, NotAnEigenvalueError, OverflowCapError,

@@ -13,7 +13,6 @@ import numpy as np
 
 B_MATRIX = np.diag([-1j, 1j])
 REGULARITY_TOL = 1e-10
-RREF_TOL = 1e-10
 
 
 class InvalidBoundaryFormError(ValueError):
@@ -57,9 +56,6 @@ class MinorSet:
     J23: complex
     J24: complex
     J34: complex
-
-    def plucker_residual(self):
-        return self.J12 * self.J34 - self.J13 * self.J24 + self.J14 * self.J23
 
 
 @dataclass(frozen=True)
@@ -150,30 +146,6 @@ def adjoint_pair(bf: BoundaryMatrixPair) -> BoundaryMatrixPair:
         raise InvalidBoundaryFormError("adjoint construction: rank failure")
     W = vh[2:].conj()
     return BoundaryMatrixPair(W[:, :2], W[:, 2:])
-
-
-def canonical_form(bf: BoundaryMatrixPair, tol=RREF_TOL):
-    """Reduced row echelon form of (C, D) with partial pivoting."""
-    M = bf.stacked.copy()
-    scale = np.max(np.abs(M))
-    r = 0
-    for col in range(4):
-        if r >= 2:
-            break
-        p = r + int(np.argmax(np.abs(M[r:, col])))
-        if abs(M[p, col]) <= tol * scale:
-            continue
-        M[[r, p]] = M[[p, r]]
-        M[r] = M[r] / M[r, col]
-        for other in range(2):
-            if other != r:
-                M[other] = M[other] - M[other, col] * M[r]
-        r += 1
-    return M
-
-
-def row_equivalent(a: BoundaryMatrixPair, b: BoundaryMatrixPair, tol=1e-8):
-    return bool(np.allclose(canonical_form(a), canonical_form(b), atol=tol))
 
 
 def _preset(name):

@@ -194,12 +194,6 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
                       entries=entries, eigs=eigs, Y=Y, Z=Z)
 
 
-def unperturbed_root_system(U: BoundaryMatrixPair, m_max,
-                            mesh: Mesh) -> RootSystem:
-    """Root system of the free operator B y' = lambda y."""
-    return root_system(PotentialMatrix.zero(), U, m_max, mesh)
-
-
 def expansion_coefficients(rs: RootSystem, f: GridFunction2, m=None):
     """c_n = <f, z_n> for n in [-2m, 2m+1]."""
     return {n: inner_product(f, rs.entries[n].z) for n in rs.indices(m)}
@@ -208,9 +202,8 @@ def expansion_coefficients(rs: RootSystem, f: GridFunction2, m=None):
 def partial_sum(rs: RootSystem, f: GridFunction2, m=None) -> GridFunction2:
     """S_m f = sum over the first 2m+1 clusters of <f, z_n> y_n."""
     acc = np.zeros((2, rs.mesh.size), dtype=complex)
-    for n in rs.indices(m):
-        e = rs.entries[n]
-        acc += inner_product(f, e.z) * e.y.values
+    for n, c in expansion_coefficients(rs, f, m).items():
+        acc += c * rs.entries[n].y.values
     return GridFunction2(rs.mesh, acc)
 
 

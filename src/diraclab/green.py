@@ -91,13 +91,14 @@ def _g0_coefficients(m, lam):
 class GreenKernel:
     """Resolvent kernel at a fixed lambda.  evaluator(t, x) gives the 2x2
     matrix off the diagonal t = x; the one-sided limits across the diagonal
-    differ by jump = diag(-i, i) (limit t->x+ minus t->x-)."""
+    differ by jump = diag(-i, i) (limit t->x+ minus t->x-).  node_apply maps
+    the (2, N) node values of f to those of the resolvent applied to f."""
     lam: complex
     mesh: Mesh
     evaluator: Callable
     provenance: str                  # "explicit-G0" | "constructed"
+    node_apply: Callable
     jump: np.ndarray = field(default_factory=lambda: np.diag([-1j, 1j]))
-    _apply: Callable = None
 
     def eval_grid(self, ts, xs):
         """Kernel values on a sample grid: shape (len(xs), len(ts), 2, 2)."""
@@ -106,7 +107,9 @@ class GreenKernel:
         return self.evaluator(ts[None, :], xs[:, None])
 
     def apply(self, f: GridFunction2) -> GridFunction2:
-        return self._apply(f)
+        if not self.mesh.same_as(f.mesh):
+            raise ValueError("function must live on the kernel's mesh")
+        return GridFunction2(self.mesh, self.node_apply(f.values))
 
 
 def _g0_upper(U: BoundaryMatrixPair, lam, mesh: Mesh, mirror: Mesh):
@@ -181,13 +184,8 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
         def node_apply(values):
             return -ap(values[:, ::-1])[:, ::-1]
 
-    def apply(f: GridFunction2) -> GridFunction2:
-        if not mesh.same_as(f.mesh):
-            raise ValueError("function must live on the kernel's mesh")
-        return GridFunction2(mesh, node_apply(f.values))
-
     return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
-                       provenance="explicit-G0", _apply=apply)
+                       provenance="explicit-G0", node_apply=node_apply)
 
 
 def _constructed_kernel(U: BoundaryMatrixPair, F: FundamentalSolution):
@@ -216,18 +214,15 @@ def _constructed_kernel(U: BoundaryMatrixPair, F: FundamentalSolution):
         out = Mx @ mid @ inv2(Mt) @ B_INV[None]
         return out.reshape(shape + (2, 2))
 
-    def apply(f: GridFunction2) -> GridFunction2:
-        if not mesh.same_as(f.mesh):
-            raise ValueError("function must live on the kernel's mesh")
-        u = np.einsum("nab,bn->an", Mn_inv @ B_INV[None], f.values)
+    def node_apply(values):
+        u = np.einsum("nab,bn->an", Mn_inv @ B_INV[None], values)
         ucum = mesh.cumulative(u)
         utot = mesh.integrate(u)
         inner = Pmat @ utot
-        vals = np.einsum("nab,bn->an", Mn, inner[:, None] + ucum)
-        return GridFunction2(mesh, vals)
+        return np.einsum("nab,bn->an", Mn, inner[:, None] + ucum)
 
     return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
-                       provenance="constructed", _apply=apply)
+                       provenance="constructed", node_apply=node_apply)
 
 
 def green_kernels(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
@@ -287,14 +282,11 @@ def _test_battery(mesh: Mesh):
 
 
 def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
-                   mesh: Mesh = None) -> OpNormEstimate:
+                   mesh: Mesh) -> OpNormEstimate:
     """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
     fit the decay exponent in y (expected -1 + 1/mu - 1/nu)."""
     if nu < mu:
         raise ValueError("requires 1 <= mu <= nu <= infinity")
-    if mesh is None:
-        from .mesh import build_mesh
-        mesh = build_mesh(512, order=5)
     battery = _test_battery(mesh)
     norms_mu = [lp_norm(f, mu) for f in battery]
     ys = np.asarray(y_list, dtype=float)

@@ -13,7 +13,6 @@ excluded corner kappa = nu = inf, mu = 1 flagged separately.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -27,7 +26,8 @@ from .boundary import boundary_from_config
 from .expansions import partial_sum, root_system
 from .green import green_kernel, kernel_sup
 from .mesh import GridFunction2, build_mesh, lp_norm
-from .potentials import comparison_operator, make_potential, PotentialMatrix
+from .potentials import (PotentialMatrix, ScalarFunction, comparison_operator,
+                         make_potential, term_sum)
 
 CSV_HEADER = "m,nu,norm_diff,admissible,excluded_case"
 
@@ -143,27 +143,6 @@ class EquiconvReport:
         raise KeyError((m, nu))
 
 
-def _terms_fn(terms):
-    parsed = []
-    for kind, k, amp in terms:
-        parsed.append((kind, float(k), complex(amp) if not isinstance(amp, list)
-                       else complex(amp[0], amp[1])))
-
-    def fn(x):
-        out = np.zeros_like(x, dtype=complex)
-        for kind, k, amp in parsed:
-            if kind == "sin":
-                out += amp * np.sin(k * x)
-            elif kind == "cos":
-                out += amp * np.cos(k * x)
-            elif kind == "pow":
-                out += amp * x ** k
-            else:
-                raise ValueError(f"unknown term kind {kind!r}")
-        return out
-    return fn
-
-
 def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     """Test functions f = (f1, f2) on the mesh.
 
@@ -178,9 +157,8 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         if comps is None:
             comps = [[["sin", 1, 1.0], ["cos", 3, 0.2]],
                      [["cos", 2, 0.7], ["sin", 1, 0.4]]]
-        f1 = _terms_fn(comps[0])(x)
-        f2 = _terms_fn(comps[1])(x)
-        return GridFunction2(mesh, np.stack([f1, f2]), mu_class=mu)
+        return GridFunction2(mesh, np.stack(
+            [term_sum(c, ("sin", "cos", "pow"))(x) for c in comps]))
     if family == "bc_smooth":
         if form is None:
             raise ValueError("bc_smooth requires the boundary form")
@@ -192,7 +170,7 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         blendpi = np.sin(0.5 * x) ** 2
         wig = np.sin(x) * np.array([[0.3], [0.2j]]) * np.sin(2 * x)
         vals = (v0[:, None] * blend0 + vpi[:, None] * blendpi + wig)
-        return GridFunction2(mesh, vals, mu_class=mu)
+        return GridFunction2(mesh, vals)
     if family == "bump":
         c = float(spec.get("center", np.pi / 2))
         w = float(spec.get("width", np.pi / 8))
@@ -200,7 +178,7 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         ind = ((x > c - w / 2) & (x < c + w / 2)).astype(complex)
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = ind
-        return GridFunction2(mesh, vals, mu_class=mu)
+        return GridFunction2(mesh, vals)
     if family == "power":
         eps = float(spec.get("eps", 0.05))
         x0 = float(spec.get("x0", np.pi / 3))
@@ -208,7 +186,7 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         alpha = (0.0 if mu == np.inf else 1.0 / float(mu)) - eps
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = np.abs(x - x0) ** (-alpha)
-        return GridFunction2(mesh, vals, mu_class=mu)
+        return GridFunction2(mesh, vals)
     if family == "random_trig":
         rng = np.random.default_rng(seed)
         nt = int(spec.get("n_terms", 6))
@@ -218,7 +196,7 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
                 a = rng.normal() + 1j * rng.normal()
                 b = rng.normal() + 1j * rng.normal()
                 vals[comp] += (a * np.sin(k * x) + b * np.cos(k * x)) / k
-        return GridFunction2(mesh, vals, mu_class=mu)
+        return GridFunction2(mesh, vals)
     raise ValueError(f"unknown function family {family!r}")
 
 
@@ -243,6 +221,9 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
     with _stage("setup") as st:
         U = boundary_from_config(config.boundary)
         P = make_potential(config.potential)
+        # the verdicts hold for P only if its singularities lie in L_kappa
+        for p in P.entries:
+            ScalarFunction(p.fn, p.singularities, kappa=float(config.kappa))
         mesh = build_mesh(config.mesh_panels, order=config.mesh_order,
                           singular_points=P.singular_points)
         f = make_function(config.f, mesh, mu=config.mu, seed=config.seed,
@@ -364,26 +345,3 @@ def emit_report(report: EquiconvReport, path, format="csv"):
             json.dump(doc, fh, indent=2)
         return path
     raise ValueError(f"unknown format {format!r}")
-
-
-def parse_report_csv(path):
-    """Round-trip parser for the CSV format."""
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        rows = []
-        for rec in csv.reader(fh):
-            rows.append({
-                "m": int(rec[0]),
-                "nu": np.inf if rec[1] == "inf" else float(rec[1]),
-                "norm_diff": float(rec[2]),
-                "admissible": rec[3] == "true",
-                "excluded_case": rec[4] == "true",
-            })
-    return rows
-
-
-def load_report_json(path):
-    with open(path) as fh:
-        return json.load(fh)

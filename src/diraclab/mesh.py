@@ -209,7 +209,6 @@ class GridFunction2:
     """Two-component complex function sampled at the quadrature nodes."""
     mesh: Mesh
     values: np.ndarray          # shape (2, N)
-    mu_class: float = np.inf
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -218,12 +217,11 @@ class GridFunction2:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_callables(cls, mesh, f1, f2, mu_class=np.inf):
+    def from_callables(cls, mesh, f1, f2):
         x = mesh.nodes
         return cls(mesh, np.stack([
             np.asarray(f1(x), dtype=complex) * np.ones_like(x),
-            np.asarray(f2(x), dtype=complex) * np.ones_like(x)]),
-            mu_class=mu_class)
+            np.asarray(f2(x), dtype=complex) * np.ones_like(x)]))
 
     def __add__(self, other):
         self._check(other)

@@ -16,8 +16,6 @@ import numpy as np
 from .boundary import BoundaryMatrixPair
 from .mesh import GridFunction2, Mesh, lp_norm
 from .potentials import PotentialMatrix
-# B = diag(-i, i) is defined once, in boundary; kept importable from here
-from .boundary import B_MATRIX  # noqa: F401
 
 B_INV = np.diag([1j, -1j])
 # largest |Im lambda| propagated; e^{+-i lambda x} grows as e^{pi |Im lambda|}
@@ -268,7 +266,6 @@ class EigenfunctionResult:
     lam: complex
     functions: list            # one GridFunction2, or two when degenerate
     degenerate: bool
-    delta: complex
 
 
 def normalize_eigenfunction(y: GridFunction2, value_at_zero):
@@ -316,8 +313,7 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
                 GridFunction2(mesh, (Mn[l] @ v).T), value_at_zero=v)
                 for v in vecs]
             yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
-                                       degenerate=degenerate,
-                                       delta=complex(dets[l])),
+                                       degenerate=degenerate),
                    Mn[l], mono[l])
 
 

@@ -7,7 +7,7 @@ nonzero diagonal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,10 +49,12 @@ class ScalarFunction:
         return cls(fn=lambda x: np.full_like(x, c, dtype=complex))
 
     @classmethod
-    def from_node_values(cls, mesh: Mesh, values, singularities=(), kappa=np.inf):
+    def from_node_values(cls, mesh: Mesh, values):
         values = np.asarray(values, dtype=complex)
-        return cls(fn=lambda x: mesh.interpolate(values, x),
-                   singularities=tuple(singularities), kappa=kappa)
+        return cls(fn=lambda x: mesh.interpolate(values, x))
+
+
+ENTRIES = ("p1", "p2", "p3", "p4")
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,6 @@ class PotentialMatrix:
     @property
     def kappa(self):
         return min(p.kappa for p in self.entries)
-
-    @property
-    def offdiagonal(self):
-        return self.p1.is_zero and self.p4.is_zero
 
     @property
     def is_zero(self):
@@ -117,6 +115,43 @@ def _as_complex(v):
     return complex(v)
 
 
+TERM_KINDS = {
+    "sin": lambda k, x: np.sin(k * x),
+    "cos": lambda k, x: np.cos(k * x),
+    "pow": lambda k, x: x ** k,
+}
+
+
+def term_sum(terms, kinds):
+    """x -> sum of amp * kind(k, x) over a list of [kind, k, amp] terms.
+    Every kind must be one of `kinds` (names in TERM_KINDS); k may be
+    fractional."""
+    parsed = []
+    for kind, k, amp in terms:
+        if kind not in kinds:
+            raise ValueError(f"unknown term kind {kind!r}, expected one of "
+                             f"{', '.join(kinds)}")
+        parsed.append((TERM_KINDS[kind], float(k), _as_complex(amp)))
+
+    def fn(x):
+        out = np.zeros_like(x, dtype=complex)
+        for term, k, amp in parsed:
+            out += amp * term(k, x)
+        return out
+    return fn
+
+
+def _single_entry(spec, f):
+    """The potential with f at spec["entry"] (default p2), zero elsewhere."""
+    entry = spec.get("entry", "p2")
+    if entry not in ENTRIES:
+        raise ValueError(f"entry must be one of {', '.join(ENTRIES)}, "
+                         f"got {entry!r}")
+    parts = dict.fromkeys(ENTRIES, ScalarFunction.zero())
+    parts[entry] = f
+    return PotentialMatrix(**parts)
+
+
 def make_potential(spec) -> PotentialMatrix:
     """Build a potential from a config dict.
 
@@ -135,46 +170,30 @@ def make_potential(spec) -> PotentialMatrix:
                                ScalarFunction.constant(c), z)
     if family == "trig":
         entries = {}
-        for name in ("p1", "p2", "p3", "p4"):
+        for name in ENTRIES:
             terms = spec.get(name)
-            if not terms:
-                entries[name] = ScalarFunction.zero()
-                continue
-            parsed = [(kind, int(k), _as_complex(amp)) for kind, k, amp in terms]
-
-            def fn(x, _terms=parsed):
-                out = np.zeros_like(x, dtype=complex)
-                for kind, k, amp in _terms:
-                    if kind == "sin":
-                        out += amp * np.sin(k * x)
-                    elif kind == "cos":
-                        out += amp * np.cos(k * x)
-                    else:
-                        raise ValueError(f"unknown trig term kind {kind!r}")
-                return out
-            entries[name] = ScalarFunction(fn=fn)
-        return PotentialMatrix(entries["p1"], entries["p2"],
-                               entries["p3"], entries["p4"])
+            entries[name] = (ScalarFunction(fn=term_sum(terms, ("sin", "cos")))
+                             if terms else ScalarFunction.zero())
+        return PotentialMatrix(**entries)
     if family == "power":
         alpha = float(spec["alpha"])
         if alpha >= 1.0:
             raise ValueError(f"power exponent {alpha} is not integrable on [0, pi]")
         x0 = float(spec.get("x0", PI / 2))
         amp = _as_complex(spec.get("amplitude", 1.0))
-        entry = spec.get("entry", "p2")
         kappa = spec.get("kappa")
         if kappa is None:
             kappa = max(1.0, float(np.floor((1.0 - 1e-12) / alpha))) if alpha > 0 else np.inf
         if alpha * kappa >= 1.0:
             raise ValueError(f"kappa={kappa} inconsistent with alpha={alpha}")
-        f = ScalarFunction(fn=lambda x: amp * np.abs(x - x0) ** (-alpha),
-                           singularities=((x0, alpha),), kappa=kappa)
-        parts = {n: ScalarFunction.zero() for n in ("p1", "p2", "p3", "p4")}
-        parts[entry] = f
-        return PotentialMatrix(parts["p1"], parts["p2"], parts["p3"], parts["p4"])
+        return _single_entry(spec, ScalarFunction(
+            fn=lambda x: amp * np.abs(x - x0) ** (-alpha),
+            singularities=((x0, alpha),), kappa=kappa))
     if family == "step":
-        entry = spec.get("entry", "p2")
         edges = np.asarray(spec["breaks"], dtype=float)
+        if np.any(np.diff(edges) <= 0) or np.any((edges <= 0) | (edges >= PI)):
+            raise ValueError(
+                "step breaks must be strictly increasing inside (0, pi)")
         vals = np.array([_as_complex(v) for v in spec["values"]])
         if len(vals) != len(edges) + 1:
             raise ValueError("need one value per interval")
@@ -182,9 +201,7 @@ def make_potential(spec) -> PotentialMatrix:
         def fn(x, _e=edges, _v=vals):
             idx = np.searchsorted(_e, x, side="right")
             return _v[idx]
-        parts = {n: ScalarFunction.zero() for n in ("p1", "p2", "p3", "p4")}
-        parts[entry] = ScalarFunction(fn=fn)
-        return PotentialMatrix(parts["p1"], parts["p2"], parts["p3"], parts["p4"])
+        return _single_entry(spec, ScalarFunction(fn=fn))
     raise ValueError(f"unknown potential family {family!r}")
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from diraclab import (boundary_from_config, build_mesh, make_potential,
-                      root_system, unperturbed_root_system)
+from diraclab import (PotentialMatrix, boundary_from_config, build_mesh,
+                      make_potential, root_system)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def rs_const_m8(const_potential, dirichlet, mesh96):
 
 @pytest.fixture(scope="session")
 def rs_free_m8(dirichlet, mesh96):
-    return unperturbed_root_system(dirichlet, 8, mesh96)
+    return root_system(PotentialMatrix.zero(), dirichlet, 8, mesh96)
 
 
 def random_regular_form(rng):

@@ -9,8 +9,7 @@ from diraclab import (Circle, ExperimentConfig, GridFunction2,
                       green0_kernel, green_kernel, inner_product, localize,
                       lp_norm, make_function, make_potential, opnorm_scaling,
                       partial_sum, projector_contour, root_system,
-                      run_equiconv, unperturbed_root_system,
-                      unperturbed_spectrum)
+                      run_equiconv, unperturbed_spectrum)
 from conftest import random_regular_form
 
 PI = np.pi
@@ -46,7 +45,7 @@ def rs_const64(const_potential, dirichlet, mesh_a):
 
 @pytest.fixture(scope="module")
 def rs_free64(dirichlet, mesh_a):
-    return unperturbed_root_system(dirichlet, 64, mesh_a)
+    return root_system(P0, dirichlet, 64, mesh_a)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +55,7 @@ def rs_power64(power_potential, dirichlet, mesh_g):
 
 @pytest.fixture(scope="module")
 def rs_free64g(dirichlet, mesh_g):
-    return unperturbed_root_system(dirichlet, 64, mesh_g)
+    return root_system(P0, dirichlet, 64, mesh_g)
 
 
 def test_criterion_1_unperturbed_spectra(dirichlet, periodic, antiperiodic):

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from diraclab import (B_MATRIX, BoundaryMatrixPair, InvalidBoundaryFormError,
                       NotRegularError, adjoint_pair, boundary_from_config,
-                      canonical_form, delta0, is_regular, minors,
-                      row_equivalent, unperturbed_spectrum)
+                      delta0, is_regular, minors, unperturbed_spectrum)
 
 PI = np.pi
 
@@ -122,23 +121,10 @@ def test_adjoint_pair_boundary_term_vanishes():
 
 
 def test_adjoint_involution_up_to_row_equivalence(dirichlet):
-    assert row_equivalent(adjoint_pair(adjoint_pair(dirichlet)), dirichlet)
-
-
-def test_canonical_form_idempotent(dirichlet):
-    M = canonical_form(dirichlet)
-    bf2 = BoundaryMatrixPair(M[:, :2], M[:, 2:])
-    assert np.allclose(canonical_form(bf2), M)
-
-
-def test_row_equivalence():
-    C = np.array([[1.0, 2.0], [0.0, 1.0]])
-    D = np.array([[0.5, 0.0], [1.0, 1.0]])
-    bf = BoundaryMatrixPair(C, D)
-    T = np.array([[2.0, 1.0], [1j, 1.0]])
-    bf2 = BoundaryMatrixPair(T @ C, T @ D)
-    assert row_equivalent(bf, bf2)
-    assert not row_equivalent(bf, boundary_from_config("periodic"))
+    # U'' and U span the same row space: stacked, they still have rank 2
+    twice = adjoint_pair(adjoint_pair(dirichlet))
+    assert np.linalg.matrix_rank(
+        np.vstack([twice.stacked, dirichlet.stacked])) == 2
 
 
 def test_boundary_from_config_array():
@@ -165,7 +151,7 @@ def test_plucker_identity(entries):
         return
     m = minors(bf)
     scale = max(1.0, np.max(np.abs(M)) ** 4)
-    assert abs(m.plucker_residual()) < 1e-12 * scale
+    assert abs(m.J12 * m.J34 - m.J13 * m.J24 + m.J14 * m.J23) < 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)

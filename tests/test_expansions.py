@@ -9,7 +9,7 @@ from diraclab import (Circle, ContourError, GridFunction2,
                       bvp_eigenfunction, expansion_coefficients,
                       inner_product, localize, lp_norm, make_potential,
                       partial_sum, partial_sum_contour, projector_contour,
-                      root_system, unperturbed_root_system)
+                      root_system)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -128,7 +128,7 @@ def test_periodic_double_eigenvalues(periodic, const_potential, mesh96):
 
 
 def test_free_periodic_reproduces_periodic_function(periodic, mesh96):
-    rs = unperturbed_root_system(periodic, 2, mesh96)
+    rs = root_system(P0, periodic, 2, mesh96)
     f = GridFunction2.from_callables(
         mesh96, lambda x: np.exp(2j * x) + 1.0, lambda x: np.exp(-4j * x))
     assert lp_norm(partial_sum(rs, f, 2) - f, np.inf) < 1e-10

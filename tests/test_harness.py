@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from diraclab import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
-                      emit_report, load_report_json, lp_norm, make_function,
-                      parse_report_csv, run_equiconv, sweep)
+                      emit_report, lp_norm, make_function, run_equiconv,
+                      sweep)
 
 PI = np.pi
 
@@ -84,6 +84,17 @@ def test_make_function_families(mesh96, dirichlet):
         make_function({"family": "spline"}, mesh96)
 
 
+def test_make_function_smooth_terms(mesh96):
+    x = mesh96.nodes
+    f = make_function({"family": "smooth", "components": [
+        [["pow", 2, 0.5], ["sin", 0.5, [0, 1]]], [["cos", 3, 1.0]]]}, mesh96)
+    assert np.allclose(f.values[0], 0.5 * x ** 2 + 1j * np.sin(0.5 * x))
+    assert np.allclose(f.values[1], np.cos(3 * x))
+    with pytest.raises(ValueError, match="tan"):
+        make_function({"family": "smooth", "components": [
+            [["tan", 1, 1.0]], [["sin", 1, 1.0]]]}, mesh96)
+
+
 def test_make_function_bc_smooth_satisfies_form(mesh96, dirichlet):
     f = make_function({"family": "bc_smooth"}, mesh96, form=dirichlet)
     f0 = np.array([mesh96.interpolate(f.values[i], 0.0) for i in range(2)])
@@ -130,6 +141,28 @@ def test_run_equiconv_stage_error():
     with pytest.raises(StageError) as ei:
         run_equiconv(cfg)
     assert ei.value.stage == "setup"
+    # a bad trig term kind fails when the potential is built, not later
+    cfg = ExperimentConfig(potential={"family": "trig",
+                                      "p2": [["tan", 1, 0.5]]},
+                           m_schedule=(2,), mesh_panels=64)
+    with pytest.raises(StageError) as ei:
+        run_equiconv(cfg)
+    assert ei.value.stage == "setup"
+
+
+def test_run_equiconv_rejects_kappa_beyond_singularity():
+    # |x - 1.1|^(-0.6) lies in L_kappa only for kappa < 5/3
+    pot = {"family": "power", "alpha": 0.6, "x0": 1.1, "amplitude": 0.5}
+    for kappa in ("inf", np.inf, 2.0, 5 / 3):
+        cfg = ExperimentConfig(potential=pot, kappa=kappa, m_schedule=(2,),
+                               mesh_panels=64)
+        with pytest.raises(StageError) as ei:
+            run_equiconv(cfg)
+        assert ei.value.stage == "setup"
+        assert "alpha*kappa >= 1" in str(ei.value)
+    cfg = ExperimentConfig(potential=pot, kappa=1.5, m_schedule=(2,),
+                           mesh_panels=64)
+    assert run_equiconv(cfg).rows
 
 
 def test_sweep_isolates_failures(tmp_path):
@@ -157,13 +190,15 @@ def test_emit_and_parse_roundtrip(tmp_path):
     json_path = tmp_path / "r.json"
     emit_report(rep, str(csv_path), "csv")
     emit_report(rep, str(json_path), "structured")
-    assert csv_path.read_text().splitlines()[0] == CSV_HEADER
-    rows = parse_report_csv(str(csv_path))
-    assert len(rows) == len(rep.rows)
-    for got, orig in zip(rows, rep.rows):
-        assert got["m"] == orig["m"] and got["nu"] == orig["nu"]
-        assert got["norm_diff"] == orig["norm_diff"]   # repr round-trips
-    doc = load_report_json(str(json_path))
+    header, *lines = csv_path.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert len(lines) == len(rep.rows)
+    for line, orig in zip(lines, rep.rows):
+        m, nu, norm_diff, _, _ = line.split(",")
+        assert int(m) == orig["m"]
+        assert (np.inf if nu == "inf" else float(nu)) == orig["nu"]
+        assert float(norm_diff) == orig["norm_diff"]   # repr round-trips
+    doc = json.loads(json_path.read_text())
     assert doc["config"]["kappa"] == "inf"
     assert doc["verdicts"]["inf"]["admissible"] in (True, False)
     with pytest.raises(ValueError):

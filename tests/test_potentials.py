@@ -10,7 +10,7 @@ PI = np.pi
 
 def test_zero_potential():
     P = make_potential({"family": "zero"})
-    assert P.is_zero and P.offdiagonal
+    assert P.is_zero and P.p1.is_zero and P.p4.is_zero
     assert P.kappa == np.inf
 
 
@@ -19,7 +19,7 @@ def test_constant_offdiag():
     x = np.array([0.2, 1.5])
     assert np.allclose(P.p2(x), 0.3 + 0.1j)
     assert np.allclose(P.p3(x), 0.3 + 0.1j)
-    assert P.offdiagonal
+    assert P.p1.is_zero and P.p4.is_zero
 
 
 def test_trig_potential(trig_potential):
@@ -53,6 +53,37 @@ def test_step_potential():
     assert np.allclose(P.p3(np.array([0.5, 1.5, 2.5])), [1, 2j, -1])
 
 
+@pytest.mark.parametrize("breaks", [[2.0, 1.0], [1.0, 1.0], [1.0, 5.0],
+                                    [0.0, 2.0], [1.0, PI]])
+def test_step_breaks_rejected(breaks):
+    # unordered breaks would skip a value, and a break outside (0, pi)
+    # would leave a constant
+    with pytest.raises(ValueError, match="breaks"):
+        make_potential({"family": "step", "breaks": breaks,
+                        "values": [1, 2, 3]})
+
+
+def test_trig_kind_rejected_at_build():
+    with pytest.raises(ValueError, match="tan"):
+        make_potential({"family": "trig", "p2": [["sin", 1, 0.5],
+                                                 ["tan", 2, 0.1]]})
+
+
+@pytest.mark.parametrize("family,extra", [
+    ("power", {"alpha": 0.4}),
+    ("step", {"breaks": [1.0], "values": [1, 2]})])
+@pytest.mark.parametrize("entry", ["p5", "P2"])
+def test_unknown_entry_rejected(family, extra, entry):
+    # an unknown entry used to build a potential that is silently zero
+    with pytest.raises(ValueError, match="entry"):
+        make_potential(dict(extra, family=family, entry=entry))
+
+
+def test_trig_wavenumber_not_truncated():
+    P = make_potential({"family": "trig", "p2": [["sin", 1.5, 1.0]]})
+    assert P.p2(np.array([1.0]))[0] == pytest.approx(np.sin(1.5))
+
+
 def test_adjoint_swaps_offdiagonal(trig_potential):
     x = np.linspace(0.1, 3.0, 5)
     Pa = trig_potential.adjoint()
@@ -63,7 +94,7 @@ def test_adjoint_swaps_offdiagonal(trig_potential):
 def test_gauge_reduce_removes_diagonal(full_trig_potential, dirichlet):
     mesh = build_mesh(64, order=5)
     red = gauge_reduce(full_trig_potential, dirichlet, mesh)
-    assert red.potential.offdiagonal
+    assert red.potential.p1.is_zero and red.potential.p4.is_zero
     # gamma = mean of the diagonal integrals over the period 2 pi
     x = mesh.nodes
     expect = (mesh.integrate(full_trig_potential.p1(x))
