@@ -10,7 +10,7 @@ from .expansions import (RootSystem, RootSystemError, expansion_coefficients,
                          partial_sum, partial_sum_contour, projector_contour,
                          root_system)
 from .green import (GreenKernel, OpNormEstimate, PoleError, green0_kernel,
-                    green_kernel, green_kernels, kernel_sup, opnorm_scaling)
+                    green_kernel, kernel_sup, opnorm_scaling, resolvent_sum)
 from .harness import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, make_function, run_equiconv, sweep)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryMatrixPair, adjoint_pair
-from .green import green_kernels
+from .green import resolvent_sum
 from .mesh import GridFunction2, Mesh, inner_product
 from .ode import B_INV, delta_scale, eigenfunctions, inv2
 # not called here; kept importable from this module, where bench/spans.py
@@ -30,6 +30,10 @@ from .spectrum import CLUSTER_TOL, Circle, ContourError, EigenvalueList, \
     localize, trapezoid_angles
 
 GRAM_COND_MAX = 1e8
+# projector_contour stops when two successive trapezoid rules agree to
+# PROJECTOR_TOL (sup norm), and gives up after PROJECTOR_DOUBLINGS doublings
+PROJECTOR_TOL = 1e-8
+PROJECTOR_DOUBLINGS = 6
 
 
 class RootSystemError(RuntimeError):
@@ -208,35 +212,33 @@ def partial_sum(rs: RootSystem, f: GridFunction2, m=None) -> GridFunction2:
 
 
 def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
-                      contour: Circle, f: GridFunction2, mesh: Mesh,
-                      tol=1e-8, max_doublings=6) -> GridFunction2:
+                      contour: Circle, f: GridFunction2,
+                      mesh: Mesh) -> GridFunction2:
     """Riesz projector -(1/2 pi i) contour-integral of (L - lambda)^{-1} f
     by the trapezoid rule with node doubling from 32 nodes.
 
     The nodes at n are the even nodes at 2n, so each doubling adds only the
-    new odd nodes to a running sum; the kernels of one level come from one
-    batched green_kernels call.  Raises ContourError when two successive
-    rules still differ by tol or more after max_doublings."""
+    new odd nodes to a running sum, through one resolvent_sum call per
+    level.  Raises ContourError when two successive rules still differ by
+    PROJECTOR_TOL or more after PROJECTOR_DOUBLINGS doublings."""
     acc = np.zeros((2, mesh.size), dtype=complex)
     prev = None
     n = 32
-    for level in range(max_doublings + 1):
+    for level in range(PROJECTOR_DOUBLINGS + 1):
         theta = trapezoid_angles(n)
         if level:
             theta = theta[1::2]     # the even nodes are in acc already
         unit = np.exp(1j * theta)
-        kernels = green_kernels(P, U, contour.center + contour.radius * unit,
-                                mesh)
-        for K, w in zip(kernels, 1j * contour.radius * unit):
-            acc += w * K.apply(f).values
+        acc += resolvent_sum(P, U, contour.center + contour.radius * unit,
+                             1j * contour.radius * unit, f.values, mesh)
         cur = -acc / (1j * n)
-        if prev is not None and np.max(np.abs(cur - prev)) < tol:
+        if prev is not None and np.max(np.abs(cur - prev)) < PROJECTOR_TOL:
             return GridFunction2(mesh, cur)
         prev = cur
         n *= 2
     raise ContourError(
-        f"projector on {contour} did not converge to {tol:.1e} after "
-        f"{max_doublings} doublings")
+        f"projector on {contour} did not converge to {PROJECTOR_TOL:.1e} "
+        f"after {PROJECTOR_DOUBLINGS} doublings")
 
 
 def partial_sum_contour(rs: RootSystem, f: GridFunction2,

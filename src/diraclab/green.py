@@ -13,13 +13,14 @@ U' = (D, C) the kernel below the real axis is
 G(t, x, lam) = -G'(pi - t, pi - x, -lam), and a backward integral
 int_x^pi is a forward one on the reflected mesh.
 
-green_kernels (a batch of lambdas, propagated in chunks; green_kernel is its
-one-lambda case) builds the perturbed kernel from the fundamental system,
+green_kernel builds the perturbed kernel from the fundamental system,
 
     G(t,x,lam) = M(x) [ -(C + D M(pi))^{-1} D M(pi) + chi_{t<x} I ] M(t)^{-1} B^{-1},
 
 with the same diagonal jump diag(-i, i).  Both kernels expose a fast O(N)
-resolvent application through variation of constants.
+resolvent application through variation of constants; for the perturbed
+one it is a single apply vectorized over a leading lambda axis, which
+resolvent_sum runs once per propagated chunk of lambdas.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
     is_regular, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
-from .ode import B_INV, FundamentalSolution, det2, fundamental_matrices, inv2
+from .ode import B_INV, _node_chunks, det2, fundamental_matrices, inv2
 # not called here; kept importable from this module, where bench/spans.py
 # wraps it
 from .ode import fundamental_matrix  # noqa: F401
@@ -92,7 +93,8 @@ class GreenKernel:
     """Resolvent kernel at a fixed lambda.  evaluator(t, x) gives the 2x2
     matrix off the diagonal t = x; the one-sided limits across the diagonal
     differ by jump = diag(-i, i) (limit t->x+ minus t->x-).  node_apply maps
-    the (2, N) node values of f to those of the resolvent applied to f."""
+    the (..., 2, N) node values of f, with any leading axes, to those of the
+    resolvent applied to f."""
     lam: complex
     mesh: Mesh
     evaluator: Callable
@@ -135,24 +137,26 @@ def _g0_upper(U: BoundaryMatrixPair, lam, mesh: Mesh, mirror: Mesh):
         return out
 
     def apply(values):
-        # integrate each region term with only decaying exponentials
+        # integrate each region term with only decaying exponentials;
+        # values is (..., 2, N), any leading axes
         xn = mesh.nodes
-        f1, f2 = values
-        out = np.empty((2, mesh.size), dtype=complex)
-        w1 = np.exp(1j * lam * (pi - xn)) * f1
+        f1, f2 = values[..., 0, :], values[..., 1, :]
+        out = np.empty(np.shape(values), dtype=complex)
+        e_lo = np.exp(1j * lam * xn)
+        e_hi = np.exp(1j * lam * (pi - xn))
+        w1 = e_hi * f1
         C1 = mesh.cumulative(w1)
-        A1 = mesh.integrate(w1)
-        A0 = mesh.integrate(np.exp(1j * lam * xn) * f2)
-        C0 = mesh.cumulative(np.exp(1j * lam * xn) * f2)
+        A1 = mesh.integrate(w1)[..., None]
+        w0 = e_lo * f2
+        A0 = mesh.integrate(w0)[..., None]
+        C0 = mesh.cumulative(w0)
         F1 = _forward_conv(mesh, lam, f1)
         # int_x^pi e^{i lam (t-x)} f2(t) dt, forward on the mirror mesh
-        B2 = _forward_conv(mirror, lam, f2[::-1])[::-1]
-        out[0] = (c["c11_lo"] * F1
-                  + np.exp(1j * lam * xn) * (c["c11_hi"] * (A1 - C1)
-                                             + c["c12"] * A0))
-        out[1] = (c["c22_hi"] * B2
-                  + np.exp(1j * lam * (pi - xn)) * (c["c22_lo"] * C0
-                                                    + c["c21"] * A1))
+        B2 = _forward_conv(mirror, lam, f2[..., ::-1])[..., ::-1]
+        out[..., 0, :] = (c["c11_lo"] * F1
+                          + e_lo * (c["c11_hi"] * (A1 - C1) + c["c12"] * A0))
+        out[..., 1, :] = (c["c22_hi"] * B2
+                          + e_hi * (c["c22_lo"] * C0 + c["c21"] * A1))
         return out
 
     return evaluator, apply
@@ -182,23 +186,77 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
                        np.pi - np.asarray(x, dtype=float))
 
         def node_apply(values):
-            return -ap(values[:, ::-1])[:, ::-1]
+            return -ap(values[..., ::-1])[..., ::-1]
 
     return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
                        provenance="explicit-G0", node_apply=node_apply)
 
 
-def _constructed_kernel(U: BoundaryMatrixPair, F: FundamentalSolution):
-    """Perturbed Green kernel at F.lam from its fundamental system; raises
-    PoleError where Delta(lambda) ~ 0."""
-    lam, mesh = F.lam, F.mesh
+def _node_matvec(M, v):
+    """M(x_n) v(x_n) at every node, for M (..., N, 2, 2) and v (..., 2, N)
+    broadcast over their leading axes; returns (..., 2, N)."""
+    return np.stack([M[..., 0, 0] * v[..., 0, :] + M[..., 0, 1] * v[..., 1, :],
+                     M[..., 1, 0] * v[..., 0, :] + M[..., 1, 1] * v[..., 1, :]],
+                    axis=-2)
+
+
+def _boundary_coefficients(U: BoundaryMatrixPair, lams, monodromy):
+    """-(C + D M(pi))^{-1} D M(pi) for monodromies (..., 2, 2), by one
+    batched solve.  Raises PoleError at the first lambda, in order, where
+    Delta(lambda) ~ 0."""
+    DM = U.D @ monodromy
+    T = U.C + DM
+    scale = np.maximum(1.0, np.max(np.abs(monodromy), axis=(-2, -1)))
+    poles = np.flatnonzero(np.abs(det2(T)) <= POLE_TOL * scale)
+    if poles.size:
+        lam = complex(np.ravel(lams)[poles[0]])
+        raise PoleError(f"Delta({lam}) ~ 0: resolvent pole")
+    return -np.linalg.solve(T, DM)
+
+
+def _voc_apply(Pmat, Mn, Mn_inv, mesh: Mesh, values):
+    """Node values of R(lambda) f by variation of constants,
+
+        u(x) = M(x) [Pmat int_0^pi g + int_0^x g],   g = M^{-1} B^{-1} f,
+
+    vectorized over a leading lambda axis: Pmat (..., 2, 2) from
+    _boundary_coefficients, node values Mn (..., N, 2, 2) and f (2, N)
+    give (..., 2, N).  B^{-1} is diagonal, so it scales the rows of f."""
+    g = _node_matvec(Mn_inv, np.diagonal(B_INV)[:, None] * values)
+    gcum = mesh.cumulative(g)
+    inner = (Pmat @ mesh.integrate(g)[..., None])[..., 0]
+    return _node_matvec(Mn, inner[..., None] + gcum)
+
+
+def resolvent_sum(P: PotentialMatrix, U: BoundaryMatrixPair, lams, weights,
+                  values, mesh: Mesh):
+    """sum_l weights[l] R(lams[l]) f for the node values f (2, N), from
+    EIG_CHUNK lambdas per propagate call, each chunk with one batched solve
+    and one variation-of-constants apply; raises PoleError at the first
+    pole, in order."""
+    weights = np.asarray(weights, dtype=complex)
+    acc = np.zeros((2, mesh.size), dtype=complex)
+    start = 0
+    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
+        Pmat = _boundary_coefficients(U, chunk, Mb[:, -1])
+        w = weights[start:start + chunk.size]
+        acc += np.tensordot(w, _voc_apply(Pmat, Mn, inv2(Mn), mesh, values),
+                            axes=1)
+        start += chunk.size
+    return acc
+
+
+def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
+                 mesh: Mesh) -> GreenKernel:
+    """Perturbed Green kernel at one lambda from its fundamental system;
+    raises PoleError where Delta(lambda) ~ 0."""
+    F, = fundamental_matrices(P, [lam], mesh)
     T = U.C + U.D @ F.monodromy
     det = det2(T)
     scale = max(1.0, float(np.max(np.abs(F.monodromy))))
     if abs(det) <= POLE_TOL * scale:
-        raise PoleError(f"Delta({lam}) ~ 0: resolvent pole")
+        raise PoleError(f"Delta({F.lam}) ~ 0: resolvent pole")
     Pmat = -np.linalg.solve(T, U.D @ F.monodromy)
-
     Mn = F.node_values
     Mn_inv = inv2(Mn)
 
@@ -215,30 +273,10 @@ def _constructed_kernel(U: BoundaryMatrixPair, F: FundamentalSolution):
         return out.reshape(shape + (2, 2))
 
     def node_apply(values):
-        u = np.einsum("nab,bn->an", Mn_inv @ B_INV[None], values)
-        ucum = mesh.cumulative(u)
-        utot = mesh.integrate(u)
-        inner = Pmat @ utot
-        return np.einsum("nab,bn->an", Mn, inner[:, None] + ucum)
+        return _voc_apply(Pmat, Mn, Mn_inv, mesh, values)
 
-    return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
+    return GreenKernel(lam=F.lam, mesh=mesh, evaluator=evaluator,
                        provenance="constructed", node_apply=node_apply)
-
-
-def green_kernels(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
-                  mesh: Mesh):
-    """Perturbed Green kernels for a batch of lambdas, in order, built from
-    fundamental systems propagated EIG_CHUNK at a time.  A kernel kept
-    past the next step keeps its chunk alive."""
-    for F in fundamental_matrices(P, lams, mesh):
-        yield _constructed_kernel(U, F)
-
-
-def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
-                 mesh: Mesh) -> GreenKernel:
-    """Perturbed Green kernel at one lambda."""
-    K, = green_kernels(P, U, [lam], mesh)
-    return K
 
 
 def kernel_sup(K: GreenKernel):
@@ -264,7 +302,8 @@ class OpNormEstimate:
 
 
 def _test_battery(mesh: Mesh):
-    """Indicator bumps at several widths and centers, in each component."""
+    """Indicator bumps at several widths and centers, in each component,
+    stacked as (n, 2, N); a bump that holds no node is left out."""
     widths = [np.pi, np.pi / 4, np.pi / 16, np.pi / 64,
               np.pi / 256, np.pi / 1024]
     centers = [np.pi / 8, np.pi / 2, 7 * np.pi / 8]
@@ -276,29 +315,30 @@ def _test_battery(mesh: Mesh):
             if not ind.any():
                 continue
             zero = np.zeros_like(ind)
-            fam.append(GridFunction2(mesh, np.stack([ind, zero])))
-            fam.append(GridFunction2(mesh, np.stack([zero, ind])))
-    return fam
+            fam.append(np.stack([ind, zero]))
+            fam.append(np.stack([zero, ind]))
+    return np.array(fam)
 
 
 def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
                    mesh: Mesh) -> OpNormEstimate:
     """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
-    fit the decay exponent in y (expected -1 + 1/mu - 1/nu)."""
+    fit the decay exponent in y (expected -1 + 1/mu - 1/nu).  Each kernel
+    is applied to the whole battery at once.  Raises ValueError unless
+    mu <= nu and y_list holds only positive values, two or more distinct."""
     if nu < mu:
         raise ValueError("requires 1 <= mu <= nu <= infinity")
-    battery = _test_battery(mesh)
-    norms_mu = [lp_norm(f, mu) for f in battery]
     ys = np.asarray(y_list, dtype=float)
+    if not np.all(ys > 0.0) or np.unique(ys).size < 2:
+        raise ValueError(f"y_list must hold positive values, at least two "
+                         f"of them distinct; got {list(y_list)}")
+    battery = _test_battery(mesh)
+    norms_mu = [lp_norm(GridFunction2(mesh, f), mu) for f in battery]
     ests = np.empty(ys.size)
     for i, y in enumerate(ys):
-        K = green0_kernel(U, 1j * y, mesh)
-        best = 0.0
-        for f, nmu in zip(battery, norms_mu):
-            if nmu == 0.0:
-                continue
-            best = max(best, lp_norm(K.apply(f), nu) / nmu)
-        ests[i] = best
+        out = green0_kernel(U, 1j * y, mesh).node_apply(battery)
+        ests[i] = max(lp_norm(GridFunction2(mesh, u), nu) / nmu
+                      for u, nmu in zip(out, norms_mu))
     slope, intercept = np.polyfit(np.log(ys), np.log(ests), 1)
     return OpNormEstimate(mu=mu, nu=nu, y_values=ys, estimates=ests,
                           slope=float(slope), prefactor=float(np.exp(intercept)))

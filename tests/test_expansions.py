@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import diraclab.expansions as expansions
 import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
@@ -98,13 +99,15 @@ def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
 
 
 def test_contour_projector_unconverged_raises(rs_const_m8, mesh96,
-                                              const_potential, dirichlet):
+                                              const_potential, dirichlet,
+                                              monkeypatch):
     # one rule has no successor to agree with, however loose the tolerance
+    monkeypatch.setattr(expansions, "PROJECTOR_TOL", 1.0)
+    monkeypatch.setattr(expansions, "PROJECTOR_DOUBLINGS", 0)
     circ = Circle(rs_const_m8.entries[0].lam, 0.25)
     with pytest.raises(ContourError):
         projector_contour(const_potential, dirichlet, circ,
-                          _f_smooth(mesh96), mesh96, tol=1.0,
-                          max_doublings=0)
+                          _f_smooth(mesh96), mesh96)
 
 
 def test_partial_sum_contour_agreement(rs_const_m8, mesh96):

@@ -4,8 +4,9 @@ import pytest
 import diraclab.ode as ode
 from diraclab import (BoundaryMatrixPair, GridFunction2, NotRegularError,
                       PoleError, PotentialMatrix, build_mesh, green0_kernel,
-                      green_kernel, green_kernels, kernel_sup, lp_norm,
-                      opnorm_scaling)
+                      green_kernel, kernel_sup, lp_norm, opnorm_scaling,
+                      resolvent_sum)
+from diraclab.green import _test_battery
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -119,11 +120,15 @@ def test_g0_irregular_form_raises_not_regular(mesh96):
             green0_kernel(bf, lam, mesh96)
 
 
-def test_batched_kernels_match_single(trig_potential, dirichlet, mesh96,
-                                      monkeypatch):
-    # 40 lambdas make 3 chunks of at most 16; each kernel is the one-lambda
-    # kernel bit for bit
+@pytest.mark.parametrize("potential", ["trig_potential", "const_potential"])
+def test_resolvent_sum_matches_single_kernels(potential, dirichlet, mesh96,
+                                              monkeypatch, request):
+    # 40 lambdas make chunks of 16, 16 and 8; the batched sum is the sum of
+    # one-lambda kernel applies
+    P = request.getfixturevalue(potential)
     lams = np.linspace(-4.0, 4.0, 40) + 0.7j
+    weights = np.exp(1j * np.linspace(0.0, 2.0, 40)) * np.linspace(1, 2, 40)
+    f = _rand_f(mesh96, seed=7)
     calls = []
     inner = ode.propagate
 
@@ -132,23 +137,44 @@ def test_batched_kernels_match_single(trig_potential, dirichlet, mesh96,
         return inner(P, lams, mesh, **kw)
 
     monkeypatch.setattr(ode, "propagate", counting)
-    batched = list(green_kernels(trig_potential, dirichlet, lams, mesh96))
+    batched = resolvent_sum(P, dirichlet, lams, weights, f.values, mesh96)
     assert calls == [16, 16, 8]
     monkeypatch.undo()
-    f = _rand_f(mesh96, seed=7)
-    ts = np.linspace(0.1, PI - 0.1, 7)
-    xs = np.linspace(0.15, PI - 0.05, 5)
-    for lam, K in zip(lams, batched):
-        single = green_kernel(trig_potential, dirichlet, lam, mesh96)
-        assert K.lam == single.lam == complex(lam)
-        assert np.array_equal(K.apply(f).values, single.apply(f).values)
-        assert np.array_equal(K.eval_grid(ts, xs), single.eval_grid(ts, xs))
+    single = sum(w * green_kernel(P, dirichlet, lam, mesh96).apply(f).values
+                 for lam, w in zip(lams, weights))
+    err = np.max(np.abs(batched - single)) / np.max(np.abs(single))
+    assert err <= 1e-13
 
 
-def test_batched_kernels_pole_error(dirichlet, mesh96):
-    lams = [0.4 + 0.3j, 1.1 - 0.5j, 2.0 + 1e-9j, 2.5 + 0.2j]
-    with pytest.raises(PoleError):
-        list(green_kernels(P0, dirichlet, lams, mesh96))
+def test_resolvent_sum_pole_error_names_first_pole(dirichlet, mesh96):
+    # poles at 1 and 2 (rows 3 and 10, first chunk) and 3 (row 18, second
+    # chunk): the message names the first in order
+    lams = np.linspace(-3.0, 3.0, 20) + 0.3j
+    lams[3] = 1.0 + 1e-9j
+    lams[10] = 2.0 + 1e-9j
+    lams[18] = 3.0 - 1e-9j
+    with pytest.raises(PoleError, match=r"Delta\(\(1\+1e-09j\)\)"):
+        resolvent_sum(P0, dirichlet, lams, np.ones(20), _rand_f(mesh96).values,
+                      mesh96)
+    # a pole in a later chunk only
+    lams = np.linspace(-3.0, 3.0, 20) + 0.3j
+    lams[18] = 3.0 - 1e-9j
+    with pytest.raises(PoleError, match=r"Delta\(\(3-1e-09j\)\)"):
+        resolvent_sum(P0, dirichlet, lams, np.ones(20), _rand_f(mesh96).values,
+                      mesh96)
+
+
+@pytest.mark.parametrize("y", [8.0, -8.0])
+def test_g0_apply_on_stacked_battery(dirichlet, mesh128, y):
+    # one apply over the (n, 2, N) battery, in both half-planes, is the
+    # per-function apply row by row
+    K = green0_kernel(dirichlet, 1j * y, mesh128)
+    battery = _test_battery(mesh128)
+    stacked = K.node_apply(battery)
+    assert stacked.shape == battery.shape
+    for f, row in zip(battery, stacked):
+        ref = K.apply(GridFunction2(mesh128, f)).values
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_kernel_sup_positive_and_finite(dirichlet, mesh96):
@@ -180,3 +206,30 @@ def test_opnorm_scaling_slopes(dirichlet, mesh128, mu, nu, expect):
 def test_opnorm_scaling_rejects_nu_below_mu(dirichlet, mesh96):
     with pytest.raises(ValueError):
         opnorm_scaling(dirichlet, 2.0, 1.0, [4.0, 8.0], mesh=mesh96)
+
+
+def test_opnorm_scaling_rejects_nonpositive_y(dirichlet, mesh96):
+    # log(-4) would make the fitted slope nan
+    for ys in ([-4.0, 8.0], [0.0, 8.0, 16.0]):
+        with pytest.raises(ValueError, match="positive"):
+            opnorm_scaling(dirichlet, 1.0, 2.0, ys, mesh=mesh96)
+
+
+def test_opnorm_scaling_rejects_fewer_than_two_distinct_y(dirichlet, mesh96):
+    # one y leaves the slope undetermined
+    for ys in ([8.0], [8.0, 8.0]):
+        with pytest.raises(ValueError, match="distinct"):
+            opnorm_scaling(dirichlet, 1.0, 2.0, ys, mesh=mesh96)
+
+
+@pytest.mark.parametrize("mu,nu", [(1.0, 2.0), (2.0, np.inf)])
+def test_opnorm_scaling_matches_per_function_loop(dirichlet, mesh128, mu, nu):
+    ys = [4.0, 8.0, 16.0, 32.0, 64.0]
+    est = opnorm_scaling(dirichlet, mu, nu, ys, mesh=mesh128)
+    battery = [GridFunction2(mesh128, f) for f in _test_battery(mesh128)]
+    ref = []
+    for y in ys:
+        K = green0_kernel(dirichlet, 1j * y, mesh128)
+        ref.append(max(lp_norm(K.apply(f), nu) / lp_norm(f, mu)
+                       for f in battery))
+    assert np.allclose(est.estimates, ref, rtol=1e-12, atol=0.0)
