@@ -214,15 +214,20 @@ def _boundary_coefficients(U: BoundaryMatrixPair, lams, monodromy):
     return -np.linalg.solve(T, DM)
 
 
-def _voc_apply(Pmat, Mn, Mn_inv, mesh: Mesh, values):
+def _voc_apply(Pmat, Mn, mesh: Mesh, values):
     """Node values of R(lambda) f by variation of constants,
 
         u(x) = M(x) [Pmat int_0^pi g + int_0^x g],   g = M^{-1} B^{-1} f,
 
     vectorized over a leading lambda axis: Pmat (..., 2, 2) from
-    _boundary_coefficients, node values Mn (..., N, 2, 2) and f (2, N)
-    give (..., 2, N).  B^{-1} is diagonal, so it scales the rows of f."""
-    g = _node_matvec(Mn_inv, np.diagonal(B_INV)[:, None] * values)
+    _boundary_coefficients, node values Mn (..., N, 2, 2) and f (..., 2, N)
+    give (..., 2, N).  B^{-1} is diagonal, so it scales the rows of f, and
+    M^{-1} is applied as the adjugate of M over det M."""
+    h = np.diagonal(B_INV)[:, None] * values
+    h0, h1 = h[..., 0, :], h[..., 1, :]
+    d = det2(Mn)
+    g = np.stack([(Mn[..., 1, 1] * h0 - Mn[..., 0, 1] * h1) / d,
+                  (Mn[..., 0, 0] * h1 - Mn[..., 1, 0] * h0) / d], axis=-2)
     gcum = mesh.cumulative(g)
     inner = (Pmat @ mesh.integrate(g)[..., None])[..., 0]
     return _node_matvec(Mn, inner[..., None] + gcum)
@@ -240,7 +245,7 @@ def resolvent_sum(P: PotentialMatrix, U: BoundaryMatrixPair, lams, weights,
     for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
         Pmat = _boundary_coefficients(U, chunk, Mb[:, -1])
         w = weights[start:start + chunk.size]
-        acc += np.tensordot(w, _voc_apply(Pmat, Mn, inv2(Mn), mesh, values),
+        acc += np.tensordot(w, _voc_apply(Pmat, Mn, mesh, values),
                             axes=1)
         start += chunk.size
     return acc
@@ -257,8 +262,6 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
     if abs(det) <= POLE_TOL * scale:
         raise PoleError(f"Delta({F.lam}) ~ 0: resolvent pole")
     Pmat = -np.linalg.solve(T, U.D @ F.monodromy)
-    Mn = F.node_values
-    Mn_inv = inv2(Mn)
 
     def evaluator(t, x):
         t = np.asarray(t, dtype=float)
@@ -273,7 +276,7 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
         return out.reshape(shape + (2, 2))
 
     def node_apply(values):
-        return _voc_apply(Pmat, Mn, Mn_inv, mesh, values)
+        return _voc_apply(Pmat, F.node_values, mesh, values)
 
     return GreenKernel(lam=F.lam, mesh=mesh, evaluator=evaluator,
                        provenance="constructed", node_apply=node_apply)

@@ -61,16 +61,18 @@ def inv2(M):
     return out
 
 
-def mul2(A, B):
+def mul2(A, B, out=None):
     """Products A @ B of 2x2 matrices (vectorized over broadcast leading
-    axes), rounded exactly as np.einsum rounds them.
+    axes), rounded exactly as np.einsum rounds them, written into out when
+    given.
 
     Each entry is formed in real arithmetic, in einsum's order,
     re = (a0r b0r - a0i b0i) + (a1r b1r - a1i b1i) and
     im = (a0r b0i + a0i b0r) + (a1r b1i + a1i b1r), through three float
     buffers reused for every entry."""
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    out = np.empty(lead + (2, 2), dtype=complex)
+    if out is None:
+        out = np.empty(lead + (2, 2), dtype=complex)
     t, u, v = np.empty(lead), np.empty(lead), np.empty(lead)
     ar, ai, br, bi = A.real, A.imag, B.real, B.imag
     for i in range(2):
@@ -96,23 +98,124 @@ def mul2(A, B):
     return out
 
 
-def expm2(M):
-    """Exact exponential of 2x2 matrices (vectorized over leading axes)."""
-    tau = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
-    n00 = M[..., 0, 0] - tau
-    n11 = M[..., 1, 1] - tau
-    detn = n00 * n11 - M[..., 0, 1] * M[..., 1, 0]
-    w = np.sqrt(-detn + 0j)
+# Operand-order contract.  The kernels below evaluate the fourth-order
+# Magnus exponent and its exact exponential on one contiguous plane per 2x2
+# entry, operation for operation as the (..., 2, 2) formulas
+#     Omega = s (i lam diag(1, -1) + asum) + C4 s^2 (i lam dcomm + comm0)
+#     expm2 = e^tau (cosh w I + (sinh w / w) (Omega - tau I))
+# evaluate them, with each operand in the same place.  That keeps the bits:
+# numpy's complex multiply loop rounds a * b as
+# fma(a_re, b_re, -a_im b_im) + i fma(a_re, b_im, a_im b_re), the same way
+# for every element whatever the strides, but not symmetrically, so a * b
+# and b * a can differ in the last bit.  Hence np.multiply(s, x, out=x) for
+# s * x, never x *= s (which is x * s).  Sums are commutative bit for bit.
+_DIAG = np.diag([1.0, -1.0]).astype(complex)
+
+
+@dataclass
+class _MagnusTerms:
+    """The lambda-independent part of the Magnus exponent over intervals
+    [start, start + length] of a common shape S, one contiguous plane per
+    2x2 entry: asum and comm0 are (2, 2) + S; dcomm[i][j] is a plane for
+    i != j and 0j on the diagonal; s and c4ss are the lengths
+    and C4 s^2 as complex S planes."""
+    asum: np.ndarray
+    comm0: np.ndarray
+    dcomm: list
+    s: np.ndarray
+    c4ss: np.ndarray
+
+
+def _magnus_terms(P: PotentialMatrix, starts, lengths) -> _MagnusTerms:
+    """Magnus terms over [start, start + length], from A_P at the two Gauss
+    points of each interval."""
+    starts = np.asarray(starts, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    x1 = starts + lengths * (0.5 - _G2)
+    x2 = starts + lengths * (0.5 + _G2)
+    ap1 = _ap_values(P, x1)
+    ap2 = _ap_values(P, x2)
+    dap = ap1 - ap2
+    return _MagnusTerms(
+        asum=_planes(0.5 * (ap1 + ap2)),
+        comm0=_planes(ap2 @ ap1 - ap1 @ ap2),
+        dcomm=[[0j, 2.0 * dap[..., 0, 1]], [-2.0 * dap[..., 1, 0], 0j]],
+        s=lengths.astype(complex),
+        c4ss=(_C4 * lengths * lengths).astype(complex))
+
+
+def _planes(M):
+    """(2, 2) + S contiguous entry planes of matrices M (S + (2, 2))."""
+    return np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
+
+
+def _magnus_propagators(terms: _MagnusTerms, lams, out=None):
+    """Fourth-order Magnus propagators exp(Omega) for each lambda (L,) over
+    the intervals of terms, as (L,) + S + (2, 2), written into out when
+    given.  Without out, the result is a view whose entries [..., i, j]
+    are contiguous planes; a 2x2 block of it is not contiguous, so it is
+    for elementwise use (mul2), not for np.matmul, which would leave BLAS
+    and round differently."""
+    il = 1j * np.asarray(lams, dtype=complex)
+    shape = il.shape + terms.s.shape
+    il = il.reshape(il.shape + (1,) * terms.s.ndim)
+    omega = np.empty((2, 2) + shape, dtype=complex)
+    tmp = np.empty(shape, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            o = omega[i, j]
+            np.add(il * _DIAG[i, j], terms.asum[i, j], out=o)
+            np.multiply(terms.s, o, out=o)
+            np.multiply(il, terms.dcomm[i][j], out=tmp)
+            np.add(tmp, terms.comm0[i, j], out=tmp)
+            np.multiply(terms.c4ss, tmp, out=tmp)
+            np.add(o, tmp, out=o)
+    if out is None:
+        out = np.moveaxis(omega, (0, 1), (-2, -1))
+    return _expm2_planes(*omega.reshape((4,) + shape), out)
+
+
+def _expm2_planes(m00, m01, m10, m11, out):
+    """Exact exponentials of [[m00, m01], [m10, m11]] from four complex
+    planes of one shape, written into out (shape + (2, 2)); the planes are
+    overwritten, and out may be the planes themselves."""
+    tau = np.add(m00, m11)
+    np.multiply(0.5, tau, out=tau)
+    n00 = np.subtract(m00, tau, out=m00)
+    n11 = np.subtract(m11, tau, out=m11)
+    w = np.multiply(n00, n11)
+    t = np.multiply(m01, m10)
+    np.subtract(w, t, out=w)
+    np.negative(w, out=w)
+    np.add(w, 0j, out=w)
+    np.sqrt(w, out=w)
     c = np.cosh(w)
     small = np.abs(w) < 1e-5
-    wsafe = np.where(small, 1.0, w)
-    s = np.where(small, 1.0 + w * w / 6.0, np.sinh(wsafe) / wsafe)
-    out = np.empty(np.broadcast(M, M).shape, dtype=complex)
-    out[..., 0, 0] = c + s * n00
-    out[..., 0, 1] = s * M[..., 0, 1]
-    out[..., 1, 0] = s * M[..., 1, 0]
-    out[..., 1, 1] = c + s * n11
-    return np.exp(tau)[..., None, None] * out
+    if small.any():
+        wsafe = np.where(small, 1.0, w)
+        s = np.where(small, 1.0 + w * w / 6.0, np.sinh(wsafe) / wsafe)
+    else:
+        s = np.divide(np.sinh(w, out=t), w, out=t)
+    np.add(c, np.multiply(s, n00, out=n00), out=n00)
+    np.multiply(s, m01, out=m01)
+    np.multiply(s, m10, out=m10)
+    np.add(c, np.multiply(s, n11, out=n11), out=n11)
+    e = np.exp(tau, out=tau)
+    np.multiply(e, n00, out=out[..., 0, 0])
+    np.multiply(e, m01, out=out[..., 0, 1])
+    np.multiply(e, m10, out=out[..., 1, 0])
+    np.multiply(e, n11, out=out[..., 1, 1])
+    return out
+
+
+def expm2(M):
+    """Exact exponential of 2x2 matrices (vectorized over leading axes)."""
+    M = np.asarray(M)
+    flat = M.reshape(-1, 2, 2)
+    planes = [flat[:, i, j].astype(complex)
+              for i in range(2) for j in range(2)]
+    out = np.empty(flat.shape, dtype=complex)
+    return _expm2_planes(*planes, out).reshape(M.shape)
 
 
 def _ap_values(P: PotentialMatrix, x):
@@ -129,55 +232,47 @@ def _ap_values(P: PotentialMatrix, x):
     return out
 
 
-def _magnus_factors(P, lams, starts, lengths):
-    """Fourth-order Magnus propagators over intervals [start, start+length].
-
-    lams has shape (L,), starts/lengths any common shape S; result is
-    (L,) + S + (2, 2).
-    """
-    starts = np.asarray(starts, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    x1 = starts + lengths * (0.5 - _G2)
-    x2 = starts + lengths * (0.5 + _G2)
-    ap1 = _ap_values(P, x1)
-    ap2 = _ap_values(P, x2)
-    asum = 0.5 * (ap1 + ap2)
-    comm0 = ap2 @ ap1 - ap1 @ ap2
-    dap = ap1 - ap2
-    dcomm = np.zeros_like(dap)
-    dcomm[..., 0, 1] = 2.0 * dap[..., 0, 1]
-    dcomm[..., 1, 0] = -2.0 * dap[..., 1, 0]
-
-    lams = np.asarray(lams, dtype=complex)
-    lshape = lams.shape + (1,) * starts.ndim
-    il = (1j * lams).reshape(lshape + (1, 1))
-    s = lengths[..., None, None]
-    dmat = np.diag([1.0, -1.0]).astype(complex)
-    omega = s * (il * dmat + asum) + _C4 * s * s * (il * dcomm + comm0)
-    return expm2(omega)
+def propagation_terms(P: PotentialMatrix, mesh: Mesh, nodes=True):
+    """The lambda-independent Magnus terms of propagate: (panel terms, node
+    sub-step terms or None).  A caller that propagates several chunks
+    builds them once and passes them to each propagate call."""
+    panels = _magnus_terms(P, mesh.panel_starts, mesh.panel_lengths)
+    if not nodes:
+        return panels, None
+    # node sub-steps as (order, K): mul2 then runs along the panel axis
+    sub_len = np.ascontiguousarray(
+        (mesh.nodes2d - mesh.panel_starts[:, None]).T)
+    sub_start = np.broadcast_to(mesh.panel_starts, sub_len.shape)
+    return panels, _magnus_terms(P, sub_start, sub_len)
 
 
-def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
+def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True, terms=None):
     """Transfer matrices for a batch of spectral parameters.
 
     Returns (Mb, Mn): Mb[l, k] = M(break_k, lam_l) with Mb[l, 0] = I, and
-    Mn[l, j] = M(node_j, lam_l) (or None when nodes=False).
+    Mn[l, j] = M(node_j, lam_l) (or None when nodes=False); Mb is a view
+    of panel-major memory.  terms are propagation_terms(P, mesh, nodes),
+    built here when not given.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _check_cap(lams)
+    panels, subs = terms or propagation_terms(P, mesh, nodes)
     K = mesh.n_panels
-    T = _magnus_factors(P, lams, mesh.panel_starts, mesh.panel_lengths)
     L = lams.size
-    Mb = np.empty((L, K + 1, 2, 2), dtype=complex)
-    Mb[:, 0] = np.eye(2)
+    # panel-major, so that each step reads and writes contiguous slabs,
+    # one zgemm per 2x2 product as in any layout
+    T = np.empty((K, L, 2, 2), dtype=complex)
+    _magnus_propagators(panels, lams, out=T.swapaxes(0, 1))
+    Mb = np.empty((K + 1, L, 2, 2), dtype=complex)
+    Mb[0] = np.eye(2)
     for k in range(K):
-        Mb[:, k + 1] = T[:, k] @ Mb[:, k]
+        np.matmul(T[k], Mb[k], out=Mb[k + 1])
+    Mb = Mb.swapaxes(0, 1)
     if not nodes:
         return Mb, None
-    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
-    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
-    Tn = _magnus_factors(P, lams, sub_start, sub_len)
-    Mn = mul2(Tn, Mb[:, :-1, None])
+    Mn = np.empty((L, K, mesh.order, 2, 2), dtype=complex)
+    mul2(_magnus_propagators(subs, lams), Mb[:, None, :-1],
+         out=Mn.swapaxes(1, 2))
     return Mb, Mn.reshape(L, mesh.size, 2, 2)
 
 
@@ -202,7 +297,9 @@ class FundamentalSolution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = self.mesh.panel_of(x)
         a = self.mesh.breaks[k]
-        T = _magnus_factors(self.potential, np.array([self.lam]), a, x - a)[0]
+        terms = _magnus_terms(self.potential, a, x - a)
+        T = _magnus_propagators(terms, np.array([self.lam]),
+                                out=np.empty((1, x.size, 2, 2), complex))[0]
         out = T @ self.boundary_values[k]
         return out[0] if scalar else out
 
@@ -219,9 +316,10 @@ def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh):
     """(chunk, Mb, Mn) for EIG_CHUNK lambdas per propagate(nodes=True)
     call, in order."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    terms = propagation_terms(P, mesh, nodes=True)
     for i in range(0, lams.size, EIG_CHUNK):
         chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True, terms=terms)
         yield chunk, Mb, Mn
 
 
@@ -248,8 +346,10 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh):
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)
+    terms = propagation_terms(P, mesh, nodes=False)
     for i in range(0, lams.size, DET_CHUNK):
-        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False)
+        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False,
+                          terms=terms)
         det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ Mb[:, -1])
     return complex(det[0]) if scalar else det
 
@@ -309,8 +409,12 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
             degenerate = bool(s[l, 0] <= 1e-6 * tscale[l])
             # null space: the last right singular vector, or both
             vecs = vh[l, (0 if degenerate else 1):].conj()
+            # M(x_j) v at every node as one (2N, 2) matrix-vector product:
+            # one gemv rounds each row as the N per-node 2x2 products do
+            rows = Mn[l].reshape(-1, 2)
             funcs = [normalize_eigenfunction(
-                GridFunction2(mesh, (Mn[l] @ v).T), value_at_zero=v)
+                GridFunction2(mesh, (rows @ v).reshape(-1, 2).T),
+                value_at_zero=v)
                 for v in vecs]
             yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
                                        degenerate=degenerate),

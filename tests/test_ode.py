@@ -5,7 +5,8 @@ import diraclab.ode as ode
 from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
                       ScalarFunction, boundary_from_config, build_mesh,
                       bvp_eigenfunction, char_det, delta0, expm2,
-                      fundamental_matrix, lp_norm, make_potential, propagate)
+                      fundamental_matrices, fundamental_matrix, lp_norm,
+                      make_potential, propagate)
 from diraclab.ode import mul2
 
 PI = np.pi
@@ -18,6 +19,145 @@ def _const_monodromy(c, lam):
     if abs(om) < 1e-12:
         return np.eye(2) + PI * A
     return np.cos(om * PI) * np.eye(2) + (np.sin(om * PI) / om) * A
+
+
+# The (..., 2, 2) formulas of the Magnus propagator and of expm2 that the
+# planes kernel replaced, kept as its oracle: the kernel must reproduce them
+# bit for bit, so every operation and operand order below is part of the
+# contract.
+def _oracle_expm2(M):
+    tau = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    n00 = M[..., 0, 0] - tau
+    n11 = M[..., 1, 1] - tau
+    detn = n00 * n11 - M[..., 0, 1] * M[..., 1, 0]
+    w = np.sqrt(-detn + 0j)
+    c = np.cosh(w)
+    small = np.abs(w) < 1e-5
+    wsafe = np.where(small, 1.0, w)
+    s = np.where(small, 1.0 + w * w / 6.0, np.sinh(wsafe) / wsafe)
+    out = np.empty(np.broadcast(M, M).shape, dtype=complex)
+    out[..., 0, 0] = c + s * n00
+    out[..., 0, 1] = s * M[..., 0, 1]
+    out[..., 1, 0] = s * M[..., 1, 0]
+    out[..., 1, 1] = c + s * n11
+    return np.exp(tau)[..., None, None] * out
+
+
+def _oracle_magnus(P, lams, starts, lengths):
+    starts = np.asarray(starts, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    x1 = starts + lengths * (0.5 - ode._G2)
+    x2 = starts + lengths * (0.5 + ode._G2)
+    ap1 = ode._ap_values(P, x1)
+    ap2 = ode._ap_values(P, x2)
+    asum = 0.5 * (ap1 + ap2)
+    comm0 = ap2 @ ap1 - ap1 @ ap2
+    dap = ap1 - ap2
+    dcomm = np.zeros_like(dap)
+    dcomm[..., 0, 1] = 2.0 * dap[..., 0, 1]
+    dcomm[..., 1, 0] = -2.0 * dap[..., 1, 0]
+    lams = np.asarray(lams, dtype=complex)
+    lshape = lams.shape + (1,) * starts.ndim
+    il = (1j * lams).reshape(lshape + (1, 1))
+    s = lengths[..., None, None]
+    dmat = np.diag([1.0, -1.0]).astype(complex)
+    omega = s * (il * dmat + asum) + ode._C4 * s * s * (il * dcomm + comm0)
+    return _oracle_expm2(omega)
+
+
+def _oracle_propagate(P, lams, mesh):
+    T = _oracle_magnus(P, lams, mesh.panel_starts, mesh.panel_lengths)
+    Mb = np.empty((lams.size, mesh.n_panels + 1, 2, 2), dtype=complex)
+    Mb[:, 0] = np.eye(2)
+    for k in range(mesh.n_panels):
+        Mb[:, k + 1] = T[:, k] @ Mb[:, k]
+    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
+    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
+    Tn = _oracle_magnus(P, lams, sub_start, sub_len)
+    Mn = mul2(Tn, Mb[:, :-1, None])
+    return Mb, Mn.reshape(lams.size, mesh.size, 2, 2)
+
+
+def _same_bits(a, b):
+    # bit patterns, so that a signed zero or a NaN payload counts as well
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+ORACLE_POTENTIALS = {
+    "zero": {"family": "zero"},
+    "constant_offdiag": {"family": "constant_offdiag", "c": 0.3},
+    "trig": {"family": "trig",
+             "p1": [["cos", 1, [0.3, 0.05]]], "p2": [["sin", 1, [0.8, 0.1]]],
+             "p3": [["cos", 2, [0.5, 0.0]]], "p4": [["sin", 2, [0.2, -0.1]]]},
+    "power": {"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+    "step": {"family": "step", "breaks": [1.0, 2.0],
+             "values": [0.5, [1.0, 0.2], -0.5]},
+}
+
+
+def _oracle_lams(L):
+    # lambda = 0 (where Omega = 0 for P = 0 and the small-w branch runs),
+    # real lambdas, and |Im lambda| up to 49, just under IM_CAP
+    rng = np.random.default_rng(L)
+    lams = rng.uniform(-40, 40, L) + 1j * rng.uniform(-49, 49, L)
+    lams[0] = 0.0
+    if L > 2:
+        lams[1], lams[2] = 0.3, 7.25
+        lams[-1] = -3.1 + 49j
+    return lams
+
+
+@pytest.mark.parametrize("L", [1, 16, 64])
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_propagate_matches_oracle_bitwise(name, L):
+    P = make_potential(ORACLE_POTENTIALS[name])
+    mesh = build_mesh(24, order=5, singular_points=P.singular_points)
+    lams = _oracle_lams(L)
+    Mb_ref, Mn_ref = _oracle_propagate(P, lams, mesh)
+    Mb, Mn = propagate(P, lams, mesh)
+    assert _same_bits(Mb, Mb_ref) and _same_bits(Mn, Mn_ref)
+    # panel and node sub-steps on their own
+    panels, subs = ode.propagation_terms(P, mesh)
+    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
+    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
+    assert _same_bits(
+        ode._magnus_propagators(panels, lams),
+        _oracle_magnus(P, lams, mesh.panel_starts, mesh.panel_lengths))
+    # the node sub-steps are laid out (order, K)
+    assert _same_bits(ode._magnus_propagators(subs, lams).swapaxes(1, 2),
+                      _oracle_magnus(P, lams, sub_start, sub_len))
+    Mb_nb, none = propagate(P, lams, mesh, nodes=False,
+                            terms=ode.propagation_terms(P, mesh, nodes=False))
+    assert none is None and _same_bits(Mb_nb, Mb_ref)
+
+
+@pytest.mark.parametrize("name", ["trig", "power"])
+def test_at_matches_oracle_bitwise(name):
+    P = make_potential(ORACLE_POTENTIALS[name])
+    mesh = build_mesh(24, order=5, singular_points=P.singular_points)
+    # zero-length sub-steps sample P at the break itself, so none of these
+    # is the power singularity x0 = 1.1, a panel break of its mesh
+    xs = np.array([0.0, 0.05, 0.3137, 1.1 - 1e-9, 1.1 + 1e-9, 2.0,
+                   PI - 1e-3, PI])
+    for lam in (0.0, 3.7, -2.2 + 31.0j):
+        F = fundamental_matrix(P, lam, mesh)
+        k = mesh.panel_of(xs)
+        a = mesh.breaks[k]
+        T = _oracle_magnus(P, np.array([complex(lam)]), a, xs - a)[0]
+        assert _same_bits(F.at(xs), T @ F.boundary_values[k])
+
+
+def test_expm2_matches_oracle_bitwise():
+    rng = np.random.default_rng(11)
+    stack = 3.0 * (rng.normal(size=(7, 5, 2, 2))
+                   + 1j * rng.normal(size=(7, 5, 2, 2)))
+    stack[0, 0] = 0.0                       # small-w branch
+    stack[0, 1] = [[1e-7, 2e-7j], [0.0, -1e-7]]
+    assert _same_bits(expm2(stack), _oracle_expm2(stack))
+    one = stack[3, 2]
+    assert _same_bits(expm2(one), _oracle_expm2(one))
 
 
 def test_expm2_against_eig():
@@ -50,10 +190,9 @@ def test_propagate_nodes_match_einsum_formula(full_trig_potential):
     mesh = build_mesh(24, order=5)
     lams = np.array([0.3 + 0.1j, 5.7 - 0.02j, -31.9 + 0.4j])
     Mb, Mn = propagate(full_trig_potential, lams, mesh)
-    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
-    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
-    Tn = ode._magnus_factors(full_trig_potential, lams, sub_start, sub_len)
-    ref = np.einsum("lkjab,lkbc->lkjac", Tn, Mb[:, :-1])
+    _, subs = ode.propagation_terms(full_trig_potential, mesh)
+    Tn = ode._magnus_propagators(subs, lams)       # (L, order, K, 2, 2)
+    ref = np.einsum("ljkab,lkbc->lkjac", Tn, Mb[:, :-1])
     assert np.array_equal(Mn, ref.reshape(lams.size, mesh.size, 2, 2))
 
 
@@ -132,6 +271,44 @@ def test_char_det_chunks_match_single_lambdas(trig_potential, periodic,
     batched = char_det(trig_potential, periodic, lams, mesh)
     assert sizes == [64, 64, 64, 8] and ode.DET_CHUNK == 64
     assert np.array_equal(batched, single)
+
+
+def test_fundamental_matrices_chunks_match_single_lambdas(
+        full_trig_potential, monkeypatch):
+    # 40 lambdas propagate with nodes as 16 + 16 + 8; every node value and
+    # monodromy equals its one-lambda call bit for bit
+    mesh = build_mesh(32, order=5)
+    rng = np.random.default_rng(5)
+    lams = rng.uniform(-40, 40, 40) + 1j * rng.uniform(-3, 3, 40)
+    single = [fundamental_matrix(full_trig_potential, lam, mesh)
+              for lam in lams]
+    sizes = []
+    inner = ode.propagate
+
+    def counting(P, lams, mesh, **kw):
+        sizes.append(np.size(lams))
+        return inner(P, lams, mesh, **kw)
+
+    monkeypatch.setattr(ode, "propagate", counting)
+    batched = list(fundamental_matrices(full_trig_potential, lams, mesh))
+    assert sizes == [16, 16, 8] and ode.EIG_CHUNK == 16
+    assert [F.lam for F in batched] == [F.lam for F in single]
+    for F, G in zip(batched, single):
+        assert _same_bits(F.node_values, G.node_values)
+        assert _same_bits(F.monodromy, G.monodromy)
+
+
+def test_stacked_node_matvec_matches_per_node_products(full_trig_potential):
+    # eigenfunctions forms M(x_j) v for all nodes as one (2N, 2) gemv; each
+    # row rounds as the per-node 2x2 product does
+    mesh = build_mesh(24, order=5)
+    _, Mn = propagate(full_trig_potential, [2.3 + 0.1j, -17.0], mesh)
+    rng = np.random.default_rng(2)
+    for l in range(2):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        stacked = (Mn[l].reshape(-1, 2) @ v).reshape(-1, 2)
+        assert _same_bits(stacked, Mn[l] @ v)
 
 
 def test_overflow_cap():
