@@ -20,7 +20,7 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, adjoint_pair
 from .green import resolvent_sum
 from .mesh import GridFunction2, Mesh, inner_product
-from .ode import B_INV, delta_scale, eigenfunctions, inv2
+from .ode import B_INV, eigenfunctions, inv2
 # not called here; kept importable from this module, where bench/spans.py
 # wraps them
 from .green import green_kernel  # noqa: F401
@@ -61,11 +61,17 @@ class RootSystem:
     eigs: EigenvalueList
     Y: np.ndarray                # (4 m_max + 2, 2, N) root vectors
     Z: np.ndarray                # (4 m_max + 2, 2, N) dual vectors
+    # max |Delta(lambda_n)| over the distinct eigenvalues of the operator
+    # and of the adjoint at conj(lambda_n); the scale is at least 1, so it
+    # bounds the scaled residual the root vectors were accepted against
+    delta_residual: float
 
     def indices(self, m=None):
         m = self.m_max if m is None else m
         if m > self.m_max:
             raise ValueError(f"m={m} exceeds stored range m_max={self.m_max}")
+        if m < 0:
+            raise ValueError(f"m={m} is negative")
         return range(-2 * m, 2 * m + 2)
 
     def biorthogonality_residual(self, sample=None):
@@ -131,12 +137,13 @@ def _distinct(eigs: EigenvalueList, groups):
 def _fill_root_vectors(P, U, lams, slots, mesh, out):
     """Write eigenfunctions, then associated functions where the algebraic
     multiplicity exceeds the geometric one, into the rows of out (n, 2, N);
-    returns each row's role."""
+    returns each row's role and the largest |Delta(lambda)|."""
     mults = [mult for mult, _, _ in slots]
-    scale = delta_scale(P, U, np.repeat(lams, mults), mesh)
     roles = []
+    residual = 0.0
     for (mult, row, group), (r, Mn, mono) in zip(
-            slots, eigenfunctions(P, U, lams, mesh, scale)):
+            slots, eigenfunctions(P, U, lams, mesh, np.repeat(lams, mults))):
+        residual = max(residual, r.residual)
         funcs = r.functions[:mult]
         for i, y in enumerate(funcs):
             out[row + i] = y.values
@@ -149,7 +156,7 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out):
             out[row + len(funcs)] = _associated_function(U, funcs[0], Mn,
                                                          mono, mesh)
             roles.append("associated")
-    return roles
+    return roles, residual
 
 
 def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
@@ -158,8 +165,9 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     indices in [-2 m_max, 2 m_max + 1].
 
     Each system is accepted against one scale, max(1, median |Delta(lambda_n
-    + 0.49)|), and built from chunked propagate calls over its distinct
-    eigenvalues; z_n are then corrected cluster by cluster to the dual basis
+    + 0.49)|), probed only when some |Delta(lambda_n)| exceeds ACCEPT_TOL,
+    and built from chunked propagate calls over its distinct eigenvalues;
+    z_n are then corrected cluster by cluster to the dual basis
     <y_j, z_k> = delta_jk."""
     if eigs is None:
         eigs = localize(P, U, m_max, mesh)
@@ -169,9 +177,9 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     # one block for both: fewer large blocks to place on the heap (a kept
     # system held Y and Z apart raised peak RSS by ~4 MB in the benchmark)
     Y, Z = np.empty((2,) + shape, dtype=complex)
-    roles = _fill_root_vectors(P, U, lams, slots, mesh, Y)
-    _fill_root_vectors(P.adjoint(), adjoint_pair(U), np.conj(lams), slots,
-                       mesh, Z)
+    roles, residual = _fill_root_vectors(P, U, lams, slots, mesh, Y)
+    _, adjoint_residual = _fill_root_vectors(
+        P.adjoint(), adjoint_pair(U), np.conj(lams), slots, mesh, Z)
     lo = -2 * eigs.m_max            # index of row 0
     entries = {}
     for group in groups:
@@ -195,7 +203,8 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
                    for k in range(len(group))]
         entries.update((e.index, e) for e in members)
     return RootSystem(potential=P, form=U, mesh=mesh, m_max=eigs.m_max,
-                      entries=entries, eigs=eigs, Y=Y, Z=Z)
+                      entries=entries, eigs=eigs, Y=Y, Z=Z,
+                      delta_residual=max(residual, adjoint_residual))
 
 
 def expansion_coefficients(rs: RootSystem, f: GridFunction2, m=None):

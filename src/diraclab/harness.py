@@ -102,6 +102,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.m_schedule)
+        if not ms:
+            raise ValueError("m schedule must not be empty")
+        if ms != tuple(self.m_schedule):
+            raise ValueError(f"m schedule {tuple(self.m_schedule)} holds a "
+                             f"non-integer m")
+        if min(ms) < 0:
+            raise ValueError(f"m schedule {ms} holds a negative m")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
@@ -270,6 +277,10 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
         "mesh_order": mesh.order,
         "timings": timings,
         "diagnostics": list(rs.eigs.diagnostics),
+        # max |Delta(lambda_n)| of each root system, an upper bound of the
+        # scaled residual its eigenvalues were accepted against
+        "delta_residual": {"operator": rs.delta_residual,
+                           "comparison": rs0.delta_residual},
     }
     return EquiconvReport(config=config, rows=rows, verdicts=verdicts,
                           warnings=warnings, metadata=metadata)

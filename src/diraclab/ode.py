@@ -63,8 +63,9 @@ def inv2(M):
 
 def mul2(A, B, out=None):
     """Products A @ B of 2x2 matrices (vectorized over broadcast leading
-    axes), rounded exactly as np.einsum rounds them, written into out when
-    given.
+    axes), written into out when given.  Every value equals np.einsum's bit
+    for bit, but a zero may carry the other sign (-0.0 where einsum gives
+    +0.0).
 
     Each entry is formed in real arithmetic, in einsum's order,
     re = (a0r b0r - a0i b0i) + (a1r b1r - a1i b1i) and
@@ -190,12 +191,18 @@ def _expm2_planes(m00, m01, m10, m11, out):
     np.add(w, 0j, out=w)
     np.sqrt(w, out=w)
     c = np.cosh(w)
+    # sinh(w) / w, but 1 + w^2 / 6 where |w| < 1e-5: those entries divide
+    # with w = 1 and are then overwritten by the series, so each element
+    # gets the value np.where would pick for it
     small = np.abs(w) < 1e-5
+    series = None
     if small.any():
-        wsafe = np.where(small, 1.0, w)
-        s = np.where(small, 1.0 + w * w / 6.0, np.sinh(wsafe) / wsafe)
-    else:
-        s = np.divide(np.sinh(w, out=t), w, out=t)
+        ws = w[small]
+        series = 1.0 + ws * ws / 6.0
+        w[small] = 1.0
+    s = np.divide(np.sinh(w, out=t), w, out=t)
+    if series is not None:
+        s[small] = series
     np.add(c, np.multiply(s, n00, out=n00), out=n00)
     np.multiply(s, m01, out=m01)
     np.multiply(s, m10, out=m10)
@@ -361,11 +368,36 @@ def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
     return max(1.0, float(np.median(np.abs(char_det(P, U, probe, mesh)))))
 
 
+class AcceptanceScale:
+    """delta_scale(P, U, lams, mesh) for the tests of one call, probed on
+    first use.  The scale is at least 1, so a value at most tol already
+    passes |value| <= tol * scale: exceeds() probes Delta only when some
+    value is above tol, and decides exactly as the scale would."""
+
+    def __init__(self, P: PotentialMatrix, U: BoundaryMatrixPair, lams,
+                 mesh: Mesh):
+        self._args = (P, U, lams, mesh)
+        self._value = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = delta_scale(*self._args)
+        return self._value
+
+    def exceeds(self, values, tol=ACCEPT_TOL):
+        """|values| > tol * scale, elementwise."""
+        mags = np.abs(values)
+        over = mags > tol
+        return mags > tol * self.value if over.any() else over
+
+
 @dataclass
 class EigenfunctionResult:
     lam: complex
     functions: list            # one GridFunction2, or two when degenerate
     degenerate: bool
+    residual: float            # |Delta(lam)|
 
 
 def normalize_eigenfunction(y: GridFunction2, value_at_zero):
@@ -383,7 +415,7 @@ def normalize_eigenfunction(y: GridFunction2, value_at_zero):
 
 
 def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
-                   mesh: Mesh, scale):
+                   mesh: Mesh, scale_lams):
     """Eigenfunction(s) at accepted eigenvalues, EIG_CHUNK per propagate
     call: y = M(., lambda) v with v spanning the numerical null space of
     C + D M(pi, lambda).
@@ -391,18 +423,21 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
     Yields (EigenfunctionResult, node values M(x_j, lambda), monodromy) for
     each lambda in order.  The matrices are views into the current chunk;
     a caller that keeps them past the next step keeps the chunk alive.
-    Raises NotAnEigenvalueError when |Delta(lambda)| > ACCEPT_TOL * scale.
+    Raises NotAnEigenvalueError when |Delta(lambda)| > ACCEPT_TOL * scale,
+    the scale being delta_scale over scale_lams, probed only when some
+    |Delta(lambda)| exceeds ACCEPT_TOL (AcceptanceScale).
     """
+    scale = AcceptanceScale(P, U, scale_lams, mesh)
     for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
         mono = Mb[:, -1]
         T = U.C[None] + U.D[None] @ mono
         dets = det2(T)
-        bad = np.flatnonzero(np.abs(dets) > ACCEPT_TOL * scale)
+        bad = np.flatnonzero(scale.exceeds(dets))
         if bad.size:
             b = bad[0]
             raise NotAnEigenvalueError(
                 f"|Delta({complex(chunk[b])})| = {abs(dets[b]):.3e} exceeds "
-                f"{ACCEPT_TOL:.1e} * {scale:.3e}")
+                f"{ACCEPT_TOL:.1e} * {scale.value:.3e}")
         _, s, vh = np.linalg.svd(T)
         tscale = np.maximum(1.0, np.max(np.abs(mono), axis=(1, 2)))
         for l, lam in enumerate(chunk):
@@ -417,7 +452,8 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
                 value_at_zero=v)
                 for v in vecs]
             yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
-                                       degenerate=degenerate),
+                                       degenerate=degenerate,
+                                       residual=float(abs(dets[l]))),
                    Mn[l], mono[l])
 
 
@@ -425,6 +461,5 @@ def bvp_eigenfunction(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
                       mesh: Mesh) -> EigenfunctionResult:
     """Eigenfunction(s) at one eigenvalue, the one-eigenvalue case of
     eigenfunctions, accepted against delta_scale at that eigenvalue."""
-    (result, _, _), = eigenfunctions(P, U, [lam], mesh,
-                                     delta_scale(P, U, [lam], mesh))
+    (result, _, _), = eigenfunctions(P, U, [lam], mesh, [lam])
     return result

@@ -20,7 +20,7 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, is_regular, \
     unperturbed_spectrum
 from .mesh import Mesh
-from .ode import ACCEPT_TOL, char_det, delta_scale
+from .ode import AcceptanceScale, char_det
 from .potentials import PotentialMatrix, gauge_reduce
 
 DOUBLE_TOL = 1e-8
@@ -306,10 +306,11 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         values[int(n)] = complex(lam[i])
         seedmap[int(n)] = complex(seeds[i])
         mult[int(n)] = 1
-    # residual-based acceptance; failed or collapsed pairs are recovered by
-    # contour moments around the seed midpoint
-    scale = delta_scale(P, U, seeds, mesh)
-    res = np.abs(char_det(P, U, lam, mesh))
+    # residual-based acceptance against the scale of the seeds; failed or
+    # collapsed pairs are recovered by contour moments around the seed
+    # midpoint
+    scale = AcceptanceScale(P, U, seeds, mesh)
+    fails = scale.exceeds(char_det(P, U, lam, mesh))
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
     bad = {}
@@ -317,8 +318,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         ia, ib = 2 * k + 2 * m_max, 2 * k + 1 + 2 * m_max
         a, b = values[2 * k], values[2 * k + 1]
         bad[k] = (not converged[ia] or not converged[ib]
-                  or res[ia] > ACCEPT_TOL * scale
-                  or res[ib] > ACCEPT_TOL * scale
+                  or fails[ia] or fails[ib]
                   or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
     # a collapsed pair must sit on a double zero: one batched Delta' check
     collapsed = [k for k in bad if not bad[k]
@@ -326,8 +326,8 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     if collapsed:
         a = np.array([values[2 * k] for k in collapsed])
         _, dp = _delta_and_slope(P, U, mesh, a)
-        for k, d in zip(collapsed, dp):
-            if abs(d) > 1e-3 * scale:
+        for k, steep in zip(collapsed, scale.exceeds(dp, 1e-3)):
+            if steep:
                 bad[k] = True       # both members fell into one simple zero
     for k in range(-m_max, m_max + 1):
         if bad[k]:

@@ -7,7 +7,7 @@ import diraclab.expansions as expansions
 import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
-                      bvp_eigenfunction, expansion_coefficients,
+                      adjoint_pair, bvp_eigenfunction, expansion_coefficients,
                       inner_product, localize, lp_norm, make_potential,
                       partial_sum, partial_sum_contour, projector_contour,
                       root_system)
@@ -33,6 +33,10 @@ def test_indices_range_guard(rs_free_m8):
     assert list(rs_free_m8.indices(2)) == list(range(-4, 6))
     with pytest.raises(ValueError):
         rs_free_m8.indices(9)
+    # S_-1 would sum over no index at all
+    with pytest.raises(ValueError):
+        rs_free_m8.indices(-1)
+    assert list(rs_free_m8.indices(0)) == [0, 1]
 
 
 def test_free_dirichlet_coefficients_are_fourier(rs_free_m8, mesh96):
@@ -177,6 +181,38 @@ def test_batched_root_vectors_match_per_eigenvalue(const_potential, dirichlet,
                               mesh96)
         assert e.role == "eigen" and not r.degenerate
         assert np.max(np.abs(e.y.values - r.functions[0].values)) < 1e-12
+
+
+def test_healthy_root_system_never_probes_the_scale(const_potential,
+                                                   dirichlet, mesh96,
+                                                   monkeypatch):
+    # every |Delta(lambda_n)| is below ACCEPT_TOL, so neither localize nor
+    # the Y and Z fills evaluate Delta at lambda_n + 0.49: ode.char_det is
+    # the one delta_scale calls (localize calls spectrum.char_det)
+    probed = []
+    inner = ode.char_det
+
+    def counting(P, U, lam, mesh):
+        probed.append(np.size(lam))
+        return inner(P, U, lam, mesh)
+
+    monkeypatch.setattr(ode, "char_det", counting)
+    rs = root_system(const_potential, dirichlet, 4, mesh96)
+    assert probed == []
+    # the counter sees the probe when it is made
+    ode.delta_scale(const_potential, dirichlet, [0.3, 1.2], mesh96)
+    assert probed == [2]
+    # delta_residual is the largest |Delta| the fills computed, over the
+    # operator and the adjoint; abs per value, as the fills take it
+    # (np.abs over an array can round a modulus differently in the last
+    # bit)
+    lams = np.array([rs.eigs.values[n] for n in rs.indices()])
+    dets = np.concatenate([
+        inner(const_potential, dirichlet, lams, mesh96),
+        inner(const_potential.adjoint(), adjoint_pair(dirichlet),
+              np.conj(lams), mesh96)])
+    assert rs.delta_residual == max(abs(complex(d)) for d in dets)
+    assert 0.0 < rs.delta_residual < 1e-10
 
 
 def test_root_system_rejects_shifted_eigenvalue(const_potential, dirichlet,

@@ -66,6 +66,16 @@ def test_config_validation():
         ExperimentConfig(m_schedule=(4, 2))
     with pytest.raises(ValueError):
         ExperimentConfig(comparison="mystery")
+    # an empty schedule has no m_max; S_m for m < 0 sums over no index
+    with pytest.raises(ValueError, match="empty"):
+        ExperimentConfig(m_schedule=())
+    with pytest.raises(ValueError, match="negative"):
+        ExperimentConfig(m_schedule=(-1, 2))
+    # int() would truncate 2.7 to 2 without a word
+    with pytest.raises(ValueError, match="non-integer"):
+        ExperimentConfig(m_schedule=(2.7, 4))
+    assert ExperimentConfig(m_schedule=(2.0, 4)).m_schedule == (2, 4)
+    assert ExperimentConfig(m_schedule=(0, 2)).m_schedule == (0, 2)
 
 
 def test_make_function_families(mesh96, dirichlet):
@@ -122,6 +132,11 @@ def test_run_equiconv_decay_and_verdicts():
     assert rep.norm(8, np.inf) < rep.norm(2, np.inf)
     assert rep.verdicts[np.inf] == (True, False)
     assert rep.metadata["M_est"] > 0.0
+    # the root systems' largest |Delta(lambda_n)|, below the acceptance
+    # level the scale (>= 1) can only raise
+    res = rep.metadata["delta_residual"]
+    assert set(res) == {"operator", "comparison"}
+    assert all(0.0 <= v <= 1e-6 for v in res.values())
     assert set(rep.metadata["timings"]) == {
         "setup", "root_system", "comparison_system", "partial_sums",
         "metadata"}

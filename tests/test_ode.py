@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def _oracle_expm2(M):
     return np.exp(tau)[..., None, None] * out
 
 
-def _oracle_magnus(P, lams, starts, lengths):
+def _oracle_omega(P, lams, starts, lengths):
     starts = np.asarray(starts, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     x1 = starts + lengths * (0.5 - ode._G2)
@@ -61,8 +63,19 @@ def _oracle_magnus(P, lams, starts, lengths):
     il = (1j * lams).reshape(lshape + (1, 1))
     s = lengths[..., None, None]
     dmat = np.diag([1.0, -1.0]).astype(complex)
-    omega = s * (il * dmat + asum) + ode._C4 * s * s * (il * dcomm + comm0)
-    return _oracle_expm2(omega)
+    return s * (il * dmat + asum) + ode._C4 * s * s * (il * dcomm + comm0)
+
+
+def _oracle_magnus(P, lams, starts, lengths):
+    return _oracle_expm2(_oracle_omega(P, lams, starts, lengths))
+
+
+def _oracle_w(M):
+    # the w of _oracle_expm2, whose small entries take the series branch
+    tau = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    n00 = M[..., 0, 0] - tau
+    n11 = M[..., 1, 1] - tau
+    return np.sqrt(-(n00 * n11 - M[..., 0, 1] * M[..., 1, 0]) + 0j)
 
 
 def _oracle_propagate(P, lams, mesh):
@@ -149,6 +162,28 @@ def test_at_matches_oracle_bitwise(name):
         assert _same_bits(F.at(xs), T @ F.boundary_values[k])
 
 
+@pytest.mark.parametrize("name, lams, mixed", [
+    ("zero", [0.0], False), ("power", [0.0, 1.0, 2.5 - 0.4j, 20.0], True)])
+def test_small_w_branch_matches_oracle_bitwise(name, lams, mixed):
+    # Omega = 0 everywhere for P = 0 at lambda = 0; on the graded power
+    # mesh every entry at lambda = 0 (p2 alone is nilpotent) and the
+    # shortest panels and node sub-steps at the other lambdas take the
+    # series 1 + w^2 / 6, the rest sinh(w) / w, in one call
+    P = make_potential(ORACLE_POTENTIALS[name])
+    mesh = build_mesh(24, order=5, singular_points=P.singular_points)
+    lams = np.array(lams, dtype=complex)
+    sub_len = mesh.nodes2d - mesh.panel_starts[:, None]
+    sub_start = np.broadcast_to(mesh.panel_starts[:, None], sub_len.shape)
+    for starts, lengths in ((mesh.panel_starts, mesh.panel_lengths),
+                            (sub_start, sub_len)):
+        small = np.abs(_oracle_w(_oracle_omega(P, lams, starts,
+                                               lengths))) < 1e-5
+        assert small.any() and mixed == (not small.all())
+    Mb_ref, Mn_ref = _oracle_propagate(P, lams, mesh)
+    Mb, Mn = propagate(P, lams, mesh)
+    assert _same_bits(Mb, Mb_ref) and _same_bits(Mn, Mn_ref)
+
+
 def test_expm2_matches_oracle_bitwise():
     rng = np.random.default_rng(11)
     stack = 3.0 * (rng.normal(size=(7, 5, 2, 2))
@@ -170,8 +205,10 @@ def test_expm2_against_eig():
 
 
 def test_mul2_matches_einsum_bitwise():
-    # mul2 rounds each entry in einsum's order, so the products agree bit
-    # for bit, also where B broadcasts over an axis of A
+    # mul2 rounds each entry in einsum's order, so the values agree bit for
+    # bit, also where B broadcasts over an axis of A; only the sign of a
+    # zero may differ, and + 0.0 maps -0.0 to +0.0 before the bits are
+    # compared
     rng = np.random.default_rng(7)
 
     def cnormal(*shape):
@@ -179,9 +216,15 @@ def test_mul2_matches_einsum_bitwise():
 
     A, B = cnormal(3, 4, 5, 2, 2), cnormal(3, 4, 2, 2)
     ref = np.einsum("lkjab,lkbc->lkjac", A, B)
-    assert np.array_equal(mul2(A, B[:, :, None]), ref)
+    assert _same_bits(mul2(A, B[:, :, None]) + 0.0, ref + 0.0)
     A, B = cnormal(6, 2, 2), cnormal(6, 2, 2)
-    assert np.array_equal(mul2(A, B), np.einsum("lab,lbc->lac", A, B))
+    assert _same_bits(mul2(A, B) + 0.0,
+                      np.einsum("lab,lbc->lac", A, B) + 0.0)
+    # diagonal factors, as on the zero potential: signed zeros appear
+    A = np.diag([-1.5, 2.0j])[None] * cnormal(8, 1, 1).real
+    B = np.diag([0.5j, -3.0])[None] * cnormal(8, 1, 1)
+    got, ref = mul2(A, B), np.einsum("lab,lbc->lac", A, B)
+    assert _same_bits(got + 0.0, ref + 0.0)
 
 
 def test_propagate_nodes_match_einsum_formula(full_trig_potential):
@@ -317,9 +360,29 @@ def test_overflow_cap():
         propagate(PotentialMatrix.zero(), [100j], mesh)
 
 
-def test_bvp_eigenfunction_free_dirichlet(dirichlet):
+def _counting_delta_scale(monkeypatch, value=None):
+    """Sizes of the lambda sets ode.delta_scale is asked for; it returns
+    value instead of the real scale when value is given."""
+    calls = []
+    inner = ode.delta_scale
+
+    def counting(P, U, lams, mesh):
+        calls.append(np.size(lams))
+        return inner(P, U, lams, mesh) if value is None else value
+
+    monkeypatch.setattr(ode, "delta_scale", counting)
+    return calls
+
+
+def test_bvp_eigenfunction_free_dirichlet(dirichlet, monkeypatch):
     mesh = build_mesh(64, order=5)
+    calls = _counting_delta_scale(monkeypatch)
     r = bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, 3.0, mesh)
+    # |Delta(3)| <= ACCEPT_TOL, so the scale is never probed
+    assert calls == []
+    assert r.residual == abs(char_det(PotentialMatrix.zero(), dirichlet, 3.0,
+                                      mesh))
+    assert r.residual <= ode.ACCEPT_TOL
     assert not r.degenerate
     y = r.functions[0]
     assert lp_norm(y, 2) == pytest.approx(1.0, abs=1e-10)
@@ -328,10 +391,52 @@ def test_bvp_eigenfunction_free_dirichlet(dirichlet):
     assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
 
-def test_bvp_rejects_non_eigenvalue(dirichlet):
+def test_bvp_rejects_non_eigenvalue(dirichlet, monkeypatch):
+    # after exactly one probe of the scale; the message names lambda,
+    # |Delta|, ACCEPT_TOL and the scale
     mesh = build_mesh(64, order=5)
+    lam = 3.4
+    delta = abs(char_det(PotentialMatrix.zero(), dirichlet, lam, mesh))
+    scale = ode.delta_scale(PotentialMatrix.zero(), dirichlet, [lam], mesh)
+    message = (f"|Delta({complex(lam)})| = {delta:.3e} exceeds "
+               f"{ode.ACCEPT_TOL:.1e} * {scale:.3e}")
+    calls = _counting_delta_scale(monkeypatch)
+    with pytest.raises(NotAnEigenvalueError, match=re.escape(message)):
+        bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, lam, mesh)
+    assert calls == [1]
+
+
+def test_bvp_scale_decides_above_accept_tol(dirichlet, monkeypatch):
+    # 1e-6 < |Delta| < 1e-3: rejected against the real scale (about 2),
+    # accepted against a scale of 1e3, so the scale is still read when a
+    # residual needs it
+    mesh = build_mesh(64, order=5)
+    lam = 3.0 + 1e-5
+    delta = abs(char_det(PotentialMatrix.zero(), dirichlet, lam, mesh))
+    assert 1e-6 < delta < 1e-3
     with pytest.raises(NotAnEigenvalueError):
-        bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, 3.4, mesh)
+        bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, lam, mesh)
+    calls = _counting_delta_scale(monkeypatch, value=1e3)
+    r = bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, lam, mesh)
+    assert calls == [1] and r.residual == delta
+
+
+def test_acceptance_scale_decides_as_the_eager_rule(dirichlet, monkeypatch):
+    # exceeds() equals |v| > tol * scale for any scale >= 1, and probes
+    # the scale at most once, only when some |v| > tol
+    rng = np.random.default_rng(4)
+    for value in (1.0, 1.7, 250.0):
+        calls = _counting_delta_scale(monkeypatch, value=value)
+        scale = ode.AcceptanceScale(None, dirichlet, [0.0], None)
+        quiet = 1e-6 * rng.uniform(0.0, 1.0, 50) * np.exp(2j * rng.normal(
+            size=50))
+        assert not scale.exceeds(quiet).any() and calls == []
+        for tol in (1e-6, 1e-3):
+            v = tol * rng.uniform(0.0, 2.0 * value, 200) * np.exp(
+                2j * rng.normal(size=200))
+            assert np.array_equal(scale.exceeds(v, tol),
+                                  np.abs(v) > tol * value)
+        assert calls == [1] and scale.value == value
 
 
 def test_bvp_degenerate_periodic(periodic):

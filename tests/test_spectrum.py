@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diraclab.ode as ode
 import diraclab.spectrum as spectrum
 from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
@@ -226,12 +227,25 @@ def test_localize_free_is_exact(dirichlet, mesh96):
     assert not eigs.diagnostics
 
 
-def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96):
+def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96,
+                                         monkeypatch):
     # off-diagonal constant c: Delta = 2 - 2 cos(pi sqrt(lambda^2 - c^2)),
     # so the pair at 0 splits into +-c and the pair at 2k sits at
     # +-sqrt(4 k^2 + c^2) as a genuine double eigenvalue
     c = 0.3
+    # the double zeros leave Newton iterates with |Delta| > ACCEPT_TOL, so
+    # localize probes the acceptance scale of its 14 seeds, once (a
+    # healthy localize never does: test_expansions)
+    calls = []
+    inner = ode.delta_scale
+
+    def counting(P, U, lams, mesh):
+        calls.append(np.size(lams))
+        return inner(P, U, lams, mesh)
+
+    monkeypatch.setattr(ode, "delta_scale", counting)
     eigs = localize(const_potential, periodic, 3, mesh96)
+    assert calls == [14]
     a, b = sorted(eigs.pair(0), key=lambda z: z.real)
     assert abs(a + c) < 1e-7 and abs(b - c) < 1e-7
     for k in (1, 2, 3):
