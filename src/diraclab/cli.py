@@ -102,8 +102,8 @@ def cmd_green(args):
     sup = kernel_sup(K)
     x0 = np.pi / 3
     eps = 1e-7
-    jump = (K.evaluator(np.array(x0 + eps), np.array(x0))
-            - K.evaluator(np.array(x0 - eps), np.array(x0)))
+    jump = (K.eval_grid([x0 + eps], [x0])
+            - K.eval_grid([x0 - eps], [x0]))[0, 0]
     print(f"lambda = {lam}")
     print(f"kernel provenance: {K.provenance}")
     print(f"sup |g_jk| (off-diagonal sample grid): {sup:.6e}")

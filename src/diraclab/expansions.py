@@ -169,6 +169,8 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     and built from chunked propagate calls over its distinct eigenvalues;
     z_n are then corrected cluster by cluster to the dual basis
     <y_j, z_k> = delta_jk."""
+    if m_max < 0:
+        raise ValueError(f"m_max={m_max} is negative")
     if eigs is None:
         eigs = localize(P, U, m_max, mesh)
     groups = _clusters(eigs)

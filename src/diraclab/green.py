@@ -32,10 +32,7 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
     is_regular, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
-from .ode import B_INV, _node_chunks, det2, fundamental_matrices, inv2
-# not called here; kept importable from this module, where bench/spans.py
-# wraps it
-from .ode import fundamental_matrix  # noqa: F401
+from .ode import B_INV, _node_chunks, det2, fundamental_matrix, inv2
 from .potentials import PotentialMatrix
 
 POLE_TOL = 1e-6
@@ -90,23 +87,18 @@ def _g0_coefficients(m, lam):
 
 @dataclass
 class GreenKernel:
-    """Resolvent kernel at a fixed lambda.  evaluator(t, x) gives the 2x2
-    matrix off the diagonal t = x; the one-sided limits across the diagonal
+    """Resolvent kernel at a fixed lambda.  eval_grid(ts, xs) gives the 2x2
+    values G(t, x) off the diagonal t = x on a sample grid, with shape
+    (len(xs), len(ts), 2, 2); the one-sided limits across the diagonal
     differ by jump = diag(-i, i) (limit t->x+ minus t->x-).  node_apply maps
     the (..., 2, N) node values of f, with any leading axes, to those of the
     resolvent applied to f."""
     lam: complex
     mesh: Mesh
-    evaluator: Callable
+    eval_grid: Callable
     provenance: str                  # "explicit-G0" | "constructed"
     node_apply: Callable
     jump: np.ndarray = field(default_factory=lambda: np.diag([-1j, 1j]))
-
-    def eval_grid(self, ts, xs):
-        """Kernel values on a sample grid: shape (len(xs), len(ts), 2, 2)."""
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        return self.evaluator(ts[None, :], xs[:, None])
 
     def apply(self, f: GridFunction2) -> GridFunction2:
         if not self.mesh.same_as(f.mesh):
@@ -115,17 +107,16 @@ class GreenKernel:
 
 
 def _g0_upper(U: BoundaryMatrixPair, lam, mesh: Mesh, mirror: Mesh):
-    """Evaluator and node-value apply of G0 for Im lam >= 0; mirror is
-    mesh.reflected(), on which the backward integral runs forward."""
+    """Grid evaluator and node-value apply of G0 for Im lam >= 0; mirror
+    is mesh.reflected(), on which the backward integral runs forward."""
     c = _g0_coefficients(minors(U), lam)
     pi = np.pi
 
-    def evaluator(t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast(t, x).shape
-        hi = np.broadcast_to(t > x, shape)
-        out = np.zeros(shape + (2, 2), dtype=complex)
+    def eval_grid(ts, xs):
+        t = np.asarray(ts, dtype=float)[None, :]
+        x = np.asarray(xs, dtype=float)[:, None]
+        hi = t > x
+        out = np.zeros(hi.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = np.where(
             hi, c["c11_hi"] * np.exp(1j * lam * (x - t + pi)),
             c["c11_lo"] * np.exp(1j * lam * (x - t)))
@@ -159,7 +150,7 @@ def _g0_upper(U: BoundaryMatrixPair, lam, mesh: Mesh, mirror: Mesh):
                           + e_hi * (c["c22_lo"] * C0 + c["c21"] * A1))
         return out
 
-    return evaluator, apply
+    return eval_grid, apply
 
 
 def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
@@ -177,18 +168,18 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
         raise PoleError(f"Delta0({lam}) ~ 0; nearest eigenvalue {nearest}")
     mirror = mesh.reflected()
     if lam.imag >= 0:
-        evaluator, node_apply = _g0_upper(U, lam, mesh, mirror)
+        eval_grid, node_apply = _g0_upper(U, lam, mesh, mirror)
     else:
         ev, ap = _g0_upper(BoundaryMatrixPair(U.D, U.C), -lam, mirror, mesh)
 
-        def evaluator(t, x):
-            return -ev(np.pi - np.asarray(t, dtype=float),
-                       np.pi - np.asarray(x, dtype=float))
+        def eval_grid(ts, xs):
+            return -ev(np.pi - np.asarray(ts, dtype=float),
+                       np.pi - np.asarray(xs, dtype=float))
 
         def node_apply(values):
             return -ap(values[..., ::-1])[..., ::-1]
 
-    return GreenKernel(lam=lam, mesh=mesh, evaluator=evaluator,
+    return GreenKernel(lam=lam, mesh=mesh, eval_grid=eval_grid,
                        provenance="explicit-G0", node_apply=node_apply)
 
 
@@ -253,32 +244,24 @@ def resolvent_sum(P: PotentialMatrix, U: BoundaryMatrixPair, lams, weights,
 
 def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
                  mesh: Mesh) -> GreenKernel:
-    """Perturbed Green kernel at one lambda from its fundamental system;
-    raises PoleError where Delta(lambda) ~ 0."""
-    F, = fundamental_matrices(P, [lam], mesh)
-    T = U.C + U.D @ F.monodromy
-    det = det2(T)
-    scale = max(1.0, float(np.max(np.abs(F.monodromy))))
-    if abs(det) <= POLE_TOL * scale:
-        raise PoleError(f"Delta({F.lam}) ~ 0: resolvent pole")
-    Pmat = -np.linalg.solve(T, U.D @ F.monodromy)
+    """Perturbed Green kernel at one lambda from its fundamental system, the
+    one-lambda case of the batched solve and apply; raises PoleError where
+    Delta(lambda) ~ 0."""
+    F = fundamental_matrix(P, lam, mesh)
+    Pmat = _boundary_coefficients(U, [F.lam], F.monodromy[None])[0]
 
-    def evaluator(t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast(t, x).shape
-        tb = np.broadcast_to(t, shape).ravel()
-        xb = np.broadcast_to(x, shape).ravel()
-        Mt = F.at(tb)
-        Mx = F.at(xb)
-        mid = Pmat[None] + (tb < xb)[:, None, None] * np.eye(2)[None]
-        out = Mx @ mid @ inv2(Mt) @ B_INV[None]
-        return out.reshape(shape + (2, 2))
+    def eval_grid(ts, xs):
+        # M once per coordinate, then the per-point product broadcast over
+        # the grid; its operand order fixes the bits (tests/test_green.py)
+        ts = np.asarray(ts, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        mid = Pmat + (ts[None, :] < xs[:, None])[..., None, None] * np.eye(2)
+        return F.at(xs)[:, None] @ mid @ inv2(F.at(ts)) @ B_INV
 
     def node_apply(values):
         return _voc_apply(Pmat, F.node_values, mesh, values)
 
-    return GreenKernel(lam=F.lam, mesh=mesh, evaluator=evaluator,
+    return GreenKernel(lam=F.lam, mesh=mesh, eval_grid=eval_grid,
                        provenance="constructed", node_apply=node_apply)
 
 

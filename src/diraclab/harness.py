@@ -113,6 +113,12 @@ class ExperimentConfig:
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
         object.__setattr__(self, "nu_list", tuple(self.nu_list))
+        if not self.nu_list:
+            raise ValueError("nu list must not be empty")
+        # each exponent must be >= 1 or inf, as admissible reads it
+        _inv(self.mu, "mu")
+        for nu in self.nu_list:
+            _inv(nu, "nu")
         if self.comparison not in ("free", "corollary-diagonal"):
             raise ValueError(f"unknown comparison mode {self.comparison!r}")
 

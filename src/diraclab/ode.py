@@ -330,21 +330,13 @@ def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh):
         yield chunk, Mb, Mn
 
 
-def fundamental_matrices(P: PotentialMatrix, lams, mesh: Mesh):
-    """FundamentalSolution for each lambda in order, EIG_CHUNK per
-    propagate call.  Its matrices are views into the current chunk; a
-    caller that keeps one past the next step keeps the chunk alive."""
-    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
-        for l, lam in enumerate(chunk):
-            yield FundamentalSolution(potential=P, lam=complex(lam),
-                                      mesh=mesh, boundary_values=Mb[l],
-                                      node_values=Mn[l])
-
-
 def fundamental_matrix(P: PotentialMatrix, lam,
                        mesh: Mesh) -> FundamentalSolution:
-    F, = fundamental_matrices(P, [lam], mesh)
-    return F
+    """M(x, lambda) at one lambda, from one propagate call."""
+    lam = complex(lam)
+    Mb, Mn = propagate(P, [lam], mesh)
+    return FundamentalSolution(potential=P, lam=lam, mesh=mesh,
+                               boundary_values=Mb[0], node_values=Mn[0])
 
 
 def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh):

@@ -286,6 +286,8 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     """Eigenvalues lambda_n for n in [-2 m_max, 2 m_max + 1], paired to
     their seeds.  With validate, each pair's circle gamma_k must wind twice
     around the zeros of Delta, or ContourError is raised."""
+    if m_max < 0:
+        raise ValueError(f"m_max={m_max} is negative")
     ok, _ = is_regular(U)
     if not ok:
         raise NotRegularError("localization requires a regular form")

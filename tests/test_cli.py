@@ -1,5 +1,7 @@
+import ast
 import json
 
+import numpy as np
 import pytest
 
 from diraclab import CSV_HEADER
@@ -54,12 +56,32 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(lines) == 1 + 10       # n in [-4, 5]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "expand"])
+def test_negative_m_max_rejected(command):
+    # expand died in the cluster grouping, spectrum printed an empty table
+    with pytest.raises(ValueError, match="m_max=-1 is negative"):
+        main([command, "--panels", "64", "--m-max", "-1"])
+
+
 def test_green_command(capsys):
     rc = main(["green", "--panels", "64",
                "--re-lambda", "0.4", "--im-lambda", "1.5"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "explicit-G0" in out and "sup |g_jk|" in out
+
+
+def test_green_command_constructed_jump(capsys):
+    # the jump readout of the constructed kernel: diag(-i, i) to 1e-6
+    rc = main(["green", "--panels", "64", "--re-lambda", "2.3",
+               "--im-lambda", "-0.7",
+               "--potential", '{"family": "constant_offdiag", "c": 0.3}'])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "kernel provenance: constructed" in out
+    line = next(s for s in out.splitlines() if s.startswith("diagonal jump"))
+    jump = np.array(ast.literal_eval(line.split(": ", 1)[1]))
+    assert np.max(np.abs(jump - np.diag([-1j, 1j]))) < 1e-6
 
 
 def test_expand_command(capsys):

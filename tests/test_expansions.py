@@ -39,6 +39,15 @@ def test_indices_range_guard(rs_free_m8):
     assert list(rs_free_m8.indices(0)) == [0, 1]
 
 
+def test_root_system_rejects_negative_m_max(dirichlet, mesh96):
+    with pytest.raises(ValueError, match="m_max=-1 is negative"):
+        root_system(P0, dirichlet, -1, mesh96)
+    # also when the eigenvalues are given
+    eigs = localize(P0, dirichlet, 0, mesh96)
+    with pytest.raises(ValueError, match="m_max=-2 is negative"):
+        root_system(P0, dirichlet, -2, mesh96, eigs=eigs)
+
+
 def test_free_dirichlet_coefficients_are_fourier(rs_free_m8, mesh96):
     # y_n proportional to (e^{inx}, e^{-inx}); the coefficient of a pure
     # mode concentrates on the matching index

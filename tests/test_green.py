@@ -2,14 +2,82 @@ import numpy as np
 import pytest
 
 import diraclab.ode as ode
-from diraclab import (BoundaryMatrixPair, GridFunction2, NotRegularError,
-                      PoleError, PotentialMatrix, build_mesh, green0_kernel,
-                      green_kernel, kernel_sup, lp_norm, opnorm_scaling,
-                      resolvent_sum)
-from diraclab.green import _test_battery
+from diraclab import (BoundaryMatrixPair, FundamentalSolution, GridFunction2,
+                      NotRegularError, PoleError, PotentialMatrix, build_mesh,
+                      fundamental_matrix, green0_kernel, green_kernel,
+                      kernel_sup, localize, lp_norm, minors,
+                      opnorm_scaling, resolvent_sum)
+from diraclab.green import (POLE_TOL, SUP_EXCLUDE, SUP_GRID, _g0_coefficients,
+                            _test_battery, _voc_apply)
+from diraclab.ode import B_INV, det2, inv2
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
+
+
+# The per-point kernel evaluators and the scalar boundary solve that the
+# grid evaluators and the batched solve replaced, kept as their oracle:
+# every operation and operand order below is part of the contract.
+def _oracle_boundary(P, U, lam, mesh):
+    F = fundamental_matrix(P, lam, mesh)
+    T = U.C + U.D @ F.monodromy
+    det = det2(T)
+    scale = max(1.0, float(np.max(np.abs(F.monodromy))))
+    if abs(det) <= POLE_TOL * scale:
+        raise PoleError(f"Delta({F.lam}) ~ 0: resolvent pole")
+    return F, -np.linalg.solve(T, U.D @ F.monodromy)
+
+
+def _oracle_constructed(P, U, lam, mesh, ts, xs):
+    F, Pmat = _oracle_boundary(P, U, lam, mesh)
+    t = np.asarray(ts, dtype=float)[None, :]
+    x = np.asarray(xs, dtype=float)[:, None]
+    shape = np.broadcast(t, x).shape
+    tb = np.broadcast_to(t, shape).ravel()
+    xb = np.broadcast_to(x, shape).ravel()
+    Mt = F.at(tb)
+    Mx = F.at(xb)
+    mid = Pmat[None] + (tb < xb)[:, None, None] * np.eye(2)[None]
+    out = Mx @ mid @ inv2(Mt) @ B_INV[None]
+    return out.reshape(shape + (2, 2))
+
+
+def _oracle_g0_upper(U, lam, t, x):
+    c = _g0_coefficients(minors(U), lam)
+    shape = np.broadcast(t, x).shape
+    hi = np.broadcast_to(t > x, shape)
+    out = np.zeros(shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.where(
+        hi, c["c11_hi"] * np.exp(1j * lam * (x - t + PI)),
+        c["c11_lo"] * np.exp(1j * lam * (x - t)))
+    out[..., 0, 1] = c["c12"] * np.exp(1j * lam * (x + t))
+    out[..., 1, 0] = c["c21"] * np.exp(1j * lam * (2 * PI - x - t))
+    out[..., 1, 1] = np.where(
+        hi, c["c22_hi"] * np.exp(1j * lam * (t - x)),
+        c["c22_lo"] * np.exp(1j * lam * (t - x + PI)))
+    return out
+
+
+def _oracle_g0(U, lam, ts, xs):
+    t = np.asarray(ts, dtype=float)[None, :]
+    x = np.asarray(xs, dtype=float)[:, None]
+    if lam.imag >= 0:
+        return _oracle_g0_upper(U, lam, t, x)
+    return -_oracle_g0_upper(BoundaryMatrixPair(U.D, U.C), -lam,
+                             PI - t, PI - x)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+def _sup_grid():
+    # the grid of kernel_sup
+    return (np.linspace(0.013, PI - 0.009, SUP_GRID),
+            np.linspace(0.007, PI - 0.011, SUP_GRID))
 
 
 def _rand_f(mesh, seed=0):
@@ -109,6 +177,89 @@ def test_pole_error_near_spectrum(dirichlet, mesh96):
         assert "nearest eigenvalue (2" in str(ei.value)
     with pytest.raises(PoleError):
         green_kernel(P0, dirichlet, 2.0 + 1e-9j, mesh96)
+
+
+ORACLE_LAMS = [0.4 + 1.5j, 2.3 - 0.7j, 0.7 + 0.0j, -3.1 - 2.2j]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("potential", ["trig_potential", "full_trig_potential",
+                                       "const_potential"])
+def test_constructed_kernel_matches_oracle_bitwise(potential, lam, dirichlet,
+                                                   periodic, request):
+    # the grid evaluator, the node apply (through the boundary solve) and
+    # kernel_sup reproduce the per-point evaluator and the scalar solve
+    P = request.getfixturevalue(potential)
+    mesh = build_mesh(64, order=5, singular_points=(1.1,))
+    ts, xs = np.linspace(0.013, PI - 0.009, 23), np.linspace(0.007, 3.1, 17)
+    f = _rand_f(mesh, seed=4)
+    for U in (dirichlet, periodic):
+        K = green_kernel(P, U, lam, mesh)
+        assert _same_bits(K.eval_grid(ts, xs),
+                          _oracle_constructed(P, U, lam, mesh, ts, xs))
+        F, Pmat = _oracle_boundary(P, U, lam, mesh)
+        assert _same_bits(K.apply(f).values,
+                          _voc_apply(Pmat, F.node_values, mesh, f.values))
+        st, sx = _sup_grid()
+        ref = _oracle_constructed(P, U, lam, mesh, st, sx)
+        mask = np.abs(sx[:, None] - st[None, :]) > SUP_EXCLUDE
+        assert kernel_sup(K) == float(np.max(np.abs(ref[mask])))
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+def test_g0_grid_matches_oracle_bitwise(lam, dirichlet, periodic):
+    mesh = build_mesh(64, order=5, singular_points=(1.1,))
+    ts, xs = np.linspace(0.013, PI - 0.009, 23), np.linspace(0.007, 3.1, 17)
+    st, sx = _sup_grid()
+    mask = np.abs(sx[:, None] - st[None, :]) > SUP_EXCLUDE
+    for U in (dirichlet, periodic):
+        K = green0_kernel(U, lam, mesh)
+        assert _same_bits(K.eval_grid(ts, xs), _oracle_g0(U, lam, ts, xs))
+        assert _same_bits(K.eval_grid([1.2], [0.4]),
+                          _oracle_g0(U, lam, [1.2], [0.4]))
+        ref = _oracle_g0(U, lam, st, sx)
+        assert kernel_sup(K) == float(np.max(np.abs(ref[mask])))
+
+
+def test_constructed_grid_evaluates_m_once_per_coordinate(trig_potential,
+                                                          dirichlet, mesh96,
+                                                          monkeypatch):
+    # kernel_sup's 40 x 40 grid asks M at the 40 ts and the 40 xs, not at
+    # each of the 1,600 pairs
+    sizes = []
+    inner = FundamentalSolution.at
+
+    def counting(self, x):
+        sizes.append(np.size(x))
+        return inner(self, x)
+
+    monkeypatch.setattr(FundamentalSolution, "at", counting)
+    K = green_kernel(trig_potential, dirichlet, 0.4 + 1.5j, mesh96)
+    kernel_sup(K)
+    assert sizes == [SUP_GRID, SUP_GRID]
+    assert K.eval_grid(np.linspace(0.1, 3.0, 7),
+                       np.linspace(0.2, 2.9, 5)).shape == (5, 7, 2, 2)
+
+
+@pytest.mark.parametrize("potential", ["P0", "trig_potential"])
+def test_green_kernel_pole_error_matches_scalar_solve(potential, dirichlet,
+                                                      mesh96, request):
+    # the batched solve with one lambda refuses the same lambda with the
+    # same message as the scalar solve did
+    P = P0 if potential == "P0" else request.getfixturevalue(potential)
+    eig = localize(P, dirichlet, 2, mesh96).values[1]
+    for lam in (eig, eig + 1e-9j, 2.0 + 1e-9j, 2.0, 1.3 + 0.2j):
+        try:
+            _oracle_boundary(P, dirichlet, lam, mesh96)
+            expected = None
+        except PoleError as exc:
+            expected = str(exc)
+        if expected is None:
+            green_kernel(P, dirichlet, lam, mesh96)
+        else:
+            with pytest.raises(PoleError) as ei:
+                green_kernel(P, dirichlet, lam, mesh96)
+            assert str(ei.value) == expected
 
 
 def test_g0_irregular_form_raises_not_regular(mesh96):

@@ -76,6 +76,26 @@ def test_config_validation():
         ExperimentConfig(m_schedule=(2.7, 4))
     assert ExperimentConfig(m_schedule=(2.0, 4)).m_schedule == (2, 4)
     assert ExperimentConfig(m_schedule=(0, 2)).m_schedule == (0, 2)
+    # exponents: an empty nu list would give a report with no rows, and an
+    # exponent below 1 would fail only after the whole pipeline had run
+    bad = [({"nu_list": ()}, "empty"), ({"mu": 0.5}, "mu"),
+           ({"nu_list": (0.5,)}, "nu"), ({"nu_list": (2.0, 0.99)}, "nu"),
+           ({"mu": 0}, "mu"), ({"mu": -2.0}, "mu")]
+    for kw, match in bad:
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**kw)
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(
+                {k: list(v) if isinstance(v, tuple) else v
+                 for k, v in kw.items()})
+    with pytest.raises(ValueError, match="nu"):
+        ExperimentConfig.from_dict({"nu_list": [2.0, "0.5"]})
+    # "inf" stays accepted, as a string and as a float
+    cfg = ExperimentConfig.from_dict({"mu": "inf", "nu_list": ["inf", 1]})
+    assert cfg.mu == np.inf and cfg.nu_list == (np.inf, 1)
+    assert ExperimentConfig(mu="inf", nu_list=("inf", 1.0)).mu == "inf"
+    assert ExperimentConfig(mu=1, nu_list=(1.0, np.inf)).nu_list == \
+        (1.0, np.inf)
 
 
 def test_make_function_families(mesh96, dirichlet):

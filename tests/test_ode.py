@@ -7,8 +7,7 @@ import diraclab.ode as ode
 from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
                       ScalarFunction, boundary_from_config, build_mesh,
                       bvp_eigenfunction, char_det, delta0, expm2,
-                      fundamental_matrices, fundamental_matrix, lp_norm,
-                      make_potential, propagate)
+                      fundamental_matrix, lp_norm, make_potential, propagate)
 from diraclab.ode import mul2
 
 PI = np.pi
@@ -316,15 +315,13 @@ def test_char_det_chunks_match_single_lambdas(trig_potential, periodic,
     assert np.array_equal(batched, single)
 
 
-def test_fundamental_matrices_chunks_match_single_lambdas(
-        full_trig_potential, monkeypatch):
+def test_node_chunks_match_single_lambdas(full_trig_potential, monkeypatch):
     # 40 lambdas propagate with nodes as 16 + 16 + 8; every node value and
-    # monodromy equals its one-lambda call bit for bit
+    # monodromy equals its one-lambda propagate call bit for bit
     mesh = build_mesh(32, order=5)
     rng = np.random.default_rng(5)
     lams = rng.uniform(-40, 40, 40) + 1j * rng.uniform(-3, 3, 40)
-    single = [fundamental_matrix(full_trig_potential, lam, mesh)
-              for lam in lams]
+    single = [propagate(full_trig_potential, [lam], mesh) for lam in lams]
     sizes = []
     inner = ode.propagate
 
@@ -333,12 +330,35 @@ def test_fundamental_matrices_chunks_match_single_lambdas(
         return inner(P, lams, mesh, **kw)
 
     monkeypatch.setattr(ode, "propagate", counting)
-    batched = list(fundamental_matrices(full_trig_potential, lams, mesh))
+    batched = [(lam, Mb[l], Mn[l])
+               for chunk, Mb, Mn in ode._node_chunks(full_trig_potential,
+                                                     lams, mesh)
+               for l, lam in enumerate(chunk)]
     assert sizes == [16, 16, 8] and ode.EIG_CHUNK == 16
-    assert [F.lam for F in batched] == [F.lam for F in single]
-    for F, G in zip(batched, single):
-        assert _same_bits(F.node_values, G.node_values)
-        assert _same_bits(F.monodromy, G.monodromy)
+    assert [lam for lam, _, _ in batched] == list(lams)
+    for (_, Mb, Mn), (Mb1, Mn1) in zip(batched, single):
+        assert _same_bits(Mn, Mn1[0])
+        assert _same_bits(Mb, Mb1[0])
+
+
+def test_fundamental_matrix_is_one_propagate_call(full_trig_potential,
+                                                  monkeypatch):
+    mesh = build_mesh(32, order=5)
+    lam = 3.3 + 0.4j
+    Mb, Mn = propagate(full_trig_potential, [lam], mesh)
+    sizes = []
+    inner = ode.propagate
+
+    def counting(P, lams, mesh, **kw):
+        sizes.append(np.size(lams))
+        return inner(P, lams, mesh, **kw)
+
+    monkeypatch.setattr(ode, "propagate", counting)
+    F = fundamental_matrix(full_trig_potential, lam, mesh)
+    assert sizes == [1]
+    assert F.lam == lam and isinstance(F.lam, complex)
+    assert _same_bits(F.boundary_values, Mb[0])
+    assert _same_bits(F.node_values, Mn[0])
 
 
 def test_stacked_node_matvec_matches_per_node_products(full_trig_potential):

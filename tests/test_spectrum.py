@@ -219,6 +219,13 @@ def test_localize_requires_regular_form(mesh96):
         localize(P0, bf, 2, mesh96)
 
 
+def test_localize_rejects_negative_m_max(dirichlet, mesh96):
+    # n in [-2 m_max, 2 m_max + 1] is empty for m_max < 0
+    with pytest.raises(ValueError, match="m_max=-1 is negative"):
+        localize(P0, dirichlet, -1, mesh96)
+    assert sorted(localize(P0, dirichlet, 0, mesh96).values) == [0, 1]
+
+
 def test_localize_free_is_exact(dirichlet, mesh96):
     eigs = localize(P0, dirichlet, 4, mesh96)
     assert sorted(eigs.values) == list(range(-8, 10))
