@@ -45,12 +45,22 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def _exponent(p, name):
+    """An exponent as given, or as a float when given as a string ("inf"
+    becomes np.inf)."""
+    if not isinstance(p, str):
+        return p
+    try:
+        return float(p)
+    except ValueError:
+        raise ValueError(f"{name}={p!r} is not a number or inf") from None
+
+
 def _inv(p, name):
     """1/p as an exact Fraction; p may be numeric or the string 'inf'."""
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return Fraction(0)
-        p = float(p)
+    p = _exponent(p, name)
+    if p != p:
+        raise ValueError(f"{name} must be >= 1 or inf, got NaN")
     if p == np.inf:
         return Fraction(0)
     if isinstance(p, float):
@@ -76,10 +86,6 @@ def admissible(kappa, mu, nu):
     excluded = (ik == 0 and inu == 0 and imu == 1)
     holds = (ik + imu - inu <= 1)
     return (holds and not excluded), excluded
-
-
-def _num_from_json(v):
-    return np.inf if v == "inf" else v
 
 
 def _num_to_json(v):
@@ -112,24 +118,26 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
-        object.__setattr__(self, "nu_list", tuple(self.nu_list))
+        object.__setattr__(self, "kappa", _exponent(self.kappa, "kappa"))
+        object.__setattr__(self, "mu", _exponent(self.mu, "mu"))
+        object.__setattr__(self, "nu_list", tuple(
+            _exponent(nu, "nu") for nu in self.nu_list))
         if not self.nu_list:
             raise ValueError("nu list must not be empty")
         # each exponent must be >= 1 or inf, as admissible reads it
         _inv(self.mu, "mu")
         for nu in self.nu_list:
             _inv(nu, "nu")
+        # rows and verdicts are keyed by nu: 2 and 2.0 are one exponent
+        if len(set(self.nu_list)) < len(self.nu_list):
+            raise ValueError(f"nu list {self.nu_list} repeats an exponent")
         if self.comparison not in ("free", "corollary-diagonal"):
             raise ValueError(f"unknown comparison mode {self.comparison!r}")
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        for key in ("kappa", "mu"):
-            if key in d:
-                d[key] = _num_from_json(d[key])
-        if "nu_list" in d:
-            d["nu_list"] = tuple(_num_from_json(v) for v in d["nu_list"])
+        """A config from its JSON document, where infinite exponents are
+        the string "inf"."""
         return cls(**d)
 
     def to_dict(self):
@@ -294,9 +302,16 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
 
 def _worker_count():
     env = os.environ.get("DIRACLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        n = int(env)
+        if n < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"DIRACLAB_THREADS={env!r} is not a positive "
+                         f"integer") from None
+    return n
 
 
 def sweep(configs, out_dir=None):

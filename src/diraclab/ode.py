@@ -339,17 +339,56 @@ def fundamental_matrix(P: PotentialMatrix, lam,
                                boundary_values=Mb[0], node_values=Mn[0])
 
 
-def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh):
+def _tree_monodromy(T):
+    """M(pi) = T[:, K-1] ... T[:, 0] for panel propagators T (L, K, 2, 2)
+    laid out as contiguous entry planes (_magnus_propagators without out),
+    as (L, 2, 2).  The panel axis is reduced pairwise in ceil(log2 K)
+    levels of plane products, the later panel of each pair on the left and
+    an odd last panel carried to the next level, so rounding grows with
+    log2 K rather than K; the bits differ from propagate's sequential
+    product."""
+    m = np.moveaxis(T, (-2, -1), (0, 1))
+    while m.shape[-1] > 1:
+        k = m.shape[-1]
+        h = k // 2
+        a, b = m[..., 1::2], m[..., 0:2 * h:2]
+        nxt = np.empty(m.shape[:-1] + (k - h,), dtype=complex)
+        tmp = np.empty(a.shape[2:], dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                c = nxt[i, j, ..., :h]
+                np.multiply(a[i, 0], b[0, j], out=c)
+                np.multiply(a[i, 1], b[1, j], out=tmp)
+                np.add(c, tmp, out=c)
+        if k % 2:
+            nxt[..., h] = m[..., -1]
+        m = nxt
+    return np.moveaxis(m[..., 0], (0, 1), (-2, -1))
+
+
+def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
+             tree=False):
     """Characteristic determinant det(C + D M(pi, lambda)), propagated
-    DET_CHUNK lambdas at a time; each value is independent of the batch."""
+    DET_CHUNK lambdas at a time; each value is independent of the batch.
+
+    With tree, M(pi) is the pairwise product of _tree_monodromy instead of
+    propagate's sequential one: faster, but not the same bits.  Only
+    winding counts use it, because an integer does not carry those bits;
+    every Delta that becomes an eigenvalue or a report row keeps the
+    sequential product."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)
     terms = propagation_terms(P, mesh, nodes=False)
     for i in range(0, lams.size, DET_CHUNK):
-        Mb, _ = propagate(P, lams[i:i + DET_CHUNK], mesh, nodes=False,
-                          terms=terms)
-        det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ Mb[:, -1])
+        chunk = lams[i:i + DET_CHUNK]
+        if tree:
+            _check_cap(chunk)
+            mono = _tree_monodromy(_magnus_propagators(terms[0], chunk))
+        else:
+            Mb, _ = propagate(P, chunk, mesh, nodes=False, terms=terms)
+            mono = Mb[:, -1]
+        det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ mono)
     return complex(det[0]) if scalar else det
 
 

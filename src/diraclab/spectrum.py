@@ -115,11 +115,13 @@ def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh, quad_order=None, max_doublings=8):
     """Winding number of Delta along the contour.  The rule starts at 16
     nodes per unit arc length (at least 16) and doubles until every
-    argument increment stays below pi/2."""
+    argument increment stays below pi/2.  Delta comes from the pairwise
+    monodromy product (char_det(tree=True)): the count is an integer, so
+    the last bits of Delta that an eigenvalue would carry do not reach it."""
     n = quad_order or max(16, int(np.ceil(16 * contour.arc_length)))
-    for _, _, vals in _nested_nodes(contour.points,
-                                    lambda z: char_det(P, U, z, mesh), n,
-                                    max_doublings + 1):
+    for _, _, vals in _nested_nodes(
+            contour.points, lambda z: char_det(P, U, z, mesh, tree=True), n,
+            max_doublings + 1):
         vals = np.concatenate([vals, vals[:1]])
         if np.min(np.abs(vals)) == 0.0:
             raise ContourError("Delta vanishes on the contour; adjust it")

@@ -8,6 +8,7 @@ from diraclab import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, lp_norm, make_function, run_equiconv,
                       sweep)
+from diraclab.harness import _worker_count
 
 PI = np.pi
 
@@ -90,12 +91,52 @@ def test_config_validation():
                  for k, v in kw.items()})
     with pytest.raises(ValueError, match="nu"):
         ExperimentConfig.from_dict({"nu_list": [2.0, "0.5"]})
-    # "inf" stays accepted, as a string and as a float
+    # a NaN exponent is named, not left to Fraction; a repeated nu would
+    # give each row twice and one verdict; an exponent that is no number
+    # would pass the check and fail in the pipeline
+    nan = float("nan")
+    bad = [({"mu": nan}, "mu.*NaN"), ({"mu": "nan"}, "mu.*NaN"),
+           ({"nu_list": (2.0, nan)}, "nu.*NaN"),
+           ({"nu_list": (2.0, 2.0)}, "nu list.*repeats"),
+           ({"nu_list": (2, 2.0)}, "nu list.*repeats"),
+           ({"nu_list": ("inf", np.inf)}, "nu list.*repeats"),
+           ({"nu_list": ("inf", 2.0, "Infinity")}, "nu list.*repeats"),
+           ({"nu_list": ("two",)}, "nu='two'"), ({"mu": "x"}, "mu='x'"),
+           ({"kappa": "big"}, "kappa='big'")]
+    for kw, match in bad:
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**kw)
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(
+                {k: list(v) if isinstance(v, tuple) else v
+                 for k, v in kw.items()})
+    # "inf" stays accepted, as a string and as a float, and is stored as
+    # np.inf whether it came through the constructor or from_dict
     cfg = ExperimentConfig.from_dict({"mu": "inf", "nu_list": ["inf", 1]})
     assert cfg.mu == np.inf and cfg.nu_list == (np.inf, 1)
-    assert ExperimentConfig(mu="inf", nu_list=("inf", 1.0)).mu == "inf"
+    cfg = ExperimentConfig(kappa="inf", mu="inf", nu_list=("inf", 1.0))
+    assert cfg.kappa == cfg.mu == np.inf and cfg.nu_list == (np.inf, 1.0)
     assert ExperimentConfig(mu=1, nu_list=(1.0, np.inf)).nu_list == \
         (1.0, np.inf)
+
+
+@pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
+def test_worker_count_rejects_bad_threads(monkeypatch, value):
+    monkeypatch.setenv("DIRACLAB_THREADS", value)
+    with pytest.raises(ValueError, match=f"DIRACLAB_THREADS='{value}'"):
+        _worker_count()
+    with pytest.raises(ValueError, match="DIRACLAB_THREADS"):
+        sweep([ExperimentConfig(nu_list=(2.0,), m_schedule=(2,),
+                                mesh_panels=32)])
+
+
+def test_worker_count_reads_threads(monkeypatch):
+    monkeypatch.setenv("DIRACLAB_THREADS", "3")
+    assert _worker_count() == 3
+    monkeypatch.setenv("DIRACLAB_THREADS", "")
+    assert 1 <= _worker_count() <= 8
+    monkeypatch.delenv("DIRACLAB_THREADS")
+    assert 1 <= _worker_count() <= 8
 
 
 def test_make_function_families(mesh96, dirichlet):

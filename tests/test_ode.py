@@ -315,6 +315,69 @@ def test_char_det_chunks_match_single_lambdas(trig_potential, periodic,
     assert np.array_equal(batched, single)
 
 
+TREE_POTENTIALS = {
+    "zero": {"family": "zero"},
+    "constant": {"family": "constant_offdiag", "c": 0.3},
+    "trig": {"family": "trig", "p1": [["cos", 1, 0.3]],
+             "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]],
+             "p4": [["sin", 2, 0.2]]},
+    "power": {"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+}
+TREE_LAMS = np.array([0.0, 0.4 + 0.2j, 3.7, -2.0 - 1.5j, 17.3 + 2.9j,
+                      -39.5 + 0.3j])
+
+
+@pytest.mark.parametrize("name, panels, graded", [
+    (name, panels, False) for name in sorted(TREE_POTENTIALS)
+    for panels in (1, 2, 3, 128)] + [("power", 128, True)])
+def test_tree_monodromy_matches_sequential_product(name, panels, graded):
+    # pairwise reduction with odd panels carried: the same M(pi) as the
+    # sequential loop up to roundoff; graded is the 169-panel power mesh
+    P = make_potential(TREE_POTENTIALS[name])
+    mesh = build_mesh(panels, order=5, singular_points=(
+        P.singular_points if graded else ()))
+    assert mesh.n_panels == (169 if graded else panels)
+    panel_terms, _ = ode.propagation_terms(P, mesh, nodes=False)
+    T = ode._magnus_propagators(panel_terms, TREE_LAMS)
+    got = ode._tree_monodromy(T)
+    want = propagate(P, TREE_LAMS, mesh, nodes=False)[0][:, -1]
+    assert got.shape == want.shape == (TREE_LAMS.size, 2, 2)
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * scale)
+    if panels == 1:
+        assert _same_bits(got, T[:, 0])
+
+
+def test_char_det_tree_matches_sequential(trig_potential, periodic,
+                                          monkeypatch):
+    # 200 lambdas in DET_CHUNK chunks without propagate; each value is
+    # independent of its batch and within 1e-12 of the sequential product
+    mesh = build_mesh(32, order=5)
+    rng = np.random.default_rng(4)
+    lams = rng.uniform(-40, 40, 200) + 1j * rng.uniform(-3, 3, 200)
+    seq = char_det(trig_potential, periodic, lams, mesh)
+    single = np.array([char_det(trig_potential, periodic, lam, mesh,
+                                tree=True) for lam in lams])
+    sizes = []
+    inner = ode._magnus_propagators
+
+    def counting(terms, lams, out=None):
+        sizes.append(np.size(lams))
+        return inner(terms, lams, out)
+
+    monkeypatch.setattr(ode, "_magnus_propagators", counting)
+    monkeypatch.setattr(ode, "propagate", None)
+    tree = char_det(trig_potential, periodic, lams, mesh, tree=True)
+    assert sizes == [64, 64, 64, 8] and ode.DET_CHUNK == 64
+    assert np.array_equal(tree, single)
+    assert np.max(np.abs(tree - seq)) <= 1e-12 * np.max(np.abs(seq))
+    got = char_det(trig_potential, periodic, 3.1 + 0.2j, mesh, tree=True)
+    assert isinstance(got, complex)
+    with pytest.raises(OverflowCapError):
+        char_det(trig_potential, periodic, [1.0, 2.0 + 50.5j], mesh,
+                 tree=True)
+
+
 def test_node_chunks_match_single_lambdas(full_trig_potential, monkeypatch):
     # 40 lambdas propagate with nodes as 16 + 16 + 8; every node value and
     # monodromy equals its one-lambda propagate call bit for bit

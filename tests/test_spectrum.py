@@ -19,12 +19,13 @@ AP_TRIG = {"family": "trig", "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]]}
 
 @pytest.fixture
 def char_det_sizes(monkeypatch):
-    """Sizes of the lambda batches the spectrum module passes to char_det."""
+    """(size, tree) of each lambda batch the spectrum module passes to
+    char_det: tree is its tree keyword, False when not given."""
     sizes = []
     inner = spectrum.char_det
 
     def counting(P, U, lam, mesh, **kw):
-        sizes.append(int(np.size(lam)))
+        sizes.append((int(np.size(lam)), kw.get("tree", False)))
         return inner(P, U, lam, mesh, **kw)
 
     monkeypatch.setattr(spectrum, "char_det", counting)
@@ -86,10 +87,11 @@ def test_winding_unstable_contour_raises(dirichlet, mesh96):
 def test_winding_doubling_evaluates_only_new_nodes(dirichlet, mesh96,
                                                    char_det_sizes):
     # 8 nodes cannot resolve five zeros; the rule doubles twice, to 32, and
-    # evaluates 8 + 8 + 16 = 4 * 8 nodes instead of 8 + 16 + 32
+    # evaluates 8 + 8 + 16 = 4 * 8 nodes instead of 8 + 16 + 32, each
+    # through the pairwise monodromy product
     circ = Circle(0.0, 2.5)
     assert winding_count(P0, dirichlet, circ, mesh96, quad_order=8) == 5
-    assert char_det_sizes == [8, 8, 16]
+    assert char_det_sizes == [(8, True), (8, True), (16, True)]
     assert winding_count(P0, dirichlet, circ, mesh96, quad_order=32,
                          max_doublings=0) == 5
 
@@ -99,7 +101,7 @@ def test_winding_default_start_is_16_per_unit_arc(dirichlet, mesh96,
     # one zero inside, increments below pi/2 at the first level: the rule
     # evaluates ceil(16 * pi) nodes and never doubles
     assert winding_count(P0, dirichlet, Circle(0.0, 0.5), mesh96) == 1
-    assert char_det_sizes == [int(np.ceil(16 * PI))] == [51]
+    assert char_det_sizes == [(int(np.ceil(16 * PI)), True)] == [(51, True)]
 
 
 @pytest.mark.parametrize("pspec, form", [
@@ -120,6 +122,53 @@ def test_gamma_windings_match_64_per_unit_arc(pspec, form, request):
         assert winding_count(P, U, circ, mesh, quad_order=n64) == w == 2
 
 
+@pytest.mark.parametrize("pspec, form", [
+    (AP_TRIG, "antiperiodic"),
+    ({"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+     "dirichlet"),
+])
+def test_gamma_windings_match_sequential_product(pspec, form, request,
+                                                 monkeypatch):
+    # the pairwise monodromy moves the last bits of Delta, not the count:
+    # every recorded gamma_k winding is the one the sequential product gives
+    U = request.getfixturevalue(form)
+    P = make_potential(pspec)
+    mesh = build_mesh(96, order=5, singular_points=P.singular_points)
+    eigs = localize(P, U, 3, mesh, validate=True)
+    assert len(eigs.windings) == 7
+    monkeypatch.setattr(spectrum, "char_det",
+                        lambda P, U, z, mesh, tree: char_det(P, U, z, mesh))
+    for circ, w in eigs.windings.items():
+        assert winding_count(P, U, circ, mesh) == w == 2
+
+
+def test_only_windings_use_the_tree_product(const_potential, periodic,
+                                            mesh96, monkeypatch):
+    # Newton, the on-zero and acceptance checks and the moments and polish
+    # of a recovered pair keep the sequential product; the winding counts
+    # of the radius search and of validation use the tree
+    calls = []                  # (inside winding_count, tree) per char_det
+    inside = [False]
+    inner_det, inner_wind = spectrum.char_det, spectrum.winding_count
+
+    def det(P, U, lam, mesh, **kw):
+        calls.append((inside[0], kw.get("tree", False)))
+        return inner_det(P, U, lam, mesh, **kw)
+
+    def wind(*args, **kw):
+        inside[0] = True
+        try:
+            return inner_wind(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(spectrum, "char_det", det)
+    monkeypatch.setattr(spectrum, "winding_count", wind)
+    eigs = localize(const_potential, periodic, 2, mesh96, validate=True)
+    assert any("recovered" in d for d in eigs.diagnostics)
+    assert set(calls) == {(False, False), (True, True)}
+
+
 def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
                                   char_det_sizes):
     # the double zero sqrt(4 + c^2) needs 32 then 64 nodes, one lambda
@@ -127,7 +176,8 @@ def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
     root = np.sqrt(4.0 + 0.3 ** 2)
     z0, z1 = _pair_moments(const_potential, periodic, mesh96,
                            Circle(complex(root), 0.25))
-    assert char_det_sizes == [32, 32]
+    # moments carry the bits of Delta into eigenvalues: sequential product
+    assert char_det_sizes == [(32, False), (32, False)]
     assert abs(z0 - root) < 1e-7 * root and abs(z1 - root) < 1e-7 * root
 
 
@@ -136,7 +186,7 @@ def test_pair_moments_need_winding_two(dirichlet, mesh96, char_det_sizes):
     # does not close for two zeros, and the rule refuses at once
     with pytest.raises(ContourError, match="not twice"):
         _pair_moments(P0, dirichlet, mesh96, Circle(0.5, 0.2))
-    assert char_det_sizes == [spectrum.PAIR_NODES] == [32]
+    assert char_det_sizes == [(spectrum.PAIR_NODES, False)] == [(32, False)]
 
 
 def _difference_quotient_moments(P, U, mesh, circ, n=512, h=1e-6):
