@@ -13,6 +13,7 @@ of the resolvent.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +177,13 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     groups = _clusters(eigs)
     lams, slots = _distinct(eigs, groups)
     shape = (len(eigs.values), 2, mesh.size)
-    # one block for both: fewer large blocks to place on the heap (a kept
-    # system held Y and Z apart raised peak RSS by ~4 MB in the benchmark)
-    Y, Z = np.empty((2,) + shape, dtype=complex)
+    # one block for both, in its own anonymous mapping rather than on the
+    # malloc heap: there, a block this size (7 MB on the graded power mesh)
+    # left holes that the next system could not reuse, so peak RSS followed
+    # the heap's layout (a few MB either way for unrelated code changes);
+    # mapped apart, it goes back to the system when the root system dies
+    buf = mmap.mmap(-1, 2 * int(np.prod(shape)) * np.dtype(complex).itemsize)
+    Y, Z = np.frombuffer(buf, dtype=complex).reshape((2,) + shape)
     roles, residual = _fill_root_vectors(P, U, lams, slots, mesh, Y)
     _, adjoint_residual = _fill_root_vectors(
         P.adjoint(), adjoint_pair(U), np.conj(lams), slots, mesh, Z)

@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
         object.__setattr__(self, "kappa", _exponent(self.kappa, "kappa"))
+        # a finite kappa <= 1 is reported as outside the theorem, but NaN
+        # is no exponent at all and would pass as one
+        if self.kappa != self.kappa:
+            raise ValueError("kappa must be a number or inf, got NaN")
         object.__setattr__(self, "mu", _exponent(self.mu, "mu"))
         object.__setattr__(self, "nu_list", tuple(
             _exponent(nu, "nu") for nu in self.nu_list))

@@ -9,6 +9,7 @@ only at interior Gauss points.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,17 @@ class _MagnusTerms:
     [start, start + length] of a common shape S, one contiguous plane per
     2x2 entry: asum and comm0 are (2, 2) + S; dcomm[i][j] is a plane for
     i != j and 0j on the diagonal; s and c4ss are the lengths
-    and C4 s^2 as complex S planes."""
+    and C4 s^2 as complex S planes.
+
+    With an index (intp, shape S), the planes hold only the D bitwise-
+    distinct interval columns, (2, 2, D) and (D,), and interval n is column
+    index[n]."""
     asum: np.ndarray
     comm0: np.ndarray
     dcomm: list
     s: np.ndarray
     c4ss: np.ndarray
+    index: np.ndarray = None
 
 
 def _magnus_terms(P: PotentialMatrix, starts, lengths) -> _MagnusTerms:
@@ -145,6 +151,32 @@ def _magnus_terms(P: PotentialMatrix, starts, lengths) -> _MagnusTerms:
         c4ss=(_C4 * lengths * lengths).astype(complex))
 
 
+def _distinct_columns(terms: _MagnusTerms) -> _MagnusTerms:
+    """terms with each bitwise-distinct interval column kept once and the
+    index back to them; terms itself when no column repeats.  Columns are
+    compared as bit patterns (-0.0 and +0.0 differ), so intervals share a
+    column only where every term is the same bit for bit, and each keeps
+    the bits of its own propagator.  Every array of the result is
+    read-only."""
+    n = terms.s.size
+    arrays = [terms.asum, terms.comm0, terms.dcomm[0][1], terms.dcomm[1][0],
+              terms.s, terms.c4ss]
+    key = np.concatenate([a.reshape(-1, n) for a in arrays]).T.copy()
+    _, cols, inverse = np.unique(key.view(np.uint64), axis=0,
+                                 return_index=True, return_inverse=True)
+    if cols.size < n:
+        asum, comm0, d01, d10, s, c4ss = [
+            a.reshape(-1, n)[:, cols].reshape(a.shape[:-terms.s.ndim] + (-1,))
+            for a in arrays]
+        terms = _MagnusTerms(asum=asum, comm0=comm0,
+                             dcomm=[[0j, d01], [d10, 0j]], s=s, c4ss=c4ss,
+                             index=inverse.reshape(terms.s.shape))
+        arrays = [asum, comm0, d01, d10, s, c4ss, terms.index]
+    for a in arrays:
+        a.setflags(write=False)
+    return terms
+
+
 def _planes(M):
     """(2, 2) + S contiguous entry planes of matrices M (S + (2, 2))."""
     return np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
@@ -156,7 +188,12 @@ def _magnus_propagators(terms: _MagnusTerms, lams, out=None):
     given.  Without out, the result is a view whose entries [..., i, j]
     are contiguous planes; a 2x2 block of it is not contiguous, so it is
     for elementwise use (mul2), not for np.matmul, which would leave BLAS
-    and round differently."""
+    and round differently.
+
+    Where terms hold distinct columns, Omega and its exponential are formed
+    on those columns only and copied to their intervals by one np.take;
+    the copy is free of temporaries when out is None or a view of C-order
+    S + (L, 2, 2) memory, as propagate's panel-major T is."""
     il = 1j * np.asarray(lams, dtype=complex)
     shape = il.shape + terms.s.shape
     il = il.reshape(il.shape + (1,) * terms.s.ndim)
@@ -171,9 +208,22 @@ def _magnus_propagators(terms: _MagnusTerms, lams, out=None):
             np.add(tmp, terms.comm0[i, j], out=tmp)
             np.multiply(terms.c4ss, tmp, out=tmp)
             np.add(o, tmp, out=o)
+    planes = omega.reshape((4,) + shape)
+    if terms.index is None:
+        if out is None:
+            out = np.moveaxis(omega, (0, 1), (-2, -1))
+        return _expm2_planes(*planes, out)
+    # mode="clip": with the default "raise", np.take buffers out; every
+    # index is in range, so clipping changes nothing
     if out is None:
-        out = np.moveaxis(omega, (0, 1), (-2, -1))
-    return _expm2_planes(*omega.reshape((4,) + shape), out)
+        _expm2_planes(*planes, np.moveaxis(omega, (0, 1), (-2, -1)))
+        full = np.take(omega, terms.index, axis=-1, mode="clip")
+        return np.moveaxis(full, (0, 1), (-2, -1))
+    cols = np.empty(terms.s.shape + il.shape[:1] + (2, 2), dtype=complex)
+    _expm2_planes(*planes, np.moveaxis(cols, 0, 1))
+    np.take(cols, terms.index, axis=0, out=np.moveaxis(out, 0, -3),
+            mode="clip")
+    return out
 
 
 def _expm2_planes(m00, m01, m10, m11, out):
@@ -239,31 +289,63 @@ def _ap_values(P: PotentialMatrix, x):
     return out
 
 
+# propagation_terms memo: [P, mesh, panel terms, node terms or None] per
+# entry, least recently used first, matched by identity; an entry holds its
+# P and mesh, so no other object can take their identity while it lives
+TERMS_MEMO = 8
+_terms_memo = []
+_terms_lock = threading.Lock()
+
+
 def propagation_terms(P: PotentialMatrix, mesh: Mesh, nodes=True):
     """The lambda-independent Magnus terms of propagate: (panel terms, node
-    sub-step terms or None).  A caller that propagates several chunks
-    builds them once and passes them to each propagate call."""
-    panels = _magnus_terms(P, mesh.panel_starts, mesh.panel_lengths)
-    if not nodes:
-        return panels, None
-    # node sub-steps as (order, K): mul2 then runs along the panel axis
-    sub_len = np.ascontiguousarray(
-        (mesh.nodes2d - mesh.panel_starts[:, None]).T)
-    sub_start = np.broadcast_to(mesh.panel_starts, sub_len.shape)
-    return panels, _magnus_terms(P, sub_start, sub_len)
+    sub-step terms or None), as distinct columns (_distinct_columns) in
+    read-only arrays.
+
+    Memoized for the last TERMS_MEMO (P, mesh) pairs, matched by identity
+    (two potentials built from one spec, P and P.adjoint(), or two meshes
+    of one panel count are different keys); the panel and node terms of a
+    pair are each built once, on first use.  An entry holds at most 200
+    bytes per interval (192 of terms, 8 of index) over the K panels and
+    K * order node sub-steps, besides its P and mesh; at the worst,
+    TERMS_MEMO entries of order 5 hold 8 * 6 * 200 bytes = 9.6 KB per panel
+    of their meshes, 1.6 MB on the 169-panel graded mesh.  Thread-safe: a
+    lock guards the memo, and every build runs under it."""
+    with _terms_lock:
+        for i, entry in enumerate(_terms_memo):
+            if entry[0] is P and entry[1] is mesh:
+                _terms_memo.append(_terms_memo.pop(i))
+                break
+        else:
+            entry = [P, mesh, None, None]
+            _terms_memo.append(entry)
+            if len(_terms_memo) > TERMS_MEMO:
+                del _terms_memo[0]
+        if entry[2] is None:
+            entry[2] = _distinct_columns(_magnus_terms(
+                P, mesh.panel_starts, mesh.panel_lengths))
+        if nodes and entry[3] is None:
+            # node sub-steps as (order, K): mul2 then runs along the panel
+            # axis
+            sub_len = np.ascontiguousarray(
+                (mesh.nodes2d - mesh.panel_starts[:, None]).T)
+            sub_start = np.broadcast_to(mesh.panel_starts, sub_len.shape)
+            entry[3] = _distinct_columns(_magnus_terms(P, sub_start,
+                                                       sub_len))
+        return entry[2], (entry[3] if nodes else None)
 
 
-def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True, terms=None):
+def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     """Transfer matrices for a batch of spectral parameters.
 
     Returns (Mb, Mn): Mb[l, k] = M(break_k, lam_l) with Mb[l, 0] = I, and
     Mn[l, j] = M(node_j, lam_l) (or None when nodes=False); Mb is a view
-    of panel-major memory.  terms are propagation_terms(P, mesh, nodes),
-    built here when not given.
+    of panel-major memory.  The Magnus terms come from the
+    propagation_terms memo.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _check_cap(lams)
-    panels, subs = terms or propagation_terms(P, mesh, nodes)
+    panels, subs = propagation_terms(P, mesh, nodes)
     K = mesh.n_panels
     L = lams.size
     # panel-major, so that each step reads and writes contiguous slabs,
@@ -323,10 +405,9 @@ def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh):
     """(chunk, Mb, Mn) for EIG_CHUNK lambdas per propagate(nodes=True)
     call, in order."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    terms = propagation_terms(P, mesh, nodes=True)
     for i in range(0, lams.size, EIG_CHUNK):
         chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True, terms=terms)
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
         yield chunk, Mb, Mn
 
 
@@ -379,14 +460,14 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)
-    terms = propagation_terms(P, mesh, nodes=False)
+    panels, _ = propagation_terms(P, mesh, nodes=False)
     for i in range(0, lams.size, DET_CHUNK):
         chunk = lams[i:i + DET_CHUNK]
         if tree:
             _check_cap(chunk)
-            mono = _tree_monodromy(_magnus_propagators(terms[0], chunk))
+            mono = _tree_monodromy(_magnus_propagators(panels, chunk))
         else:
-            Mb, _ = propagate(P, chunk, mesh, nodes=False, terms=terms)
+            Mb, _ = propagate(P, chunk, mesh, nodes=False)
             mono = Mb[:, -1]
         det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ mono)
     return complex(det[0]) if scalar else det

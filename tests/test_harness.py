@@ -96,6 +96,7 @@ def test_config_validation():
     # would pass the check and fail in the pipeline
     nan = float("nan")
     bad = [({"mu": nan}, "mu.*NaN"), ({"mu": "nan"}, "mu.*NaN"),
+           ({"kappa": nan}, "kappa.*NaN"), ({"kappa": "nan"}, "kappa.*NaN"),
            ({"nu_list": (2.0, nan)}, "nu.*NaN"),
            ({"nu_list": (2.0, 2.0)}, "nu list.*repeats"),
            ({"nu_list": (2, 2.0)}, "nu list.*repeats"),
@@ -118,6 +119,9 @@ def test_config_validation():
     assert cfg.kappa == cfg.mu == np.inf and cfg.nu_list == (np.inf, 1.0)
     assert ExperimentConfig(mu=1, nu_list=(1.0, np.inf)).nu_list == \
         (1.0, np.inf)
+    # a finite kappa <= 1 builds; run_equiconv reports it as a warning
+    assert ExperimentConfig(kappa=0.5).kappa == 0.5
+    assert ExperimentConfig(kappa="1").kappa == 1.0
 
 
 @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
                       ScalarFunction, boundary_from_config, build_mesh,
                       bvp_eigenfunction, char_det, delta0, expm2,
                       fundamental_matrix, lp_norm, make_potential, propagate)
+from diraclab.mesh import Mesh
 from diraclab.ode import mul2
 
 PI = np.pi
@@ -121,11 +125,28 @@ def _oracle_lams(L):
     return lams
 
 
+# potentials whose Magnus terms repeat bit for bit on many intervals, so
+# that propagation_terms keeps each distinct column once
+REPEATING = ("constant_offdiag", "step", "zero")
+# the power potential's singular point: build_mesh(128) graded to it has
+# 169 panels
+POWER_X0 = (1.1,)
+# each potential on a 24-panel mesh graded to its own singular points; the
+# repeating ones also on the plain 128-panel mesh and on the graded power
+# mesh, where repeated columns are compared with the per-interval oracle
+ORACLE_MESHES = [pytest.param(name, 24, None, id=name)
+                 for name in sorted(ORACLE_POTENTIALS)] + [
+    pytest.param(name, 128, points, id=f"{name}-{label}")
+    for name in REPEATING
+    for label, points in (("plain128", ()), ("graded169", POWER_X0))]
+
+
 @pytest.mark.parametrize("L", [1, 16, 64])
-@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
-def test_propagate_matches_oracle_bitwise(name, L):
+@pytest.mark.parametrize("name, panels, points", ORACLE_MESHES)
+def test_propagate_matches_oracle_bitwise(name, panels, points, L):
     P = make_potential(ORACLE_POTENTIALS[name])
-    mesh = build_mesh(24, order=5, singular_points=P.singular_points)
+    mesh = build_mesh(panels, order=5, singular_points=(
+        P.singular_points if points is None else points))
     lams = _oracle_lams(L)
     Mb_ref, Mn_ref = _oracle_propagate(P, lams, mesh)
     Mb, Mn = propagate(P, lams, mesh)
@@ -140,9 +161,135 @@ def test_propagate_matches_oracle_bitwise(name, L):
     # the node sub-steps are laid out (order, K)
     assert _same_bits(ode._magnus_propagators(subs, lams).swapaxes(1, 2),
                       _oracle_magnus(P, lams, sub_start, sub_len))
-    Mb_nb, none = propagate(P, lams, mesh, nodes=False,
-                            terms=ode.propagation_terms(P, mesh, nodes=False))
+    Mb_nb, none = propagate(P, lams, mesh, nodes=False)
     assert none is None and _same_bits(Mb_nb, Mb_ref)
+
+
+@pytest.mark.parametrize("points", [(), POWER_X0],
+                         ids=["plain128", "graded169"])
+def test_repeated_columns_are_kept_once(points):
+    # zero, constant_offdiag and step have far fewer distinct panel and
+    # node columns than intervals; trig and power have none repeated and
+    # keep their per-interval terms
+    mesh = build_mesh(128, order=5, singular_points=points)
+    for name, spec in ORACLE_POTENTIALS.items():
+        for terms, n in zip(ode.propagation_terms(make_potential(spec), mesh),
+                            (mesh.n_panels, mesh.size)):
+            if name in REPEATING:
+                assert terms.index.size == n and terms.s.size < n / 2
+                assert np.array_equal(np.unique(terms.index),
+                                      np.arange(terms.s.size))
+            else:
+                assert terms.index is None and terms.s.size == n
+
+
+def test_repeated_columns_fill_out_without_temporaries():
+    # the 15 distinct panel columns of P = 0 on 128 panels are copied into
+    # propagate's panel-major memory by np.take, with no plane-size or
+    # full-size temporary: the traced peak stays below half of the output
+    P = make_potential(ORACLE_POTENTIALS["zero"])
+    mesh = build_mesh(128, order=5)
+    panels, _ = ode.propagation_terms(P, mesh, nodes=False)
+    lams = _oracle_lams(64)
+    T = np.empty((mesh.n_panels, lams.size, 2, 2), dtype=complex)
+    tracemalloc.start()
+    try:
+        ode._magnus_propagators(panels, lams, out=T.swapaxes(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panels.s.size == 15 and peak < T.nbytes / 2
+    assert _same_bits(T.swapaxes(0, 1), _oracle_magnus(
+        P, lams, mesh.panel_starts, mesh.panel_lengths))
+
+
+def _counting_terms(monkeypatch):
+    """A list that grows by one for each _magnus_terms build."""
+    builds = []
+    inner = ode._magnus_terms
+
+    def counting(P, starts, lengths):
+        builds.append(P)
+        return inner(P, starts, lengths)
+
+    monkeypatch.setattr(ode, "_magnus_terms", counting)
+    return builds
+
+
+def test_terms_memo_keys_on_objects(monkeypatch):
+    builds = _counting_terms(monkeypatch)
+    spec = ORACLE_POTENTIALS["constant_offdiag"]
+    P = make_potential(spec)
+    mesh = build_mesh(32, order=5)
+    # panel terms first, node terms on first use, each built once
+    panels, none = ode.propagation_terms(P, mesh, nodes=False)
+    assert none is None and len(builds) == 1
+    first = ode.propagation_terms(P, mesh)
+    assert first[0] is panels and len(builds) == 2
+    again = ode.propagation_terms(P, mesh)
+    assert again[0] is first[0] and again[1] is first[1] and len(builds) == 2
+    # the same spec built again, the adjoint, and the same breaks with
+    # another singular point: terms that may be equal, never a shared entry
+    twin = Mesh(mesh.breaks, order=5, singular_points=(mesh.breaks[7],))
+    for key in ((make_potential(spec), mesh), (P.adjoint(), mesh),
+                (P, twin)):
+        got = ode.propagation_terms(*key)
+        assert got[0] is not first[0] and got[1] is not first[1]
+    assert len(builds) == 8
+    assert ode.propagation_terms(P, mesh)[1] is first[1]
+    # read-only
+    for terms in first:
+        for a in (terms.asum, terms.comm0, terms.dcomm[0][1],
+                  terms.dcomm[1][0], terms.s, terms.c4ss, terms.index):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+    # bounded: TERMS_MEMO newer pairs evict P's entry
+    for _ in range(ode.TERMS_MEMO):
+        ode.propagation_terms(make_potential(spec), mesh, nodes=False)
+    assert len(ode._terms_memo) == ode.TERMS_MEMO
+    assert ode.propagation_terms(P, mesh)[0] is not first[0]
+
+
+def test_terms_memo_builds_once_across_threads(monkeypatch):
+    # 6 threads (more than the cores of a small runner), released together
+    # and switching often, ask for 4 (P, mesh) pairs at once: a
+    # check-then-act race would build some pair twice or hand two threads
+    # different terms
+    builds = _counting_terms(monkeypatch)
+    mesh = build_mesh(32, order=5)
+    spec = ORACLE_POTENTIALS["trig"]
+    shared = make_potential(spec)
+    own = [make_potential(spec) for _ in range(3)]
+    seen = [[] for _ in range(6)]
+    start = threading.Barrier(6)
+
+    def work(t):
+        start.wait(timeout=60)
+        for i in range(20):
+            for P in (shared, own[t % 3]):
+                seen[t].append((P, ode.propagation_terms(P, mesh,
+                                                         nodes=i % 2 == 1)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 2 * 4
+    for P in [shared] + own:
+        got = {(id(terms[0]), id(terms[1]))
+               for runs in seen for Q, terms in runs
+               if Q is P and terms[1] is not None}
+        panels = {id(terms[0]) for runs in seen for Q, terms in runs
+                  if Q is P}
+        assert len(got) == 1 and len(panels) == 1
 
 
 @pytest.mark.parametrize("name", ["trig", "power"])
