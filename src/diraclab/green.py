@@ -311,7 +311,11 @@ def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
     """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
     fit the decay exponent in y (expected -1 + 1/mu - 1/nu).  Each kernel
     is applied to the whole battery at once.  Raises ValueError unless
-    mu <= nu and y_list holds only positive values, two or more distinct."""
+    1 <= mu <= nu (so neither is NaN) and y_list holds only positive values,
+    two or more distinct."""
+    for name, v in (("mu", mu), ("nu", nu)):
+        if not v >= 1.0:
+            raise ValueError(f"{name} must be >= 1 or inf; got {v!r}")
     if nu < mu:
         raise ValueError("requires 1 <= mu <= nu <= infinity")
     ys = np.asarray(y_list, dtype=float)

@@ -61,8 +61,10 @@ def _reference_panel(order):
 
 
 class Mesh:
-    """Composite Gauss mesh on [0, pi].  Immutable by convention; safe to
-    share read-only across workers."""
+    """Composite Gauss mesh on [0, pi].  The geometry is immutable by
+    convention.  terms holds the Magnus terms of each potential propagated
+    on the mesh, filled only by ode.propagation_terms under its lock, so a
+    mesh is safe to share across workers."""
 
     def __init__(self, breaks, order=5, singular_points=()):
         breaks = np.asarray(breaks, dtype=float)
@@ -73,6 +75,7 @@ class Mesh:
         self.breaks = breaks
         self.order = int(order)
         self.singular_points = tuple(float(s) for s in singular_points)
+        self.terms = {}
         xi, w, bw, wpart, diff = _reference_panel(self.order)
         self._xi, self._w, self._bw = xi, w, bw
         self._wpart, self._diff = wpart, diff

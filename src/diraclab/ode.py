@@ -289,11 +289,6 @@ def _ap_values(P: PotentialMatrix, x):
     return out
 
 
-# propagation_terms memo: [P, mesh, panel terms, node terms or None] per
-# entry, least recently used first, matched by identity; an entry holds its
-# P and mesh, so no other object can take their identity while it lives
-TERMS_MEMO = 8
-_terms_memo = []
 _terms_lock = threading.Lock()
 
 
@@ -302,37 +297,27 @@ def propagation_terms(P: PotentialMatrix, mesh: Mesh, nodes=True):
     sub-step terms or None), as distinct columns (_distinct_columns) in
     read-only arrays.
 
-    Memoized for the last TERMS_MEMO (P, mesh) pairs, matched by identity
-    (two potentials built from one spec, P and P.adjoint(), or two meshes
-    of one panel count are different keys); the panel and node terms of a
-    pair are each built once, on first use.  An entry holds at most 200
-    bytes per interval (192 of terms, 8 of index) over the K panels and
-    K * order node sub-steps, besides its P and mesh; at the worst,
-    TERMS_MEMO entries of order 5 hold 8 * 6 * 200 bytes = 9.6 KB per panel
-    of their meshes, 1.6 MB on the 169-panel graded mesh.  Thread-safe: a
-    lock guards the memo, and every build runs under it."""
+    Held by the mesh per potential object: mesh.terms maps id(P) to
+    [P, panel terms, node terms or None], and the entry keeps P, so no
+    other object can take its id while the entry lives.  Two potentials
+    built from one spec, P and P.adjoint(), or two meshes of one panel
+    count never share terms.  The panel and node terms of a pair are each
+    built once, on first use, and freed with the mesh.  Thread-safe: a
+    lock guards the maps, and every build runs under it."""
     with _terms_lock:
-        for i, entry in enumerate(_terms_memo):
-            if entry[0] is P and entry[1] is mesh:
-                _terms_memo.append(_terms_memo.pop(i))
-                break
-        else:
-            entry = [P, mesh, None, None]
-            _terms_memo.append(entry)
-            if len(_terms_memo) > TERMS_MEMO:
-                del _terms_memo[0]
-        if entry[2] is None:
-            entry[2] = _distinct_columns(_magnus_terms(
-                P, mesh.panel_starts, mesh.panel_lengths))
-        if nodes and entry[3] is None:
+        entry = mesh.terms.get(id(P))
+        if entry is None:
+            entry = mesh.terms[id(P)] = [P, _distinct_columns(_magnus_terms(
+                P, mesh.panel_starts, mesh.panel_lengths)), None]
+        if nodes and entry[2] is None:
             # node sub-steps as (order, K): mul2 then runs along the panel
             # axis
             sub_len = np.ascontiguousarray(
                 (mesh.nodes2d - mesh.panel_starts[:, None]).T)
             sub_start = np.broadcast_to(mesh.panel_starts, sub_len.shape)
-            entry[3] = _distinct_columns(_magnus_terms(P, sub_start,
+            entry[2] = _distinct_columns(_magnus_terms(P, sub_start,
                                                        sub_len))
-        return entry[2], (entry[3] if nodes else None)
+        return entry[1], (entry[2] if nodes else None)
 
 
 def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
@@ -340,8 +325,8 @@ def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
 
     Returns (Mb, Mn): Mb[l, k] = M(break_k, lam_l) with Mb[l, 0] = I, and
     Mn[l, j] = M(node_j, lam_l) (or None when nodes=False); Mb is a view
-    of panel-major memory.  The Magnus terms come from the
-    propagation_terms memo.
+    of panel-major memory.  The Magnus terms come from
+    propagation_terms, held by the mesh.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _check_cap(lams)

@@ -103,6 +103,13 @@ def test_resnorm_command(capsys):
     assert "fitted slope" in out
 
 
+@pytest.mark.parametrize("flag,name", [("--mu", "mu"), ("--nu", "nu")])
+def test_resnorm_rejects_nan_exponent(flag, name):
+    # a NaN exponent would print nan estimates and a nan slope and exit 0
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        main(["resnorm", "--panels", "16", flag, "nan", "--y", "4,8"])
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

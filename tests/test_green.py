@@ -357,6 +357,15 @@ def test_opnorm_scaling_slopes(dirichlet, mesh128, mu, nu, expect):
 def test_opnorm_scaling_rejects_nu_below_mu(dirichlet, mesh96):
     with pytest.raises(ValueError):
         opnorm_scaling(dirichlet, 2.0, 1.0, [4.0, 8.0], mesh=mesh96)
+    # NaN compares false with everything, so it would pass nu < mu and
+    # give nan estimates and a nan slope; below 1 is no L_mu norm at all
+    nan = float("nan")
+    for mu, nu, name in ((nan, 2.0, "mu"), (2.0, nan, "nu"),
+                         (nan, nan, "mu"), (0.5, 2.0, "mu"),
+                         (0.5, 0.5, "mu"), (1.0, 0.0, "nu"),
+                         (-np.inf, 2.0, "mu")):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            opnorm_scaling(dirichlet, mu, nu, [4.0, 8.0], mesh=mesh96)
 
 
 def test_opnorm_scaling_rejects_nonpositive_y(dirichlet, mesh96):

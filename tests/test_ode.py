@@ -1,16 +1,20 @@
+import gc
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import diraclab.ode as ode
-from diraclab import (NotAnEigenvalueError, OverflowCapError, PotentialMatrix,
-                      ScalarFunction, boundary_from_config, build_mesh,
-                      bvp_eigenfunction, char_det, delta0, expm2,
-                      fundamental_matrix, lp_norm, make_potential, propagate)
+from diraclab import (ExperimentConfig, NotAnEigenvalueError,
+                      OverflowCapError, PotentialMatrix, ScalarFunction,
+                      boundary_from_config, build_mesh, bvp_eigenfunction,
+                      char_det, comparison_operator, delta0, expm2,
+                      fundamental_matrix, gauge_reduce, lp_norm,
+                      make_potential, propagate, sweep)
 from diraclab.mesh import Mesh
 from diraclab.ode import mul2
 
@@ -243,11 +247,6 @@ def test_terms_memo_keys_on_objects(monkeypatch):
                   terms.dcomm[1][0], terms.s, terms.c4ss, terms.index):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0
-    # bounded: TERMS_MEMO newer pairs evict P's entry
-    for _ in range(ode.TERMS_MEMO):
-        ode.propagation_terms(make_potential(spec), mesh, nodes=False)
-    assert len(ode._terms_memo) == ode.TERMS_MEMO
-    assert ode.propagation_terms(P, mesh)[0] is not first[0]
 
 
 def test_terms_memo_builds_once_across_threads(monkeypatch):
@@ -290,6 +289,47 @@ def test_terms_memo_builds_once_across_threads(monkeypatch):
         panels = {id(terms[0]) for runs in seen for Q, terms in runs
                   if Q is P}
         assert len(got) == 1 and len(panels) == 1
+
+
+def test_sweep_threads_build_each_term_once(monkeypatch):
+    # each run_equiconv propagates about five potentials on its own mesh;
+    # four runs at once on four workers build exactly the terms that one
+    # worker builds, none of them twice
+    configs = [ExperimentConfig(
+        potential={"family": "trig", "p2": [["sin", 1, 0.5]]},
+        comparison="corollary-diagonal", mesh_panels=64, m_schedule=(2, 4),
+        seed=seed) for seed in range(4)]
+    builds = _counting_terms(monkeypatch)
+    counts = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DIRACLAB_THREADS", threads)
+        before = len(builds)
+        bundle = sweep(configs)
+        assert not bundle["errors"] and len(bundle["reports"]) == 4
+        counts.append(len(builds) - before)
+    assert counts[0] == counts[1] == 40
+
+
+def test_terms_die_with_their_mesh():
+    # P, its diagonal comparison P0 and its gauge-reduced potential, whose
+    # entries interpolate node values on the mesh and so close over it: its
+    # terms make a cycle mesh -> terms -> potential -> mesh that only the
+    # collector can free
+    U = boundary_from_config("dirichlet_analog")
+    mesh = build_mesh(32, order=5)
+    P = make_potential(ORACLE_POTENTIALS["trig"])
+    P0, _ = comparison_operator(P, U, mesh)
+    reduced = gauge_reduce(P, U, mesh).potential
+    lams = [0.3, 2.0 + 1j]
+    propagate(P, lams, mesh)
+    propagate(P0, lams, mesh)
+    # Mesh.interpolate takes 1-d points only, so no node sub-steps here
+    propagate(reduced, lams, mesh, nodes=False)
+    assert len(mesh.terms) == 3
+    ref = weakref.ref(mesh)
+    del mesh, P0, reduced
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["trig", "power"])
