@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryMatrixPair, adjoint_pair
-from .green import resolvent_sum
+from .green import _voc_apply, resolvent_sum
 from .mesh import GridFunction2, Mesh, inner_product
-from .ode import B_INV, eigenfunctions, inv2
+from .ode import eigenfunctions
 # not called here; kept importable from this module, where bench/spans.py
 # wraps them
 from .green import green_kernel  # noqa: F401
@@ -90,19 +90,6 @@ class RootSystem:
         return float(np.max(np.abs(G - (rows[:, None] == rows[None, :]))))
 
 
-def _associated_function(U, y, Mn, monodromy, mesh):
-    """Minimal-norm solution of (B d/dx + P - lam) u = y with U(u) = 0,
-    via variation of constants from the node values Mn = M(x_j, lam) and
-    the monodromy; solvable because lam is an eigenvalue."""
-    g = np.einsum("nab,bn->an", inv2(Mn) @ B_INV[None], y.values)
-    gcum = mesh.cumulative(g)
-    gtot = mesh.integrate(g)
-    T = U.C + U.D @ monodromy
-    rhs = -U.D @ (monodromy @ gtot)
-    c, *_ = np.linalg.lstsq(T, rhs, rcond=None)
-    return np.einsum("nab,bn->an", Mn, c[:, None] + gcum)
-
-
 def _clusters(eigs: EigenvalueList):
     """Group consecutive indices whose eigenvalues agree to CLUSTER_TOL.
     Pairs (2k, 2k+1) always land in one group when they coincide."""
@@ -154,8 +141,13 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out):
                 f"cluster {group}: found {len(funcs) + 1} root vectors at "
                 f"lambda = {r.lam} of multiplicity {mult}")
         if mult > len(funcs):
-            out[row + len(funcs)] = _associated_function(U, funcs[0], Mn,
-                                                         mono, mesh)
+            # the minimal-norm solution of (L - lam) u = y_n with U(u) = 0
+            # by the resolvent's apply; lam is an eigenvalue, so C + D M(pi)
+            # is singular and lstsq's cutoff drops its null direction
+            DM = U.D @ mono
+            Pmat, *_ = np.linalg.lstsq(U.C + DM, -DM, rcond=None)
+            out[row + len(funcs)] = _voc_apply(Pmat, Mn, mesh,
+                                               funcs[0].values)
             roles.append("associated")
     return roles, residual
 

@@ -156,15 +156,15 @@ class Mesh:
         return np.clip(k, 0, self.n_panels - 1)
 
     def interpolate(self, values, x):
-        """Evaluate the panel-wise interpolating polynomial at x
-        (scalar or 1-d array)."""
+        """Evaluate the panel-wise interpolating polynomial at the points x,
+        of any shape: values (..., N) give values.shape[:-1] + x.shape."""
         v = np.asarray(values)
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = self.panel_of(x)
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        k = self.panel_of(flat)
         a = self.panel_starts[k]
         h = self.panel_lengths[k]
-        xi = 2.0 * (x - a) / h - 1.0
+        xi = 2.0 * (flat - a) / h - 1.0
         vk = v.reshape(v.shape[:-1] + (self.n_panels, self.order))
         vals = vk[..., k, :]                         # (..., m, q)
         d = xi[:, None] - self._xi[None, :]          # (m, q)
@@ -174,7 +174,7 @@ class Mesh:
         c = c / c.sum(axis=-1)[:, None]
         c = np.where(hit[:, None], exact.astype(float), c)
         out = np.einsum("...mq,mq->...m", vals, c)
-        return out[..., 0] if scalar else out
+        return out.reshape(v.shape[:-1] + x.shape)
 
 
 def build_mesh(panels=512, order=5, singular_points=()):

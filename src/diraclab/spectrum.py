@@ -34,6 +34,8 @@ NEWTON_MAX_STEP = 0.45
 # first level of the pair-moment rule, and how often it may double
 PAIR_NODES = 32
 PAIR_DOUBLINGS = 6
+# how often winding_count may double its rule
+WINDING_DOUBLINGS = 8
 
 
 class ContourError(RuntimeError):
@@ -63,21 +65,18 @@ class RectContour:
     im_half: float
 
     def points(self, n):
+        """n equispaced nodes by arc length, counterclockwise from the
+        lower left corner, each computed from the side it falls on."""
         w = self.re_max - self.re_min
         h = 2.0 * self.im_half
         per = 2.0 * (w + h)
         t = np.linspace(0.0, per, n, endpoint=False)
-        pts = np.empty(n, dtype=complex)
-        for i, ti in enumerate(t):
-            if ti < w:
-                pts[i] = self.re_min + ti - 1j * self.im_half
-            elif ti < w + h:
-                pts[i] = self.re_max + 1j * (ti - w - self.im_half)
-            elif ti < 2 * w + h:
-                pts[i] = self.re_max - (ti - w - h) + 1j * self.im_half
-            else:
-                pts[i] = self.re_min - 1j * (ti - 2 * w - h - self.im_half)
-        return pts
+        side = np.searchsorted([w, w + h, 2 * w + h], t, side="right")
+        return np.choose(side, [
+            self.re_min + t - 1j * self.im_half,
+            self.re_max + 1j * (t - w - self.im_half),
+            self.re_max - (t - w - h) + 1j * self.im_half,
+            self.re_min - 1j * (t - 2 * w - h - self.im_half)])
 
     @property
     def arc_length(self):
@@ -112,16 +111,17 @@ def _nested_nodes(points, evaluate, n, levels):
 
 
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
-                  mesh: Mesh, quad_order=None, max_doublings=8):
+                  mesh: Mesh):
     """Winding number of Delta along the contour.  The rule starts at 16
-    nodes per unit arc length (at least 16) and doubles until every
-    argument increment stays below pi/2.  Delta comes from the pairwise
-    monodromy product (char_det(tree=True)): the count is an integer, so
-    the last bits of Delta that an eigenvalue would carry do not reach it."""
-    n = quad_order or max(16, int(np.ceil(16 * contour.arc_length)))
+    nodes per unit arc length (at least 16) and doubles, at most
+    WINDING_DOUBLINGS times, until every argument increment stays below
+    pi/2.  Delta comes from the pairwise monodromy product
+    (char_det(tree=True)): the count is an integer, so the last bits of
+    Delta that an eigenvalue would carry do not reach it."""
+    n = max(16, int(np.ceil(16 * contour.arc_length)))
     for _, _, vals in _nested_nodes(
             contour.points, lambda z: char_det(P, U, z, mesh, tree=True), n,
-            max_doublings + 1):
+            WINDING_DOUBLINGS + 1):
         vals = np.concatenate([vals, vals[:1]])
         if np.min(np.abs(vals)) == 0.0:
             raise ContourError("Delta vanishes on the contour; adjust it")

@@ -8,9 +8,10 @@ import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
                       adjoint_pair, bvp_eigenfunction, expansion_coefficients,
-                      inner_product, localize, lp_norm, make_potential,
-                      partial_sum, partial_sum_contour, projector_contour,
-                      root_system)
+                      fundamental_matrix, gauge_reduce, inner_product,
+                      localize, lp_norm, make_potential, partial_sum,
+                      partial_sum_contour, projector_contour, root_system)
+from diraclab.ode import B_INV, inv2
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -171,14 +172,75 @@ def test_biorthogonality_residual_matches_pairwise_loop(rs_const_m8):
             rs_const_m8.biorthogonality_residual([0, bad])
 
 
+# p2-only step: every antiperiodic eigenvalue stays double with a Jordan
+# block; the jumps pi/4, 3pi/4 are panel boundaries of mesh96
+STEP = {"family": "step", "breaks": [PI / 4, 3 * PI / 4],
+        "values": [0.5, 1.0, -0.5]}
+
+
 def test_jordan_blocks_antiperiodic_step(antiperiodic, mesh96):
-    # p2-only step: every antiperiodic eigenvalue stays double with a
-    # Jordan block; the jumps pi/4, 3pi/4 are panel boundaries of mesh96
-    P = make_potential({"family": "step", "breaks": [PI / 4, 3 * PI / 4],
-                        "values": [0.5, 1.0, -0.5]})
+    P = make_potential(STEP)
     rs = root_system(P, antiperiodic, 2, mesh96)
     assert any(e.role == "associated" for e in rs.entries.values())
     assert rs.biorthogonality_residual() < 1e-8
+
+
+def _associated_oracle(U, y, Mn, monodromy, mesh):
+    """The variation-of-constants formula of the associated functions
+    before they went through the resolvent's apply: g = M^{-1} B^{-1} y,
+    boundary coefficients by least squares on the integrated g."""
+    g = np.einsum("nab,bn->an", inv2(Mn) @ B_INV[None], y)
+    T = U.C + U.D @ monodromy
+    rhs = -U.D @ (monodromy @ mesh.integrate(g))
+    c, *_ = np.linalg.lstsq(T, rhs, rcond=None)
+    return np.einsum("nab,bn->an", Mn, c[:, None] + mesh.cumulative(g))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_jordan_chains_solve_the_boundary_problem(antiperiodic, mesh96,
+                                                  adjoint):
+    # each associated function u of an eigenfunction y at lam solves
+    # (B d/dx + P - lam) u = y with U(u) = 0, and matches the old formula
+    P, U = make_potential(STEP), antiperiodic
+    eigs = localize(P, U, 2, mesh96)
+    lams, slots = expansions._distinct(eigs, expansions._clusters(eigs))
+    if adjoint:
+        P, U, lams = P.adjoint(), adjoint_pair(U), np.conj(lams)
+    out = np.empty((len(eigs.values), 2, mesh96.size), dtype=complex)
+    roles, _ = expansions._fill_root_vectors(P, U, lams, slots, mesh96, out)
+    x = mesh96.nodes
+    B = np.diag([-1j, 1j])
+    chains = 0
+    for lam, (mult, row, _) in zip(lams, slots):
+        if "associated" not in roles[row:row + mult]:
+            continue
+        assert roles[row:row + mult] == ["eigen", "associated"]
+        y, u = out[row], out[row + 1]
+        Pu = np.stack([P.p1(x) * u[0] + P.p2(x) * u[1],
+                       P.p3(x) * u[0] + P.p4(x) * u[1]])
+        res = B @ mesh96.derivative(u) + Pu - lam * u - y
+        assert np.max(np.abs(res)) < 1e-5 * np.max(np.abs(u))
+        bc = U.C @ mesh96.interpolate(u, 0.0) + U.D @ mesh96.interpolate(u, PI)
+        assert np.max(np.abs(bc)) < 1e-7 * np.max(np.abs(u))
+        F = fundamental_matrix(P, lam, mesh96)
+        old = _associated_oracle(U, y, F.node_values, F.monodromy, mesh96)
+        assert np.max(np.abs(u - old)) < 1e-10 * np.max(np.abs(old))
+        chains += 1
+    assert chains == 5
+
+
+def test_root_system_on_gauge_reduced_potential(full_trig_potential,
+                                                dirichlet, mesh96):
+    # the reduced entries interpolate node values, so the node sub-steps
+    # of the fills sample Mesh.interpolate at a 2-d array of points.  The
+    # unreduced system's residual is 1.0e-7 on this mesh, and the
+    # similarity shifts every eigenvalue by gamma
+    red = gauge_reduce(full_trig_potential, dirichlet, mesh96)
+    rs = root_system(red.potential, red.form, 2, mesh96)
+    assert rs.biorthogonality_residual() < 1e-6
+    eigs = localize(full_trig_potential, dirichlet, 2, mesh96)
+    assert max(abs(eigs.values[n] - (rs.eigs.values[n] + red.gamma))
+               for n in eigs.values) < 1e-6
 
 
 def test_batched_root_vectors_match_per_eigenvalue(const_potential, dirichlet,

@@ -55,6 +55,22 @@ def test_interpolate_exact_node_hit(mesh):
     assert mesh.interpolate(vals, mesh.nodes[j]) == pytest.approx(vals[j])
 
 
+def test_interpolate_any_point_shape(mesh):
+    # values (..., N) at points of shape s give (...,) + s: a 2-d point
+    # array gives the 1-d results reshaped, bit for bit, node hits and the
+    # ends of [0, pi] included
+    vals = np.stack([np.exp(1j * mesh.nodes), mesh.nodes ** 2 + 0j])
+    pts = np.concatenate([[0.0, PI, mesh.nodes[17]],
+                          np.linspace(0.01, 3.1, 9)]).reshape(3, 4)
+    got = mesh.interpolate(vals, pts)
+    assert got.shape == (2, 3, 4)
+    flat = mesh.interpolate(vals, pts.ravel())
+    assert np.array_equal(got, flat.reshape(2, 3, 4))
+    assert np.array_equal(mesh.interpolate(vals[0], pts), flat[0].reshape(3, 4))
+    assert mesh.interpolate(vals, 1.234).shape == (2,)
+    assert mesh.interpolate(vals[0], 1.234).shape == ()
+
+
 def test_graded_mesh_integrates_power_singularity():
     mesh = build_mesh(64, order=5, singular_points=(1.1,))
     vals = np.abs(mesh.nodes - 1.1) ** (-0.5)

@@ -323,8 +323,7 @@ def test_terms_die_with_their_mesh():
     lams = [0.3, 2.0 + 1j]
     propagate(P, lams, mesh)
     propagate(P0, lams, mesh)
-    # Mesh.interpolate takes 1-d points only, so no node sub-steps here
-    propagate(reduced, lams, mesh, nodes=False)
+    propagate(reduced, lams, mesh)
     assert len(mesh.terms) == 3
     ref = weakref.ref(mesh)
     del mesh, P0, reduced

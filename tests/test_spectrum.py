@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,12 +40,23 @@ def winding_contours(monkeypatch):
     contours = []
     inner = spectrum.winding_count
 
-    def recording(P, U, contour, mesh, **kw):
+    def recording(P, U, contour, mesh):
         contours.append(contour)
-        return inner(P, U, contour, mesh, **kw)
+        return inner(P, U, contour, mesh)
 
     monkeypatch.setattr(spectrum, "winding_count", recording)
     return contours
+
+
+@dataclass(frozen=True)
+class Stated:
+    """The nodes of a contour with a stated arc length, which sets where
+    winding_count's rule starts: max(16, ceil(16 * arc_length)) nodes."""
+    contour: object
+    arc_length: float
+
+    def points(self, n):
+        return self.contour.points(n)
 
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
@@ -61,6 +74,39 @@ def test_contour_nodes_nest_under_doubling(n, re, im, radius, width, half):
         assert np.array_equal(points(2 * n)[::2], points(n))
 
 
+def _rect_points_loop(rect, n):
+    """RectContour.points node by node, side by side: the oracle of the
+    vectorized side selection."""
+    w = rect.re_max - rect.re_min
+    h = 2.0 * rect.im_half
+    t = np.linspace(0.0, 2.0 * (w + h), n, endpoint=False)
+    pts = np.empty(n, dtype=complex)
+    for i, ti in enumerate(t):
+        if ti < w:
+            pts[i] = rect.re_min + ti - 1j * rect.im_half
+        elif ti < w + h:
+            pts[i] = rect.re_max + 1j * (ti - w - rect.im_half)
+        elif ti < 2 * w + h:
+            pts[i] = rect.re_max - (ti - w - h) + 1j * rect.im_half
+        else:
+            pts[i] = rect.re_min - 1j * (ti - 2 * w - h - rect.im_half)
+    return pts
+
+
+@pytest.mark.parametrize("rect", [
+    RectContour(-1.5, 1.5, 1.0), RectContour(-40.25, 40.75, 0.3),
+    RectContour(0.1, 0.7, 12.0), RectContour(-1000.37, 1000.11, 2.5)])
+@pytest.mark.parametrize("n", [16, 400, 1601, 3200, 6400])
+def test_rect_points_match_loop_bitwise(rect, n):
+    pts = rect.points(n)
+    assert pts.dtype == complex and pts.shape == (n,)
+    bits = pts.view(np.uint64)
+    assert np.array_equal(bits, _rect_points_loop(rect, n).view(np.uint64))
+    # the nodes at n are the even nodes at 2n
+    even = np.ascontiguousarray(rect.points(2 * n)[::2])
+    assert np.array_equal(even.view(np.uint64), bits)
+
+
 def test_winding_free_dirichlet(dirichlet, mesh96):
     # lambda_n^0 = n, so a circle of radius 2.5 around 0 encloses five zeros
     assert winding_count(P0, dirichlet, Circle(0.0, 0.5), mesh96) == 1
@@ -76,24 +122,25 @@ def test_winding_counts_doubles_twice(periodic, mesh96):
     assert winding_count(P0, periodic, Circle(2.0, 0.5), mesh96) == 2
 
 
-def test_winding_unstable_contour_raises(dirichlet, mesh96):
+def test_winding_unstable_contour_raises(dirichlet, mesh96, monkeypatch):
     # too coarse a quadrature with refinement disabled cannot resolve the
     # argument increments around five zeros
+    monkeypatch.setattr(spectrum, "WINDING_DOUBLINGS", 0)
     with pytest.raises(ContourError):
-        winding_count(P0, dirichlet, Circle(0.0, 2.5), mesh96,
-                      quad_order=6, max_doublings=0)
+        winding_count(P0, dirichlet, Stated(Circle(0.0, 2.5), 1.0), mesh96)
 
 
 def test_winding_doubling_evaluates_only_new_nodes(dirichlet, mesh96,
-                                                   char_det_sizes):
-    # 8 nodes cannot resolve five zeros; the rule doubles twice, to 32, and
-    # evaluates 8 + 8 + 16 = 4 * 8 nodes instead of 8 + 16 + 32, each
-    # through the pairwise monodromy product
-    circ = Circle(0.0, 2.5)
-    assert winding_count(P0, dirichlet, circ, mesh96, quad_order=8) == 5
-    assert char_det_sizes == [(8, True), (8, True), (16, True)]
-    assert winding_count(P0, dirichlet, circ, mesh96, quad_order=32,
-                         max_doublings=0) == 5
+                                                   char_det_sizes,
+                                                   monkeypatch):
+    # 16 nodes cannot resolve seven zeros; the rule doubles twice, to 64,
+    # and evaluates 16 + 16 + 32 = 4 * 16 nodes instead of 16 + 32 + 64,
+    # each through the pairwise monodromy product
+    circ = Circle(0.0, 3.5)
+    assert winding_count(P0, dirichlet, Stated(circ, 1.0), mesh96) == 7
+    assert char_det_sizes == [(16, True), (16, True), (32, True)]
+    monkeypatch.setattr(spectrum, "WINDING_DOUBLINGS", 0)
+    assert winding_count(P0, dirichlet, Stated(circ, 4.0), mesh96) == 7
 
 
 def test_winding_default_start_is_16_per_unit_arc(dirichlet, mesh96,
@@ -118,8 +165,9 @@ def test_gamma_windings_match_64_per_unit_arc(pspec, form, request):
     eigs = localize(P, U, 3, mesh, validate=True)
     assert len(eigs.windings) == 7
     for circ, w in eigs.windings.items():
-        n64 = int(np.ceil(64 * circ.arc_length))
-        assert winding_count(P, U, circ, mesh, quad_order=n64) == w == 2
+        # a four times longer stated arc starts the rule at ceil(64 * arc)
+        dense = Stated(circ, 4.0 * circ.arc_length)
+        assert winding_count(P, U, dense, mesh) == w == 2
 
 
 @pytest.mark.parametrize("pspec, form", [
