@@ -133,11 +133,8 @@ def cmd_resnorm(args):
     U = boundary_from_config(args.boundary)
     mesh = build_mesh(args.panels, order=args.order)
     ys = [float(v) for v in args.y.split(",")]
-    mu = np.inf if args.mu == "inf" else float(args.mu)
-    nu = np.inf if args.nu == "inf" else float(args.nu)
-    est = opnorm_scaling(U, mu, nu, ys, mesh=mesh)
-    expected = -1.0 + (0.0 if mu == np.inf else 1.0 / mu) \
-        - (0.0 if nu == np.inf else 1.0 / nu)
+    est = opnorm_scaling(U, args.mu, args.nu, ys, mesh=mesh)
+    expected = -1.0 + 1.0 / args.mu - 1.0 / args.nu
     print("y,norm_estimate")
     for y, e in zip(est.y_values, est.estimates):
         print(f"{float(y)!r},{float(e)!r}")
@@ -183,8 +180,8 @@ def main(argv=None):
     sp.add_argument("--boundary", default="dirichlet_analog")
     sp.add_argument("--panels", type=int, default=256)
     sp.add_argument("--order", type=int, default=5)
-    sp.add_argument("--mu", default="2")
-    sp.add_argument("--nu", default="2")
+    sp.add_argument("--mu", type=float, default=2.0)
+    sp.add_argument("--nu", type=float, default=2.0)
     sp.add_argument("--y", default="4,8,16,32,64")
     sp.set_defaults(fn=cmd_resnorm)
 

@@ -74,10 +74,9 @@ def _inv(p, name):
 
 def admissible(kappa, mu, nu):
     """(verdict, excluded_case) for the triple; exact arithmetic."""
-    try:
-        ik = _inv(kappa, "kappa")
-    except ValueError:
-        ik = Fraction(1)
+    kappa = _exponent(kappa, "kappa")
+    # a number below 1 is outside the theorem; NaN is no exponent at all
+    ik = Fraction(1) if kappa < 1 else _inv(kappa, "kappa")
     if ik >= 1:
         raise OutsideTheoremError(
             "admissibility is stated for kappa in (1, inf]")

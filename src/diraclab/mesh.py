@@ -247,7 +247,7 @@ class GridFunction2:
 def lp_norm(f: GridFunction2, alpha):
     """L_alpha norm on [0, pi]; alpha = inf gives the grid max (a lower
     bound of the essential sup)."""
-    if alpha != np.inf and alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1 or inf")
     if alpha == np.inf:
         return float(np.max(np.abs(f.values)))

@@ -438,10 +438,11 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
     DET_CHUNK lambdas at a time; each value is independent of the batch.
 
     With tree, M(pi) is the pairwise product of _tree_monodromy instead of
-    propagate's sequential one: faster, but not the same bits.  Only
-    winding counts use it, because an integer does not carry those bits;
-    every Delta that becomes an eigenvalue or a report row keeps the
-    sequential product."""
+    propagate's sequential one: faster, but not the same bits.  Contour
+    rules use it: winding counts, whose integer does not carry those bits,
+    and the moments of a recovered pair, which Newton then polishes; every
+    Delta that Newton iterates on, an acceptance check reads or a report
+    row holds keeps the sequential product."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)

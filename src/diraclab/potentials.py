@@ -85,14 +85,21 @@ class PotentialMatrix:
 
     def adjoint(self):
         """Entrywise conjugate transpose P* (adjoint differential
-        expression B z' + P* z)."""
-        def conj_of(p):
-            if p.is_zero:
-                return ScalarFunction.zero()
-            return ScalarFunction(fn=lambda x, _p=p: np.conj(_p(x)),
-                                  singularities=p.singularities, kappa=p.kappa)
-        return PotentialMatrix(p1=conj_of(self.p1), p2=conj_of(self.p3),
-                               p3=conj_of(self.p2), p4=conj_of(self.p4))
+        expression B z' + P* z), one object per P, as a mesh holds terms per
+        potential object; kept in __dict__, so no field sees it."""
+        adj = self.__dict__.get("_adjoint")
+        if adj is None:
+            def conj_of(p):
+                if p.is_zero:
+                    return ScalarFunction.zero()
+                return ScalarFunction(fn=lambda x, _p=p: np.conj(_p(x)),
+                                      singularities=p.singularities,
+                                      kappa=p.kappa)
+            # setdefault is atomic: threads that race here keep one object
+            adj = self.__dict__.setdefault("_adjoint", PotentialMatrix(
+                p1=conj_of(self.p1), p2=conj_of(self.p3),
+                p3=conj_of(self.p2), p4=conj_of(self.p4)))
+        return adj
 
     @classmethod
     def zero(cls):

@@ -7,9 +7,10 @@ numbers of Delta along circles gamma_n and rectangles Gamma_m validate the
 counts; a pair whose Newton iterations fail is recovered from
 argument-principle moments on a circle around its seeds.
 
-Every contour rule here refines by node doubling.  The nodes at n are
-exactly the even nodes at 2n, bit for bit, so each level evaluates Delta
-only at its new odd nodes (:func:`_nested_nodes`).
+Winding counts and recovery moments read one pass of Delta values
+(:func:`_winding_pass`), refined by node doubling: the nodes at n are exactly
+the even nodes at 2n, bit for bit, so each level evaluates Delta only at its
+new odd nodes (:func:`_nested_nodes`).
 """
 from __future__ import annotations
 
@@ -31,9 +32,6 @@ DELTA = 0.25
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 NEWTON_MAX_STEP = 0.45
-# first level of the pair-moment rule, and how often it may double
-PAIR_NODES = 32
-PAIR_DOUBLINGS = 6
 # how often winding_count may double its rule
 WINDING_DOUBLINGS = 8
 
@@ -110,6 +108,27 @@ def _nested_nodes(points, evaluate, n, levels):
         yield n, pts, vals
 
 
+def _winding_pass(P, U, contour, mesh):
+    """(winding number, nodes, Delta values) at the level winding_count
+    accepts.  Recovery moments read these values, so the pairwise product's
+    bits reach an eigenvalue only as an estimate a failed polish keeps."""
+    n = max(16, int(np.ceil(16 * contour.arc_length)))
+    for _, pts, vals in _nested_nodes(
+            contour.points, lambda z: char_det(P, U, z, mesh, tree=True), n,
+            WINDING_DOUBLINGS + 1):
+        closed = np.concatenate([vals, vals[:1]])
+        if np.min(np.abs(closed)) == 0.0:
+            raise ContourError("Delta vanishes on the contour; adjust it")
+        steps = np.angle(closed[1:] / closed[:-1])
+        if np.max(np.abs(steps)) < 0.5 * np.pi:
+            total = steps.sum() / (2.0 * np.pi)
+            if abs(total - round(total)) > 0.05:
+                raise ContourError("argument accumulation is not an integer")
+            return int(round(total)), pts, vals
+    raise ContourError(
+        "winding did not stabilize after doublings; adjust the contour")
+
+
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh):
     """Winding number of Delta along the contour.  The rule starts at 16
@@ -118,21 +137,7 @@ def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
     pi/2.  Delta comes from the pairwise monodromy product
     (char_det(tree=True)): the count is an integer, so the last bits of
     Delta that an eigenvalue would carry do not reach it."""
-    n = max(16, int(np.ceil(16 * contour.arc_length)))
-    for _, _, vals in _nested_nodes(
-            contour.points, lambda z: char_det(P, U, z, mesh, tree=True), n,
-            WINDING_DOUBLINGS + 1):
-        vals = np.concatenate([vals, vals[:1]])
-        if np.min(np.abs(vals)) == 0.0:
-            raise ContourError("Delta vanishes on the contour; adjust it")
-        steps = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(steps)) < 0.5 * np.pi:
-            total = steps.sum() / (2.0 * np.pi)
-            if abs(total - round(total)) > 0.05:
-                raise ContourError("argument accumulation is not an integer")
-            return int(round(total))
-    raise ContourError(
-        "winding did not stabilize after doublings; adjust the contour")
+    return _winding_pass(P, U, contour, mesh)[0]
 
 
 @dataclass
@@ -203,39 +208,25 @@ def _newton(P, U, mesh, seeds):
     return lam[inverse], ~active[inverse]
 
 
-def _pair_moments(P, U, mesh, circ: Circle):
-    """The two zeros of Delta inside circ from the argument-principle
-    moments s_p = (1/2 pi i) oint z^p Delta'/Delta dz, with one Delta per
-    node and no Delta'.  On a circle z = c + r e^(i theta) that winds twice,
-    g = log(Delta / (z - c)^2) is single-valued, and integration by parts
-    gives s_p = 2 c^p - (p / 2 pi i) oint z^(p-1) g dz; Im g is the argument
-    unwrapped along the nodes.  A level counts only when every argument
-    increment is below pi/2; the circle must then wind twice, or
-    ContourError is raised."""
+def _pair_moments(circ: Circle, nodes, values):
+    """The two zeros inside circ of an analytic function with values at the
+    trapezoid nodes of circ that winds twice along them, from the
+    argument-principle moments s_p = (1/2 pi i) oint z^p Delta'/Delta dz.
+    On z = c + r e^(i theta), g = log(Delta / (z - c)^2) is single-valued,
+    and integration by parts gives s_p = 2 c^p - (p / 2 pi i) oint
+    z^(p-1) g dz, so no Delta' is needed; Im g is the argument unwrapped
+    along the nodes."""
     c, r = circ.center, circ.radius
-    prev_s1 = None
-    for n, pts, f in _nested_nodes(
-            circ.points, lambda z: char_det(P, U, z, mesh), PAIR_NODES,
-            PAIR_DOUBLINGS + 1):
-        e = np.exp(1j * trapezoid_angles(n))
-        q = f / (r * e) ** 2
-        steps = np.angle(np.roll(q, -1) / q)
-        if np.max(np.abs(steps)) >= 0.5 * np.pi:
-            continue
-        winding = steps.sum() / (2.0 * np.pi)
-        if abs(winding) > 1e-2:
-            raise ContourError(f"circle {circ} winds {winding + 2:.4f} "
-                               f"times, not twice")
-        arg = np.angle(q[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-        ge = (np.log(np.abs(q)) + 1j * arg) * e
-        s1 = 2.0 * c - r * np.mean(ge)
-        s2 = 2.0 * c * c - 2.0 * r * np.mean(pts * ge)
-        if prev_s1 is not None and abs(s1 - prev_s1) < 1e-8:
-            e1, e2 = s1, 0.5 * (s1 * s1 - s2)
-            disc = np.sqrt(e1 * e1 - 4.0 * e2 + 0j)
-            return 0.5 * (e1 + disc), 0.5 * (e1 - disc)
-        prev_s1 = s1
-    raise ContourError(f"moments did not settle on circle {circ}")
+    e = np.exp(1j * trapezoid_angles(nodes.size))
+    q = values / (r * e) ** 2
+    steps = np.angle(np.roll(q, -1) / q)
+    arg = np.angle(q[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    ge = (np.log(np.abs(q)) + 1j * arg) * e
+    s1 = 2.0 * c - r * np.mean(ge)
+    s2 = 2.0 * c * c - 2.0 * r * np.mean(nodes * ge)
+    e1, e2 = s1, 0.5 * (s1 * s1 - s2)
+    disc = np.sqrt(e1 * e1 - 4.0 * e2 + 0j)
+    return 0.5 * (e1 + disc), 0.5 * (e1 - disc)
 
 
 def _label_order(members):
@@ -253,7 +244,8 @@ def _label_order(members):
 
 def _recover_pair(P, U, mesh, seed_mid, cap):
     """Both zeros of a pair whose Newton iterations failed: grow a circle
-    around the seed midpoint until it winds twice, then take moments.
+    around the seed midpoint until it winds twice, then take moments from
+    the Delta values of that same winding pass.
     Returns [(zero, polished)] in label order (_label_order); polished is
     False where the Newton polish did not converge within 0.1 and the
     moment estimate is kept."""
@@ -261,8 +253,9 @@ def _recover_pair(P, U, mesh, seed_mid, cap):
     while r <= cap:
         circ = Circle(complex(seed_mid), float(r))
         try:
-            if winding_count(P, U, circ, mesh) == 2:
-                moments = _pair_moments(P, U, mesh, circ)
+            w, nodes, values = _winding_pass(P, U, circ, mesh)
+            if w == 2:
+                moments = _pair_moments(circ, nodes, values)
                 lam, conv = _newton(P, U, mesh, np.array(moments))
                 out = []
                 for z, zn, c in zip(moments, lam, conv):

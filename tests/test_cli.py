@@ -110,6 +110,15 @@ def test_resnorm_rejects_nan_exponent(flag, name):
         main(["resnorm", "--panels", "16", flag, "nan", "--y", "4,8"])
 
 
+@pytest.mark.parametrize("flag", ["--mu", "--nu"])
+def test_resnorm_rejects_non_numeric_exponent(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["resnorm", "--panels", "16", flag, "abc", "--y", "4,8"])
+    assert err.value.code == 2
+    assert (f"argument {flag}: invalid float value: 'abc'"
+            in capsys.readouterr().err)
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -7,10 +7,11 @@ import diraclab.expansions as expansions
 import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
-                      adjoint_pair, bvp_eigenfunction, expansion_coefficients,
-                      fundamental_matrix, gauge_reduce, inner_product,
-                      localize, lp_norm, make_potential, partial_sum,
-                      partial_sum_contour, projector_contour, root_system)
+                      adjoint_pair, build_mesh, bvp_eigenfunction,
+                      expansion_coefficients, fundamental_matrix,
+                      gauge_reduce, inner_product, localize, lp_norm,
+                      make_potential, partial_sum, partial_sum_contour,
+                      projector_contour, root_system)
 from diraclab.ode import B_INV, inv2
 
 PI = np.pi
@@ -252,6 +253,21 @@ def test_batched_root_vectors_match_per_eigenvalue(const_potential, dirichlet,
                               mesh96)
         assert e.role == "eigen" and not r.degenerate
         assert np.max(np.abs(e.y.values - r.functions[0].values)) < 1e-12
+
+
+def test_root_systems_on_a_shared_mesh_reuse_one_adjoint(trig_potential,
+                                                         dirichlet):
+    # the mesh holds terms per potential object, and P.adjoint() is one
+    # object: repeated root systems add no entries and keep their bits
+    mesh = build_mesh(64, order=5)
+    eigs = localize(trig_potential, dirichlet, 4, mesh)
+    first = root_system(trig_potential, dirichlet, 4, mesh, eigs=eigs)
+    for _ in range(3):
+        rs = root_system(trig_potential, dirichlet, 4, mesh, eigs=eigs)
+        assert len(mesh.terms) == 2
+        assert rs.Y.tobytes() == first.Y.tobytes()
+        assert rs.Z.tobytes() == first.Z.tobytes()
+    assert trig_potential.adjoint() is trig_potential.adjoint()
 
 
 def test_healthy_root_system_never_probes_the_scale(const_potential,

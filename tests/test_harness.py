@@ -41,6 +41,12 @@ def test_admissible_rejects_kappa_at_most_one():
 def test_admissible_rejects_bad_exponents():
     with pytest.raises(ValueError):
         admissible(2.0, 0.5, 2.0)
+    # a kappa that is no number is a bad exponent, not one outside the
+    # theorem
+    for kappa in ("abc", np.nan):
+        with pytest.raises(ValueError, match="kappa") as err:
+            admissible(kappa, 2.0, 2.0)
+        assert not isinstance(err.value, OutsideTheoremError)
 
 
 @settings(max_examples=60, deadline=None)

@@ -103,8 +103,9 @@ def test_lp_norm_known_values(mesh):
 
 def test_lp_norm_rejects_alpha_below_one(mesh):
     f = GridFunction2.from_callables(mesh, np.sin, np.cos)
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for alpha in (0.5, np.nan):
+        with pytest.raises(ValueError):
+            lp_norm(f, alpha)
 
 
 def test_gridfunction_arithmetic(mesh):

@@ -12,7 +12,8 @@ from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       localize, localization_seeds, make_potential,
                       unperturbed_spectrum, winding_count)
 from diraclab.ode import char_det
-from diraclab.spectrum import _newton, _pair_moments, trapezoid_angles
+from diraclab.spectrum import (_newton, _pair_moments, _recover_pair,
+                               _winding_pass, trapezoid_angles)
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -192,49 +193,108 @@ def test_gamma_windings_match_sequential_product(pspec, form, request,
 
 def test_only_windings_use_the_tree_product(const_potential, periodic,
                                             mesh96, monkeypatch):
-    # Newton, the on-zero and acceptance checks and the moments and polish
-    # of a recovered pair keep the sequential product; the winding counts
-    # of the radius search and of validation use the tree
-    calls = []                  # (inside winding_count, tree) per char_det
+    # contour rules use the pairwise product: the winding counts of the
+    # radius search and of validation, and the moments of a recovered pair,
+    # which read the values of its winding pass and evaluate no Delta;
+    # Newton, the polish and the on-zero and acceptance checks keep the
+    # sequential product
+    calls = []                  # (inside a winding pass, tree) per char_det
     inside = [False]
-    inner_det, inner_wind = spectrum.char_det, spectrum.winding_count
+    passes, moment_values = [], []
+    inner_det, inner_pass = spectrum.char_det, spectrum._winding_pass
+    inner_moments = spectrum._pair_moments
 
     def det(P, U, lam, mesh, **kw):
         calls.append((inside[0], kw.get("tree", False)))
         return inner_det(P, U, lam, mesh, **kw)
 
-    def wind(*args, **kw):
+    def winding_pass(*args, **kw):
         inside[0] = True
         try:
-            return inner_wind(*args, **kw)
+            passes.append(inner_pass(*args, **kw))
+            return passes[-1]
         finally:
             inside[0] = False
 
+    def moments(circ, nodes, values):
+        moment_values.append(values)
+        return inner_moments(circ, nodes, values)
+
     monkeypatch.setattr(spectrum, "char_det", det)
-    monkeypatch.setattr(spectrum, "winding_count", wind)
+    monkeypatch.setattr(spectrum, "_winding_pass", winding_pass)
+    monkeypatch.setattr(spectrum, "_pair_moments", moments)
     eigs = localize(const_potential, periodic, 2, mesh96, validate=True)
-    assert any("recovered" in d for d in eigs.diagnostics)
+    assert sum("recovered" in d for d in eigs.diagnostics) == 5
     assert set(calls) == {(False, False), (True, True)}
+    assert len(moment_values) == 5
+    for values in moment_values:
+        assert any(values is p[2] for p in passes)
 
 
 def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
                                   char_det_sizes):
-    # the double zero sqrt(4 + c^2) needs 32 then 64 nodes, one lambda
-    # each; the second level adds only the 32 odd nodes
+    # recovering the double zero sqrt(4 + c^2) evaluates Delta only at the
+    # nodes of its winding pass, 26 on the tree product, and then at the
+    # sequential Newton polish's [z, z + h, z - h] batches: the moments
+    # evaluate nothing of their own
     root = np.sqrt(4.0 + 0.3 ** 2)
-    z0, z1 = _pair_moments(const_potential, periodic, mesh96,
-                           Circle(complex(root), 0.25))
-    # moments carry the bits of Delta into eigenvalues: sequential product
-    assert char_det_sizes == [(32, False), (32, False)]
-    assert abs(z0 - root) < 1e-7 * root and abs(z1 - root) < 1e-7 * root
+    pair = _recover_pair(const_potential, periodic, mesh96, root,
+                         spectrum.DELTA)
+    assert char_det_sizes[0] == (26, True)
+    assert all(not tree and size % 3 == 0
+               for size, tree in char_det_sizes[1:])
+    assert (32, False) not in char_det_sizes
+    for z, polished in pair:
+        assert polished and abs(z - root) < 1e-7 * root
+    # the moments of that pass are already within 1e-7 relative
+    circ = Circle(complex(root), spectrum.DELTA)
+    w, nodes, values = _winding_pass(const_potential, periodic, circ, mesh96)
+    assert w == 2 and nodes.size == 26
+    for z in _pair_moments(circ, nodes, values):
+        assert abs(z - root) < 1e-7 * root
 
 
-def test_pair_moments_need_winding_two(dirichlet, mesh96, char_det_sizes):
-    # no zero inside: the first level resolves the argument, which then
-    # does not close for two zeros, and the rule refuses at once
-    with pytest.raises(ContourError, match="not twice"):
-        _pair_moments(P0, dirichlet, mesh96, Circle(0.5, 0.2))
-    assert char_det_sizes == [(spectrum.PAIR_NODES, False)] == [(32, False)]
+def test_pair_moments_need_winding_two(const_potential, periodic, dirichlet,
+                                       mesh96, monkeypatch):
+    # the pair +-c sits outside the first circle, which winds 0: recovery
+    # grows the circle by 1.4 and takes moments only from the pass that
+    # winds twice
+    passes, moment_radii = [], []
+    inner_pass, inner_moments = spectrum._winding_pass, spectrum._pair_moments
+
+    def winding_pass(P, U, contour, mesh):
+        out = inner_pass(P, U, contour, mesh)
+        passes.append((contour.radius, out[0]))
+        return out
+
+    def moments(circ, nodes, values):
+        moment_radii.append(circ.radius)
+        return inner_moments(circ, nodes, values)
+
+    monkeypatch.setattr(spectrum, "_winding_pass", winding_pass)
+    monkeypatch.setattr(spectrum, "_pair_moments", moments)
+    (a, _), (b, _) = _recover_pair(const_potential, periodic, mesh96, 0.0,
+                                   0.9)
+    assert passes == [(0.25, 0), (0.25 * 1.4, 2)]
+    assert moment_radii == [0.25 * 1.4]
+    assert abs(a + 0.3) < 1e-12 and abs(b - 0.3) < 1e-12
+    # no circle up to the cap winds twice: recovery gives up
+    del passes[:]
+    with pytest.raises(ContourError, match="could not isolate"):
+        _recover_pair(P0, dirichlet, mesh96, 0.5, 0.45)
+    assert passes == [(0.25, 0), (0.25 * 1.4, 0)]
+    assert moment_radii == [0.25 * 1.4]
+
+
+def test_pair_moments_of_an_analytic_function():
+    # (z - a)(z - b) e^z winds twice along the circle; both zeros come
+    # back from its values at 32 nodes
+    a, b = 0.75 + 0.1j, 0.3 - 0.2j
+    circ = Circle(0.5 + 0.0j, 1.0)
+    z = circ.points(32)
+    lo, hi = sorted(_pair_moments(circ, z, (z - a) * (z - b) * np.exp(z)),
+                    key=lambda g: g.real)
+    assert abs(lo - b) < 1e-12 and abs(hi - a) < 1e-12
 
 
 def _difference_quotient_moments(P, U, mesh, circ, n=512, h=1e-6):
@@ -262,7 +322,9 @@ def test_pair_moments_match_difference_quotient(pspec, form, center, radius,
     P = make_potential(pspec)
     U = request.getfixturevalue(form)
     circ = Circle(complex(center), radius)
-    got = _pair_moments(P, U, mesh96, circ)
+    w, nodes, values = _winding_pass(P, U, circ, mesh96)
+    assert w == 2
+    got = _pair_moments(circ, nodes, values)
     want = _difference_quotient_moments(P, U, mesh96, circ)
     for z in got:
         assert min(abs(z - w) for w in want) < 1e-6
