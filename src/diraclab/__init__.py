@@ -18,7 +18,7 @@ from .mesh import (GridFunction2, Mesh, MeshMismatchError, build_mesh,
                    inner_product, lp_norm)
 from .ode import (FundamentalSolution, NotAnEigenvalueError, OverflowCapError,
                   bvp_eigenfunction, char_det, expm2, fundamental_matrix,
-                  normalize_eigenfunction, propagate)
+                  propagate)
 from .potentials import (GaugeReduction, PotentialMatrix, ScalarFunction,
                          comparison_operator, gauge_reduce, make_potential)
 from .spectrum import (CLUSTER_TOL, Circle, ContourError, ContourFamily,

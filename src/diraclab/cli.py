@@ -3,7 +3,7 @@
 Subcommands: equiconv (single experiment), sweep (directory of configs),
 spectrum (eigenvalue table), green (kernel diagnostics), expand (expansion
 coefficients), resnorm (resolvent norm scaling).  Config files are JSON
-documents matching ExperimentConfig.from_dict; the environment variable
+documents read as ExperimentConfig(**doc); the environment variable
 DIRACLAB_THREADS caps worker counts.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ SPECTRUM_HEADER = "n,re_lambda,im_lambda,re_lambda0,im_lambda0,abs_diff,multipli
 
 def _load_config(path):
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig(**json.load(fh))
 
 
 def _setup(args):

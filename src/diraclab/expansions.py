@@ -28,7 +28,10 @@ from .green import green_kernel  # noqa: F401
 from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 from .spectrum import CLUSTER_TOL, Circle, ContourError, EigenvalueList, \
-    localize, trapezoid_angles
+    localization_seeds, localize, trapezoid_angles
+# contour_family is looked up on its module at each call, where
+# bench/spans.py wraps it
+from . import spectrum
 
 GRAM_COND_MAX = 1e8
 # projector_contour stops when two successive trapezoid rules agree to
@@ -152,8 +155,8 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out):
     return roles, residual
 
 
-def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
-                eigs: EigenvalueList = None) -> RootSystem:
+def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max,
+                mesh: Mesh) -> RootSystem:
     """Biorthogonal root system of the operator and its adjoint for all
     indices in [-2 m_max, 2 m_max + 1].
 
@@ -162,10 +165,7 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     and built from chunked propagate calls over its distinct eigenvalues;
     z_n are then corrected cluster by cluster to the dual basis
     <y_j, z_k> = delta_jk."""
-    if m_max < 0:
-        raise ValueError(f"m_max={m_max} is negative")
-    if eigs is None:
-        eigs = localize(P, U, m_max, mesh)
+    eigs = localize(P, U, m_max, mesh)
     groups = _clusters(eigs)
     lams, slots = _distinct(eigs, groups)
     shape = (len(eigs.values), 2, mesh.size)
@@ -253,11 +253,10 @@ def partial_sum_contour(rs: RootSystem, f: GridFunction2,
                         m) -> GridFunction2:
     """Cross-check of partial_sum: sum of contour projectors over the
     circles gamma_k, k in [-m, m]."""
-    from .spectrum import contour_family, localization_seeds
     spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
-    fam = contour_family(spec0, rs.eigs, validate=False)
+    fam = spectrum.contour_family(spec0, rs.eigs, validate=False)
     acc = np.zeros((2, rs.mesh.size), dtype=complex)
     for k in range(-m, m + 1):
-        acc += projector_contour(rs.potential, rs.form, fam.gamma(k), f,
+        acc += projector_contour(rs.potential, rs.form, fam.gammas[k], f,
                                  rs.mesh).values
     return GridFunction2(rs.mesh, acc)

@@ -17,6 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -137,12 +138,6 @@ class ExperimentConfig:
         if self.comparison not in ("free", "corollary-diagonal"):
             raise ValueError(f"unknown comparison mode {self.comparison!r}")
 
-    @classmethod
-    def from_dict(cls, d):
-        """A config from its JSON document, where infinite exponents are
-        the string "inf"."""
-        return cls(**d)
-
     def to_dict(self):
         d = asdict(self)
         d["kappa"] = _num_to_json(self.kappa)
@@ -159,12 +154,6 @@ class EquiconvReport:
     verdicts: dict                  # nu -> (admissible, excluded)
     warnings: list
     metadata: dict
-
-    def norm(self, m, nu):
-        for r in self.rows:
-            if r["m"] == m and r["nu"] == nu:
-                return r["norm_diff"]
-        raise KeyError((m, nu))
 
 
 def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
@@ -224,25 +213,24 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     raise ValueError(f"unknown function family {family!r}")
 
 
-def _stage(tag):
-    class _Ctx:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            self.elapsed = time.perf_counter() - self.t0
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(tag, exc) from exc
-            return False
-    return _Ctx()
+@contextmanager
+def _stage(tag, timings):
+    """Time one pipeline stage into timings[tag].  An Exception raised in
+    it surfaces as a StageError tagged with the stage; KeyboardInterrupt
+    and other BaseExceptions pass through unchanged."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(tag, exc) from exc
+    timings[tag] = time.perf_counter() - t0
 
 
 def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
     """Full pipeline for one configuration; deterministic given the seed."""
     warnings = []
     timings = {}
-    with _stage("setup") as st:
+    with _stage("setup", timings):
         U = boundary_from_config(config.boundary)
         P = make_potential(config.potential)
         # the verdicts hold for P only if its singularities lie in L_kappa
@@ -256,22 +244,18 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
             P0, U0 = comparison_operator(P, U, mesh)
         else:
             P0, U0 = PotentialMatrix.zero(), U
-    timings["setup"] = st.elapsed
     m_max = max(config.m_schedule)
-    with _stage("root_system") as st:
+    with _stage("root_system", timings):
         rs = root_system(P, U, m_max, mesh)
-    timings["root_system"] = st.elapsed
-    with _stage("comparison_system") as st:
+    with _stage("comparison_system", timings):
         rs0 = root_system(P0, U0, m_max, mesh)
-    timings["comparison_system"] = st.elapsed
-    with _stage("partial_sums") as st:
+    with _stage("partial_sums", timings):
         rows = []
         for m in config.m_schedule:
             d = partial_sum(rs, f, m) - partial_sum(rs0, f, m)
             for nu in config.nu_list:
                 rows.append({"m": m, "nu": nu,
                              "norm_diff": lp_norm(d, nu)})
-    timings["partial_sums"] = st.elapsed
     verdicts = {}
     for nu in config.nu_list:
         try:
@@ -284,10 +268,9 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
             warnings.append(
                 f"nu={nu}: triple (kappa={config.kappa}, mu={config.mu}, "
                 f"nu={nu}) not admissible; norms recorded as observations")
-    with _stage("metadata") as st:
+    with _stage("metadata", timings):
         lam_probe = rs.eigs.values[0] + 0.5 + 2.0j
         M_est = kernel_sup(green_kernel(P, U, lam_probe, mesh))
-    timings["metadata"] = st.elapsed
     metadata = {
         "M_est": M_est,
         "mesh_panels": mesh.n_panels,

@@ -187,9 +187,10 @@ def build_mesh(panels=512, order=5, singular_points=()):
         if not 0.0 <= x0 <= PI:
             raise ValueError("singular point outside [0, pi]")
         h0 = PI / panels
-        # neighbouring base boundaries, pushed one panel away from x0
-        left = max(0.0, (np.floor(x0 / h0) - 0) * h0)
-        right = min(PI, (np.ceil(x0 / h0) + 0) * h0)
+        # the base boundaries on either side of x0; one that coincides
+        # with x0 moves one panel outward
+        left = max(0.0, np.floor(x0 / h0) * h0)
+        right = min(PI, np.ceil(x0 / h0) * h0)
         if abs(left - x0) < 1e-12 * PI:
             left = max(0.0, left - h0)
         if abs(right - x0) < 1e-12 * PI:

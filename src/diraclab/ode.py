@@ -498,7 +498,7 @@ class EigenfunctionResult:
     residual: float            # |Delta(lam)|
 
 
-def normalize_eigenfunction(y: GridFunction2, value_at_zero):
+def _normalize_eigenfunction(y: GridFunction2, value_at_zero):
     """L2 norm 1 with the first sizable component of value_at_zero, the
     value y(0), rotated to the positive real axis."""
     nrm = lp_norm(y, 2)
@@ -545,7 +545,7 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
             # M(x_j) v at every node as one (2N, 2) matrix-vector product:
             # one gemv rounds each row as the N per-node 2x2 products do
             rows = Mn[l].reshape(-1, 2)
-            funcs = [normalize_eigenfunction(
+            funcs = [_normalize_eigenfunction(
                 GridFunction2(mesh, (rows @ v).reshape(-1, 2).T),
                 value_at_zero=v)
                 for v in vecs]

@@ -290,22 +290,15 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     ns = np.arange(-2 * m_max, 2 * m_max + 2)
     seeds = spec0.lambda0(ns).astype(complex) + gamma
     lam, converged = _newton(P, U, mesh, seeds)
-    # a seed already on a (possibly double) zero is kept
-    unconverged = np.flatnonzero(~converged)
-    if unconverged.size:
-        on_zero = unconverged[np.abs(
-            char_det(P, U, seeds[unconverged], mesh)) < 1e-9]
-        lam[on_zero] = seeds[on_zero]
-        converged[on_zero] = True
     diagnostics = []
     values, seedmap, mult = {}, {}, {}
     for i, n in enumerate(ns):
         values[int(n)] = complex(lam[i])
         seedmap[int(n)] = complex(seeds[i])
         mult[int(n)] = 1
-    # residual-based acceptance against the scale of the seeds; failed or
-    # collapsed pairs are recovered by contour moments around the seed
-    # midpoint
+    # residual-based acceptance against the scale of the seeds; a pair
+    # with an unconverged or failing member, or a collapsed one, is
+    # recovered by contour moments around the seed midpoint
     scale = AcceptanceScale(P, U, seeds, mesh)
     fails = scale.exceeds(char_det(P, U, lam, mesh))
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
@@ -381,9 +374,6 @@ class ContourFamily:
     half_height: float
     eigs: EigenvalueList
     spec0_values: dict              # n -> lambda_n^0
-
-    def gamma(self, k):
-        return self.gammas[k]
 
     def big_contour(self, m):
         """Gamma_m: rectangle enclosing lambda_n and lambda_n^0 for

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diraclab.harness as harness
 from diraclab import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, lp_norm, make_function, run_equiconv,
@@ -64,7 +65,7 @@ def test_admissible_monotone_in_nu(kappa, mu, nu1, nu2):
 def test_config_roundtrip():
     cfg = ExperimentConfig(kappa=np.inf, mu=1.0, nu_list=(2.0, np.inf),
                            m_schedule=(2, 4, 8))
-    cfg2 = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    cfg2 = ExperimentConfig(**json.loads(json.dumps(cfg.to_dict())))
     assert cfg2 == cfg
 
 
@@ -92,11 +93,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kw)
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig.from_dict(
-                {k: list(v) if isinstance(v, tuple) else v
-                 for k, v in kw.items()})
+            ExperimentConfig(**{k: list(v) if isinstance(v, tuple) else v
+                                for k, v in kw.items()})
     with pytest.raises(ValueError, match="nu"):
-        ExperimentConfig.from_dict({"nu_list": [2.0, "0.5"]})
+        ExperimentConfig(nu_list=[2.0, "0.5"])
     # a NaN exponent is named, not left to Fraction; a repeated nu would
     # give each row twice and one verdict; an exponent that is no number
     # would pass the check and fail in the pipeline
@@ -114,12 +114,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kw)
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig.from_dict(
-                {k: list(v) if isinstance(v, tuple) else v
-                 for k, v in kw.items()})
+            ExperimentConfig(**{k: list(v) if isinstance(v, tuple) else v
+                                for k, v in kw.items()})
     # "inf" stays accepted, as a string and as a float, and is stored as
-    # np.inf whether it came through the constructor or from_dict
-    cfg = ExperimentConfig.from_dict({"mu": "inf", "nu_list": ["inf", 1]})
+    # np.inf whether it came from keywords or from a JSON document
+    cfg = ExperimentConfig(mu="inf", nu_list=["inf", 1])
     assert cfg.mu == np.inf and cfg.nu_list == (np.inf, 1)
     cfg = ExperimentConfig(kappa="inf", mu="inf", nu_list=("inf", 1.0))
     assert cfg.kappa == cfg.mu == np.inf and cfg.nu_list == (np.inf, 1.0)
@@ -200,7 +199,8 @@ def test_run_equiconv_decay_and_verdicts():
         f={"family": "smooth"}, mu=2.0, nu_list=(2.0, np.inf),
         m_schedule=(2, 8), mesh_panels=64)
     rep = run_equiconv(cfg)
-    assert rep.norm(8, np.inf) < rep.norm(2, np.inf)
+    norm = {(r["m"], r["nu"]): r["norm_diff"] for r in rep.rows}
+    assert norm[8, np.inf] < norm[2, np.inf]
     assert rep.verdicts[np.inf] == (True, False)
     assert rep.metadata["M_est"] > 0.0
     # the root systems' largest |Delta(lambda_n)|, below the acceptance
@@ -234,6 +234,20 @@ def test_run_equiconv_stage_error():
     with pytest.raises(StageError) as ei:
         run_equiconv(cfg)
     assert ei.value.stage == "setup"
+
+
+def test_run_equiconv_lets_keyboard_interrupt_through(monkeypatch):
+    # a stage tags only Exceptions: Ctrl-C reaches the caller unchanged
+    interrupt = KeyboardInterrupt()
+
+    def interrupted(spec):
+        raise interrupt
+
+    monkeypatch.setattr(harness, "make_potential", interrupted)
+    cfg = ExperimentConfig(m_schedule=(2,), mesh_panels=64)
+    with pytest.raises(KeyboardInterrupt) as ei:
+        run_equiconv(cfg)
+    assert ei.value is interrupt
 
 
 def test_run_equiconv_rejects_kappa_beyond_singularity():

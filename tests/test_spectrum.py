@@ -328,6 +328,12 @@ def test_pair_moments_match_difference_quotient(pspec, form, center, radius,
     want = _difference_quotient_moments(P, U, mesh96, circ)
     for z in got:
         assert min(abs(z - w) for w in want) < 1e-6
+    # the oracle's central difference is good to 1e-6 at best; against the
+    # zeros that Newton polishes from them, both estimates are exact to
+    # roundoff
+    polished, converged = _newton(P, U, mesh96, np.array(got))
+    assert converged.all()
+    assert np.max(np.abs(polished - np.array(got))) < 1e-10
 
 
 def test_recovered_labels_keep_reflection_symmetry(antiperiodic, mesh96):
@@ -483,7 +489,7 @@ def test_contour_family_free(dirichlet, mesh96):
     eigs = localize(P0, dirichlet, 3, mesh96)
     fam = contour_family(spec0, eigs, P=P0, U=dirichlet, mesh=mesh96)
     for k in range(-3, 4):
-        circ = fam.gamma(k)
+        circ = fam.gammas[k]
         assert np.all(circ.contains(np.array(eigs.pair(k))))
     rect = fam.big_contour(1)
     assert winding_count(P0, dirichlet, rect, mesh96) == 6
@@ -495,7 +501,7 @@ def test_contour_family_perturbed(const_potential, periodic, mesh96):
     fam = contour_family(spec0, eigs, P=const_potential, U=periodic,
                          mesh=mesh96)
     # gamma_0 must enclose both split members and no neighbors
-    circ = fam.gamma(0)
+    circ = fam.gammas[0]
     assert np.all(circ.contains(np.array(eigs.pair(0))))
     assert not np.any(circ.contains(np.array(eigs.pair(1))))
 
