@@ -201,7 +201,12 @@ def build_mesh(panels=512, order=5, singular_points=()):
         if x0 < PI:
             for j in range(GRADING_DEPTH + 1):
                 pts.add(round(x0 + (right - x0) * GRADING_RATIO ** j, 15))
-        pts.add(round(x0, 15))
+    # each singular point is a break itself, unrounded, in place of the
+    # breaks that rounding to 15 digits puts within 1e-15 of it: np.round
+    # and round can round it apart (pi / 2 to ...896 and ...897), and it
+    # would sit on the midpoint node of the panel between them
+    pts = {p for p in pts
+           if all(abs(p - x0) > 1e-15 for x0 in sing)} | set(sing)
     breaks = np.array(sorted(pts))
     breaks[0], breaks[-1] = 0.0, PI
     keep = np.concatenate([[True], np.diff(breaks) > 1e-15])

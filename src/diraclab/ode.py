@@ -461,9 +461,12 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
 
 def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
     """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
-    eigenvalues, from boundary values only."""
-    probe = np.asarray(lams, dtype=complex) + 0.49
-    return max(1.0, float(np.median(np.abs(char_det(P, U, probe, mesh)))))
+    eigenvalues, from boundary values only.  Each distinct probe is
+    evaluated once and expanded back before the median."""
+    probe, inverse = np.unique(np.asarray(lams, dtype=complex) + 0.49,
+                               return_inverse=True)
+    vals = np.abs(char_det(P, U, probe, mesh))[inverse]
+    return max(1.0, float(np.median(vals)))
 
 
 class AcceptanceScale:

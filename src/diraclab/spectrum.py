@@ -32,6 +32,13 @@ DELTA = 0.25
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 NEWTON_MAX_STEP = 0.45
+# the doubled Newton step at a double zero: steps halve when each ratio is
+# within HALVING_TOL of 1/2; a doubled iterate is kept when its own step is
+# below DOUBLED_STEP_GAIN times the doubled step
+HALVING_TOL = 0.02
+DOUBLED_STEP_GAIN = 0.1
+# central-difference step of the Delta' estimate
+SLOPE_H = 1e-6
 # how often winding_count may double its rule
 WINDING_DOUBLINGS = 8
 
@@ -178,33 +185,74 @@ class EigenvalueList:
 def _delta_and_slope(P, U, mesh, z):
     """Delta and its central-difference slope at the points z, from one
     char_det call on [z, z + h, z - h]."""
-    h = 1e-6
+    h = SLOPE_H
     vals = char_det(P, U, np.concatenate([z, z + h, z - h]), mesh)
     m = z.size
     return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
 
 
+def _slope(P, U, mesh, z):
+    """The slope of _delta_and_slope alone, from one char_det call on
+    [z + h, z - h]."""
+    h = SLOPE_H
+    vals = char_det(P, U, np.concatenate([z + h, z - h]), mesh)
+    return (vals[:z.size] - vals[z.size:]) / (2.0 * h)
+
+
 def _newton(P, U, mesh, seeds):
     """Newton iterates from the seeds, and which of them converged.  Equal
     seeds iterate once: each Delta value is independent of its batch, so
-    the result is bit for bit that of a run per seed."""
+    the result is bit for bit that of a run per seed.
+
+    At a double zero Newton only halves the distance with each step.  Once
+    three steps in a row halve (each ratio within HALVING_TOL of 1/2), the
+    next batch also evaluates the doubled step z - 2s beside the plain
+    iterate z - s (Schroeder's step for multiplicity 2).  The doubled
+    iterate is kept when its own step is below DOUBLED_STEP_GAIN * |2s|.
+    Otherwise the seed goes on from z - s with the values already computed,
+    so its iterates and its iteration count are the plain ones bit for bit,
+    and it never tries a doubled step again."""
     lam, inverse = np.unique(seeds.astype(complex), return_inverse=True)
     active = np.ones(lam.shape, dtype=bool)
+    # the sizes of each seed's last two steps, the last one in row 1, and
+    # the doubled iterate of each pending seed
+    sizes = np.full((2,) + lam.shape, np.nan)
+    may_double = np.ones(lam.shape, dtype=bool)
+    pending = np.zeros(lam.shape, dtype=bool)
+    doubled = np.zeros(lam.shape, dtype=complex)
     for _ in range(NEWTON_MAX_ITER):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        cur = lam[idx]
-        f, fp = _delta_and_slope(P, U, mesh, cur)
+        tried = idx[pending[idx]]
+        f, fp = _delta_and_slope(P, U, mesh,
+                                 np.concatenate([lam[idx], doubled[tried]]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fp != 0, f / fp, 0.0)
+            steps = np.where(fp != 0, f / fp, 0.0)
+        mags = np.abs(steps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clipped = steps / mags * NEWTON_MAX_STEP
+        steps = np.where(mags > NEWTON_MAX_STEP, clipped, steps)
+        cur, step = lam[idx], steps[:idx.size]
+        if tried.size:
+            trial = steps[idx.size:]
+            kept = np.abs(trial) < DOUBLED_STEP_GAIN * 2.0 * sizes[1, tried]
+            at = np.searchsorted(idx, tried[kept])
+            cur[at], step[at] = doubled[tried[kept]], trial[kept]
+            sizes[1, tried[kept]] *= 2.0       # the step taken was 2s
+            may_double[tried[~kept]] = False
+            pending[tried] = False
         mags = np.abs(step)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            clipped = step / mags * NEWTON_MAX_STEP
-        step = np.where(mags > NEWTON_MAX_STEP, clipped, step)
         lam[idx] = cur - step
-        done = np.abs(step) < NEWTON_TOL * np.maximum(1.0, np.abs(cur))
+        done = mags < NEWTON_TOL * np.maximum(1.0, np.abs(cur))
         active[idx[done]] = False
+        last, before = sizes[:, idx][::-1]
+        halving = (may_double[idx] & ~done
+                   & (np.abs(mags - 0.5 * last) <= HALVING_TOL * last)
+                   & (np.abs(last - 0.5 * before) <= HALVING_TOL * before))
+        sizes[:, idx] = last, mags
+        pending[idx[halving]] = True
+        doubled[idx[halving]] = cur[halving] - 2.0 * step[halving]
     return lam[inverse], ~active[inverse]
 
 
@@ -300,7 +348,8 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     # with an unconverged or failing member, or a collapsed one, is
     # recovered by contour moments around the seed midpoint
     scale = AcceptanceScale(P, U, seeds, mesh)
-    fails = scale.exceeds(char_det(P, U, lam, mesh))
+    distinct, inverse = np.unique(lam, return_inverse=True)
+    fails = scale.exceeds(char_det(P, U, distinct, mesh))[inverse]
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
     bad = {}
@@ -315,7 +364,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
                  and abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
     if collapsed:
         a = np.array([values[2 * k] for k in collapsed])
-        _, dp = _delta_and_slope(P, U, mesh, a)
+        dp = _slope(P, U, mesh, a)
         for k, steep in zip(collapsed, scale.exceeds(dp, 1e-3)):
             if steep:
                 bad[k] = True       # both members fell into one simple zero

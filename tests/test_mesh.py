@@ -84,6 +84,25 @@ def test_singular_point_on_panel_boundary():
     assert np.min(np.abs(mesh.nodes - 1.1)) > 1e-12
 
 
+@pytest.mark.parametrize("panels", [64, 128])
+@pytest.mark.parametrize("x0", [PI / 2, PI / 4, 1.1])
+def test_singular_point_is_an_exact_break(x0, panels):
+    # pi / 2 is a base break that rounds to 15 digits two ways, ...896 and
+    # ...897, and once sat on the midpoint node of the panel between them;
+    # every singular point is now a break itself, graded on both sides
+    mesh = build_mesh(panels, order=5, singular_points=(x0,))
+    assert x0 in mesh.breaks
+    assert np.min(np.abs(mesh.nodes - x0)) > 0.0
+    i = int(np.searchsorted(mesh.breaks, x0))
+    # the innermost graded length, up to the 15-digit rounding of breaks
+    innermost = (PI / panels) * 0.5 ** 20 + 1e-15
+    assert 0.0 < mesh.panel_lengths[i - 1] <= innermost
+    assert 0.0 < mesh.panel_lengths[i] <= innermost
+    vals = np.abs(mesh.nodes - x0) ** (-0.5)
+    exact = 2.0 * (np.sqrt(x0) + np.sqrt(PI - x0))
+    assert abs(mesh.integrate(vals) - exact) < 1e-4
+
+
 def test_reflected_mesh_mirrors_nodes_and_weights():
     mesh = build_mesh(96, singular_points=(1.1,))
     mirror = mesh.reflected()

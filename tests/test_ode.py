@@ -708,6 +708,26 @@ def test_acceptance_scale_decides_as_the_eager_rule(dirichlet, monkeypatch):
         assert calls == [1] and scale.value == value
 
 
+def test_delta_scale_probes_each_distinct_lambda_once(periodic, monkeypatch):
+    # the members of double pairs repeat: each distinct probe is evaluated
+    # once, and the median over all of them is the one of the full list
+    P = make_potential({"family": "constant_offdiag", "c": 0.3})
+    mesh = build_mesh(32, order=5)
+    lams = [0.0, 0.0, 2.0, 2.0, -2.0, -2.0, 4.0]
+    want = max(1.0, float(np.median(np.abs(
+        char_det(P, periodic, np.array(lams) + 0.49, mesh)))))
+    sizes = []
+    inner = ode.char_det
+
+    def counting(P, U, lam, mesh, **kw):
+        sizes.append(np.size(lam))
+        return inner(P, U, lam, mesh, **kw)
+
+    monkeypatch.setattr(ode, "char_det", counting)
+    assert ode.delta_scale(P, periodic, lams, mesh) == want
+    assert sizes == [4]
+
+
 def test_bvp_degenerate_periodic(periodic):
     mesh = build_mesh(64, order=5)
     r = bvp_eigenfunction(PotentialMatrix.zero(), periodic, 2.0, mesh)

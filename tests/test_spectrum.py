@@ -191,13 +191,32 @@ def test_gamma_windings_match_sequential_product(pspec, form, request,
         assert winding_count(P, U, circ, mesh) == w == 2
 
 
+def _first_newton_run_fails(monkeypatch):
+    """Make localize's first Newton run report every iterate unconverged,
+    so that every pair is recovered by contour moments; later runs (the
+    polish of each recovered pair) go through.  Returns the seed count of
+    each run."""
+    inner = spectrum._newton
+    runs = []
+
+    def failing(P, U, mesh, seeds):
+        runs.append(seeds.size)
+        lam, conv = inner(P, U, mesh, seeds)
+        return lam, conv & (len(runs) > 1)
+
+    monkeypatch.setattr(spectrum, "_newton", failing)
+    return runs
+
+
 def test_only_windings_use_the_tree_product(const_potential, periodic,
                                             mesh96, monkeypatch):
     # contour rules use the pairwise product: the winding counts of the
     # radius search and of validation, and the moments of a recovered pair,
     # which read the values of its winding pass and evaluate no Delta;
     # Newton, the polish and the on-zero and acceptance checks keep the
-    # sequential product
+    # sequential product.  Newton finds these double zeros itself, so its
+    # first run is made to fail and every pair is recovered
+    _first_newton_run_fails(monkeypatch)
     calls = []                  # (inside a winding pass, tree) per char_det
     inside = [False]
     passes, moment_values = [], []
@@ -236,16 +255,19 @@ def test_pair_moments_reuse_nodes(const_potential, periodic, mesh96,
     # recovering the double zero sqrt(4 + c^2) evaluates Delta only at the
     # nodes of its winding pass, 26 on the tree product, and then at the
     # sequential Newton polish's [z, z + h, z - h] batches: the moments
-    # evaluate nothing of their own
+    # evaluate nothing of their own.  The polish halves its steps at this
+    # double zero; three batches in, the doubled step lands within roundoff
+    # (14 batches without it)
     root = np.sqrt(4.0 + 0.3 ** 2)
     pair = _recover_pair(const_potential, periodic, mesh96, root,
                          spectrum.DELTA)
     assert char_det_sizes[0] == (26, True)
     assert all(not tree and size % 3 == 0
                for size, tree in char_det_sizes[1:])
+    assert len(char_det_sizes[1:]) <= 4
     assert (32, False) not in char_det_sizes
     for z, polished in pair:
-        assert polished and abs(z - root) < 1e-7 * root
+        assert polished and abs(z - root) < 1e-12 * root
     # the moments of that pass are already within 1e-7 relative
     circ = Circle(complex(root), spectrum.DELTA)
     w, nodes, values = _winding_pass(const_potential, periodic, circ, mesh96)
@@ -379,6 +401,76 @@ def test_newton_iterates_each_distinct_seed_once(const_potential, periodic,
         assert conv1[0] == conv[i]
 
 
+def _plain_newton(P, U, mesh, seeds):
+    """Oracle: the Newton loop without the doubled step."""
+    lam, inverse = np.unique(seeds.astype(complex), return_inverse=True)
+    active = np.ones(lam.shape, dtype=bool)
+    for _ in range(spectrum.NEWTON_MAX_ITER):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        cur = lam[idx]
+        f, fp = spectrum._delta_and_slope(P, U, mesh, cur)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fp != 0, f / fp, 0.0)
+        mags = np.abs(step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clipped = step / mags * spectrum.NEWTON_MAX_STEP
+        step = np.where(mags > spectrum.NEWTON_MAX_STEP, clipped, step)
+        lam[idx] = cur - step
+        done = np.abs(step) < spectrum.NEWTON_TOL * np.maximum(1.0, np.abs(cur))
+        active[idx[done]] = False
+    return lam[inverse], ~active[inverse]
+
+
+def _localize_seeds(P, U, mesh, m):
+    spec0, gamma = localization_seeds(P, U, mesh)
+    return spec0.lambda0(np.arange(-2 * m, 2 * m + 2)).astype(complex) + gamma
+
+
+@pytest.mark.parametrize("pspec, form, m, tries", [
+    ({"family": "trig", "p2": [["sin", 1, [0.8, 0.1]], ["cos", 3, [0.2, 0.0]]],
+      "p3": [["cos", 2, [0.5, 0.0]]]}, "dirichlet", 6, 0),
+    ({"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+     "dirichlet", 6, 0),
+    (AP_TRIG, "antiperiodic", 3, 3),
+], ids=["dirichlet-trig", "dirichlet-power", "antiperiodic-trig"])
+def test_newton_matches_plain_loop_off_double_zeros(pspec, form, m, tries,
+                                                    request, char_det_sizes):
+    # simple zeros never see three halving steps in a row; three iterates
+    # on the split pairs of antiperiodic-trig do, and their doubled steps
+    # are rejected, so each goes on from its plain iterate and never tries
+    # again: bit for bit the plain loop, at the cost of one [z, z + h,
+    # z - h] per try
+    P, U = make_potential(pspec), request.getfixturevalue(form)
+    mesh = build_mesh(96, order=5, singular_points=P.singular_points)
+    seeds = _localize_seeds(P, U, mesh, m)
+    lam, conv = _newton(P, U, mesh, seeds)
+    used = sum(size for size, _ in char_det_sizes)
+    del char_det_sizes[:]
+    want, want_conv = _plain_newton(P, U, mesh, seeds)
+    assert lam.tobytes() == want.tobytes()
+    assert np.array_equal(conv, want_conv)
+    plain = sum(size for size, _ in char_det_sizes)
+    assert used == plain + 3 * tries
+
+
+def test_newton_is_quadratic_at_double_zeros(const_potential, periodic,
+                                             mesh96, char_det_sizes):
+    # the pairs k != 0 sit on the double zeros +-sqrt(4 k^2 + c^2), where
+    # plain Newton halves its steps: 630 lambda in 30 batches, 1e-11
+    # relative at best.  The doubled step takes 252 lambda and lands within
+    # roundoff
+    c = 0.3
+    seeds = _localize_seeds(const_potential, periodic, mesh96, 3)
+    lam, conv = _newton(const_potential, periodic, mesh96, seeds)
+    assert sum(size for size, _ in char_det_sizes) <= 300
+    for k in (-3, -2, -1, 1, 2, 3):
+        root = np.sign(k) * np.sqrt(4.0 * k ** 2 + c ** 2)
+        for i in (2 * k + 6, 2 * k + 7):
+            assert conv[i] and abs(lam[i] - root) < 1e-12 * abs(root)
+
+
 def test_localize_requires_regular_form(mesh96):
     bf = BoundaryMatrixPair(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(NotRegularError):
@@ -406,9 +498,9 @@ def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96,
     # so the pair at 0 splits into +-c and the pair at 2k sits at
     # +-sqrt(4 k^2 + c^2) as a genuine double eigenvalue
     c = 0.3
-    # the double zeros leave Newton iterates with |Delta| > ACCEPT_TOL, so
-    # localize probes the acceptance scale of its 14 seeds, once (a
-    # healthy localize never does: test_expansions)
+    # Newton fails on the split pair 0 and leaves iterates with
+    # |Delta| > ACCEPT_TOL, so localize probes the acceptance scale of its
+    # 14 seeds, once (a healthy localize never does: test_expansions)
     calls = []
     inner = ode.delta_scale
 
@@ -431,20 +523,20 @@ def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96,
 
 def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
                                           monkeypatch):
-    # every pair here is recovered by moments; force each Newton polish
-    # after localize's first run to fail, so each member keeps its moment
-    # estimate and says so
+    # localize's first run is made to fail, so every pair is recovered by
+    # moments; force each Newton polish after it to fail too, so each
+    # member keeps its moment estimate and says so
     normal = localize(const_potential, periodic, 3, mesh96)
     assert not any("polish" in d for d in normal.diagnostics)
     inner = spectrum._newton
     runs = []
 
-    def failing(P, U, mesh, seeds, **kw):
+    def failing(P, U, mesh, seeds):
         runs.append(seeds.size)
-        lam, conv = inner(P, U, mesh, seeds, **kw)
+        lam, _ = inner(P, U, mesh, seeds)
         if len(runs) > 1:
-            return seeds.astype(complex), np.zeros(seeds.shape, dtype=bool)
-        return lam, conv
+            lam = seeds.astype(complex)
+        return lam, np.zeros(seeds.shape, dtype=bool)
 
     monkeypatch.setattr(spectrum, "_newton", failing)
     eigs = localize(const_potential, periodic, 3, mesh96)
@@ -456,6 +548,17 @@ def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
     assert sum("recovered" in d for d in eigs.diagnostics) == 7
     for n, lam in eigs.values.items():
         assert abs(lam - normal.values[n]) < 1e-4
+
+
+def test_localize_evaluates_each_distinct_lambda_once(periodic, mesh96,
+                                                      char_det_sizes):
+    # the free periodic pairs are double, so the 14 seeds are 7 distinct:
+    # one Newton batch [z, z + h, z - h], the acceptance check on the 7
+    # distinct iterates, and the Delta' check of the 7 collapsed pairs at
+    # a + h and a - h only
+    eigs = localize(P0, periodic, 3, mesh96)
+    assert char_det_sizes == [(21, False), (7, False), (14, False)]
+    assert all(eigs.multiplicity[n] == 2 for n in eigs.values)
 
 
 def test_localize_antiperiodic_free(antiperiodic, mesh96):
