@@ -149,8 +149,9 @@ def _fill_root_vectors(P, U, lams, slots, mesh, out):
             # is singular and lstsq's cutoff drops its null direction
             DM = U.D @ mono
             Pmat, *_ = np.linalg.lstsq(U.C + DM, -DM, rcond=None)
-            out[row + len(funcs)] = _voc_apply(Pmat, Mn, mesh,
-                                               funcs[0].values)
+            out[row + len(funcs)] = _voc_apply(
+                Pmat, np.moveaxis(Mn, (-2, -1), (0, 1)), mesh,
+                funcs[0].values)
             roles.append("associated")
     return roles, residual
 
@@ -252,7 +253,9 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
 def partial_sum_contour(rs: RootSystem, f: GridFunction2,
                         m) -> GridFunction2:
     """Cross-check of partial_sum: sum of contour projectors over the
-    circles gamma_k, k in [-m, m]."""
+    circles gamma_k, k in [-m, m].  Raises ValueError for an m that
+    partial_sum refuses (negative, or above m_max)."""
+    rs.indices(m)
     spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
     fam = spectrum.contour_family(spec0, rs.eigs, validate=False)
     acc = np.zeros((2, rs.mesh.size), dtype=complex)

@@ -32,7 +32,8 @@ import numpy as np
 from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
     is_regular, minors, unperturbed_spectrum
 from .mesh import GridFunction2, Mesh, lp_norm
-from .ode import B_INV, _node_chunks, det2, fundamental_matrix, inv2
+from .ode import B_INV, EIG_CHUNK, FundamentalSolution, det2, \
+    fundamental_matrix, inv2, node_planes
 from .potentials import PotentialMatrix
 
 POLE_TOL = 1e-6
@@ -99,6 +100,8 @@ class GreenKernel:
     provenance: str                  # "explicit-G0" | "constructed"
     node_apply: Callable
     jump: np.ndarray = field(default_factory=lambda: np.diag([-1j, 1j]))
+    # the fundamental system a constructed kernel is built from; None for G0
+    solution: FundamentalSolution = None
 
     def apply(self, f: GridFunction2) -> GridFunction2:
         if not self.mesh.same_as(f.mesh):
@@ -184,10 +187,11 @@ def green0_kernel(U: BoundaryMatrixPair, lam, mesh: Mesh) -> GreenKernel:
 
 
 def _node_matvec(M, v):
-    """M(x_n) v(x_n) at every node, for M (..., N, 2, 2) and v (..., 2, N)
-    broadcast over their leading axes; returns (..., 2, N)."""
-    return np.stack([M[..., 0, 0] * v[..., 0, :] + M[..., 0, 1] * v[..., 1, :],
-                     M[..., 1, 0] * v[..., 0, :] + M[..., 1, 1] * v[..., 1, :]],
+    """M(x_n) v(x_n) at every node, for entry planes M (2, 2, ..., N) and v
+    (..., 2, N) broadcast over their middle and leading axes; returns
+    (..., 2, N)."""
+    return np.stack([M[0, 0] * v[..., 0, :] + M[0, 1] * v[..., 1, :],
+                     M[1, 0] * v[..., 0, :] + M[1, 1] * v[..., 1, :]],
                     axis=-2)
 
 
@@ -211,14 +215,16 @@ def _voc_apply(Pmat, Mn, mesh: Mesh, values):
         u(x) = M(x) [Pmat int_0^pi g + int_0^x g],   g = M^{-1} B^{-1} f,
 
     vectorized over a leading lambda axis: Pmat (..., 2, 2) from
-    _boundary_coefficients, node values Mn (..., N, 2, 2) and f (..., 2, N)
-    give (..., 2, N).  B^{-1} is diagonal, so it scales the rows of f, and
-    M^{-1} is applied as the adjugate of M over det M."""
+    _boundary_coefficients, node values Mn as entry planes (2, 2, ..., N)
+    and f (..., 2, N) give (..., 2, N).  B^{-1} is diagonal, so it scales
+    the rows of f, and M^{-1} is applied as the adjugate of M over det M.
+    Every operation is elementwise on the planes, so a plane view of
+    (..., N, 2, 2) memory gives the bits of its contiguous copy."""
     h = np.diagonal(B_INV)[:, None] * values
     h0, h1 = h[..., 0, :], h[..., 1, :]
-    d = det2(Mn)
-    g = np.stack([(Mn[..., 1, 1] * h0 - Mn[..., 0, 1] * h1) / d,
-                  (Mn[..., 0, 0] * h1 - Mn[..., 1, 0] * h0) / d], axis=-2)
+    d = Mn[0, 0] * Mn[1, 1] - Mn[0, 1] * Mn[1, 0]
+    g = np.stack([(Mn[1, 1] * h0 - Mn[0, 1] * h1) / d,
+                  (Mn[0, 0] * h1 - Mn[1, 0] * h0) / d], axis=-2)
     gcum = mesh.cumulative(g)
     inner = (Pmat @ mesh.integrate(g)[..., None])[..., 0]
     return _node_matvec(Mn, inner[..., None] + gcum)
@@ -227,18 +233,26 @@ def _voc_apply(Pmat, Mn, mesh: Mesh, values):
 def resolvent_sum(P: PotentialMatrix, U: BoundaryMatrixPair, lams, weights,
                   values, mesh: Mesh):
     """sum_l weights[l] R(lams[l]) f for the node values f (2, N), from
-    EIG_CHUNK lambdas per propagate call, each chunk with one batched solve
-    and one variation-of-constants apply; raises PoleError at the first
-    pole, in order."""
-    weights = np.asarray(weights, dtype=complex)
+    EIG_CHUNK lambdas per ode.node_planes call, each chunk with one batched
+    solve and one variation-of-constants apply; raises PoleError at the
+    first pole, in order, and ValueError unless there is one weight per
+    lambda and f is (2, N)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    weights = np.atleast_1d(np.asarray(weights, dtype=complex))
+    if weights.shape != lams.shape:
+        raise ValueError(f"resolvent_sum needs one weight per lambda; got "
+                         f"{weights.size} weights for {lams.size} lambdas")
+    if np.shape(values) != (2, mesh.size):
+        raise ValueError(f"resolvent_sum needs node values of shape "
+                         f"(2, {mesh.size}); got {np.shape(values)}")
     acc = np.zeros((2, mesh.size), dtype=complex)
-    start = 0
-    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
-        Pmat = _boundary_coefficients(U, chunk, Mb[:, -1])
-        w = weights[start:start + chunk.size]
-        acc += np.tensordot(w, _voc_apply(Pmat, Mn, mesh, values),
-                            axes=1)
-        start += chunk.size
+    for i in range(0, lams.size, EIG_CHUNK):
+        chunk = lams[i:i + EIG_CHUNK]
+        mono, Mn = node_planes(P, chunk, mesh)
+        Pmat = _boundary_coefficients(U, chunk,
+                                      np.moveaxis(mono, (0, 1), (-2, -1)))
+        acc += np.tensordot(weights[i:i + EIG_CHUNK],
+                            _voc_apply(Pmat, Mn, mesh, values), axes=1)
     return acc
 
 
@@ -259,10 +273,12 @@ def green_kernel(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
         return F.at(xs)[:, None] @ mid @ inv2(F.at(ts)) @ B_INV
 
     def node_apply(values):
-        return _voc_apply(Pmat, F.node_values, mesh, values)
+        return _voc_apply(Pmat, np.moveaxis(F.node_values, (-2, -1), (0, 1)),
+                          mesh, values)
 
     return GreenKernel(lam=F.lam, mesh=mesh, eval_grid=eval_grid,
-                       provenance="constructed", node_apply=node_apply)
+                       provenance="constructed", node_apply=node_apply,
+                       solution=F)
 
 
 def kernel_sup(K: GreenKernel):

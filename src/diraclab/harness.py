@@ -270,9 +270,13 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
                 f"nu={nu}) not admissible; norms recorded as observations")
     with _stage("metadata", timings):
         lam_probe = rs.eigs.values[0] + 0.5 + 2.0j
-        M_est = kernel_sup(green_kernel(P, U, lam_probe, mesh))
+        kernel = green_kernel(P, U, lam_probe, mesh)
+        M_est = kernel_sup(kernel)
+        # the Liouville identity on the probe's fundamental system
+        det_residual = kernel.solution.det_residual()
     metadata = {
         "M_est": M_est,
+        "det_residual": det_residual,
         "mesh_panels": mesh.n_panels,
         "mesh_order": mesh.order,
         "timings": timings,

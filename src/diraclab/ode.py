@@ -23,8 +23,9 @@ B_INV = np.diag([1j, -1j])
 IM_CAP = 50.0
 # |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
 ACCEPT_TOL = 1e-6
-# eigenvalues per propagate call in the batched eigenfunction core; bounds
-# the node matrices alive at once to a chunk
+# lambdas per call where node matrices are formed in batches (propagate in
+# the eigenfunction core, node_planes in resolvent_sum); bounds the node
+# matrices alive at once to a chunk
 EIG_CHUNK = 16
 # spectral parameters per propagate call in char_det; bounds the transfer
 # matrices alive at once, so that memory does not grow with the batch
@@ -405,31 +406,80 @@ def fundamental_matrix(P: PotentialMatrix, lam,
                                boundary_values=Mb[0], node_values=Mn[0])
 
 
-def _tree_monodromy(T):
-    """M(pi) = T[:, K-1] ... T[:, 0] for panel propagators T (L, K, 2, 2)
-    laid out as contiguous entry planes (_magnus_propagators without out),
-    as (L, 2, 2).  The panel axis is reduced pairwise in ceil(log2 K)
-    levels of plane products, the later panel of each pair on the left and
-    an odd last panel carried to the next level, so rounding grows with
+def _plane_product(a, b, out):
+    """a @ b for 2x2 matrices held as entry planes (2, 2) + S, broadcast
+    over S, written into out: entry (i, j) is
+    a[i, 0] * b[0, j] + a[i, 1] * b[1, j] in numpy's complex arithmetic."""
+    tmp = np.empty(out.shape[2:], dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            c = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=c)
+            np.multiply(a[i, 1], b[1, j], out=tmp)
+            np.add(c, tmp, out=c)
+    return out
+
+
+def _pairwise_levels(m):
+    """Reduction half of the pairwise prefix product of panel propagators m
+    (2, 2, ..., K), contiguous entry planes in panel order, yielded level
+    by level.  Level 0 is m; each next level multiplies the panels
+    (2i, 2i+1) of the one below, the later panel on the left, and carries
+    an odd last panel, so the last of the ceil(log2 K) + 1 levels holds the
+    one panel M(pi) = m[..., K-1] ... m[..., 0].  Rounding grows with
     log2 K rather than K; the bits differ from propagate's sequential
-    product."""
-    m = np.moveaxis(T, (-2, -1), (0, 1))
+    product.  A caller that keeps only the last level holds at most two
+    levels at once."""
+    yield m
     while m.shape[-1] > 1:
         k = m.shape[-1]
         h = k // 2
-        a, b = m[..., 1::2], m[..., 0:2 * h:2]
         nxt = np.empty(m.shape[:-1] + (k - h,), dtype=complex)
-        tmp = np.empty(a.shape[2:], dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                c = nxt[i, j, ..., :h]
-                np.multiply(a[i, 0], b[0, j], out=c)
-                np.multiply(a[i, 1], b[1, j], out=tmp)
-                np.add(c, tmp, out=c)
+        _plane_product(m[..., 1::2], m[..., 0:2 * h:2], nxt[..., :h])
         if k % 2:
             nxt[..., h] = m[..., -1]
+        yield nxt
         m = nxt
-    return np.moveaxis(m[..., 0], (0, 1), (-2, -1))
+
+
+def _pairwise_prefixes(levels):
+    """Down-sweep of the pairwise prefix product: from the list of levels
+    of _pairwise_levels, the products of all panels before each panel,
+    M(x_k) = m[..., k-1] ... m[..., 0] with M(x_0) = I, as (2, 2, ..., K)
+    planes.  Going down a level, panel 2i starts where its pair starts and
+    panel 2i+1 one panel later, so each level costs one plane product over
+    half its panels: about K products in all, at depth ceil(log2 K)."""
+    start = np.zeros(levels[-1].shape, dtype=complex)
+    start[0, 0] = start[1, 1] = 1.0
+    for m in reversed(levels[:-1]):
+        h = m.shape[-1] // 2
+        nxt = np.empty(m.shape, dtype=complex)
+        nxt[..., 0::2] = start
+        _plane_product(m[..., 0:2 * h:2], start[..., :h], nxt[..., 1::2])
+        start = nxt
+    return start
+
+
+def node_planes(P: PotentialMatrix, lams, mesh: Mesh):
+    """M(pi, lambda) (2, 2, L) and the node matrices M(x_j, lambda)
+    (2, 2, L, N) as contiguous entry planes, for a batch of lambdas (L,):
+    the panel exponentials, their pairwise prefix products at the panel
+    starts, the node sub-step exponentials and one plane product.  Values
+    agree with propagate's to roundoff, not bit for bit, so only callers
+    whose results carry no such bits use it: the resolvent's contour
+    nodes."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    _check_cap(lams)
+    panels, subs = propagation_terms(P, mesh)
+    levels = list(_pairwise_levels(_planes(_magnus_propagators(panels,
+                                                               lams))))
+    starts = _pairwise_prefixes(levels)
+    # sub-steps are (order, K) planes; the nodes run panel by panel
+    Mn = np.empty((2, 2, lams.size, mesh.n_panels, mesh.order),
+                  dtype=complex)
+    _plane_product(_planes(_magnus_propagators(subs, lams)),
+                   starts[..., None, :], Mn.swapaxes(-2, -1))
+    return levels[-1][..., 0], Mn.reshape(2, 2, lams.size, mesh.size)
 
 
 def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
@@ -437,12 +487,13 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
     """Characteristic determinant det(C + D M(pi, lambda)), propagated
     DET_CHUNK lambdas at a time; each value is independent of the batch.
 
-    With tree, M(pi) is the pairwise product of _tree_monodromy instead of
-    propagate's sequential one: faster, but not the same bits.  Contour
-    rules use it: winding counts, whose integer does not carry those bits,
-    and the moments of a recovered pair, which Newton then polishes; every
-    Delta that Newton iterates on, an acceptance check reads or a report
-    row holds keeps the sequential product."""
+    With tree, M(pi) is the reduction half of the pairwise prefix product
+    (_pairwise_levels) instead of propagate's sequential product: faster,
+    but not the same bits.  Contour rules use it: winding counts, whose
+    integer does not carry those bits, and the moments of a recovered pair,
+    which Newton then polishes; every Delta that Newton iterates on, an
+    acceptance check reads or a report row holds keeps the sequential
+    product."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     det = np.empty(lams.shape, dtype=complex)
@@ -451,7 +502,10 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
         chunk = lams[i:i + DET_CHUNK]
         if tree:
             _check_cap(chunk)
-            mono = _tree_monodromy(_magnus_propagators(panels, chunk))
+            for top in _pairwise_levels(_planes(_magnus_propagators(
+                    panels, chunk))):
+                pass
+            mono = np.moveaxis(top[..., 0], (0, 1), (-2, -1))
         else:
             Mb, _ = propagate(P, chunk, mesh, nodes=False)
             mono = Mb[:, -1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import diraclab.expansions as expansions
+import diraclab.green as green
 import diraclab.ode as ode
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
@@ -90,13 +91,13 @@ def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
     circ = Circle(0.5 * (e[0].lam + e[1].lam),
                   0.5 * abs(e[0].lam - e[1].lam) + 0.25)
     batches = []
-    inner = ode.propagate
+    inner = green.node_planes
 
-    def counting(P, lams, mesh, **kw):
+    def counting(P, lams, mesh):
         batches.append(np.asarray(lams))
-        return inner(P, lams, mesh, **kw)
+        return inner(P, lams, mesh)
 
-    monkeypatch.setattr(ode, "propagate", counting)
+    monkeypatch.setattr(green, "node_planes", counting)
     via_contour = projector_contour(const_potential, dirichlet, circ, f,
                                     mesh96)
     direct = (inner_product(f, e[0].z) * e[0].y.values
@@ -126,6 +127,21 @@ def test_partial_sum_contour_agreement(rs_const_m8, mesh96):
     direct = partial_sum(rs_const_m8, f, 1)
     via = partial_sum_contour(rs_const_m8, f, 1)
     assert lp_norm(via - direct, np.inf) < 1e-7
+
+
+def test_partial_sum_contour_refuses_m_as_partial_sum_does(rs_const_m8,
+                                                           mesh96,
+                                                           monkeypatch):
+    # m outside [0, m_max] raises partial_sum's ValueError before any
+    # contour work; a non-integer m raises partial_sum's TypeError
+    f = _f_smooth(mesh96)
+    monkeypatch.setattr(expansions, "localization_seeds", None)
+    for m, exc in ((-1, ValueError), (9, ValueError), (1.5, TypeError)):
+        with pytest.raises(exc) as want:
+            partial_sum(rs_const_m8, f, m)
+        with pytest.raises(exc) as got:
+            partial_sum_contour(rs_const_m8, f, m)
+        assert str(got.value) == str(want.value)
 
 
 def test_periodic_double_eigenvalues(periodic, const_potential, mesh96):

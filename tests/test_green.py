@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diraclab.green as green
 import diraclab.ode as ode
 from diraclab import (BoundaryMatrixPair, FundamentalSolution, GridFunction2,
                       NotRegularError, PoleError, PotentialMatrix, build_mesh,
@@ -40,6 +41,22 @@ def _oracle_constructed(P, U, lam, mesh, ts, xs):
     mid = Pmat[None] + (tb < xb)[:, None, None] * np.eye(2)[None]
     out = Mx @ mid @ inv2(Mt) @ B_INV[None]
     return out.reshape(shape + (2, 2))
+
+
+def _oracle_voc_apply(Pmat, Mn, mesh, values):
+    # variation of constants on (..., N, 2, 2) node matrices, as _voc_apply
+    # took them before it took entry planes
+    h = np.diagonal(B_INV)[:, None] * values
+    h0, h1 = h[..., 0, :], h[..., 1, :]
+    d = det2(Mn)
+    g = np.stack([(Mn[..., 1, 1] * h0 - Mn[..., 0, 1] * h1) / d,
+                  (Mn[..., 0, 0] * h1 - Mn[..., 1, 0] * h0) / d], axis=-2)
+    gcum = mesh.cumulative(g)
+    inner = (Pmat @ mesh.integrate(g)[..., None])[..., 0]
+    v = inner[..., None] + gcum
+    return np.stack([Mn[..., 0, 0] * v[..., 0, :] + Mn[..., 0, 1] * v[..., 1, :],
+                     Mn[..., 1, 0] * v[..., 0, :] + Mn[..., 1, 1] * v[..., 1, :]],
+                    axis=-2)
 
 
 def _oracle_g0_upper(U, lam, t, x):
@@ -199,7 +216,8 @@ def test_constructed_kernel_matches_oracle_bitwise(potential, lam, dirichlet,
                           _oracle_constructed(P, U, lam, mesh, ts, xs))
         F, Pmat = _oracle_boundary(P, U, lam, mesh)
         assert _same_bits(K.apply(f).values,
-                          _voc_apply(Pmat, F.node_values, mesh, f.values))
+                          _oracle_voc_apply(Pmat, F.node_values, mesh,
+                                            f.values))
         st, sx = _sup_grid()
         ref = _oracle_constructed(P, U, lam, mesh, st, sx)
         mask = np.abs(sx[:, None] - st[None, :]) > SUP_EXCLUDE
@@ -281,13 +299,13 @@ def test_resolvent_sum_matches_single_kernels(potential, dirichlet, mesh96,
     weights = np.exp(1j * np.linspace(0.0, 2.0, 40)) * np.linspace(1, 2, 40)
     f = _rand_f(mesh96, seed=7)
     calls = []
-    inner = ode.propagate
+    inner = green.node_planes
 
-    def counting(P, lams, mesh, **kw):
+    def counting(P, lams, mesh):
         calls.append(np.size(lams))
-        return inner(P, lams, mesh, **kw)
+        return inner(P, lams, mesh)
 
-    monkeypatch.setattr(ode, "propagate", counting)
+    monkeypatch.setattr(green, "node_planes", counting)
     batched = resolvent_sum(P, dirichlet, lams, weights, f.values, mesh96)
     assert calls == [16, 16, 8]
     monkeypatch.undo()
@@ -313,6 +331,39 @@ def test_resolvent_sum_pole_error_names_first_pole(dirichlet, mesh96):
     with pytest.raises(PoleError, match=r"Delta\(\(3-1e-09j\)\)"):
         resolvent_sum(P0, dirichlet, lams, np.ones(20), _rand_f(mesh96).values,
                       mesh96)
+
+
+def test_resolvent_sum_refuses_mismatched_weights_and_values(dirichlet,
+                                                             mesh96):
+    # one weight per lambda and f as (2, N), checked before any propagation
+    lams = np.linspace(-3.0, 3.0, 16) + 0.3j
+    f = _rand_f(mesh96).values
+    for n in (20, 12):
+        with pytest.raises(ValueError, match=f"{n} weights for 16 lambdas"):
+            resolvent_sum(P0, dirichlet, lams, np.ones(n), f, mesh96)
+    for bad in (f[0], f[:, :-1], f[None]):
+        with pytest.raises(ValueError, match=r"shape \(2, 480\)"):
+            resolvent_sum(P0, dirichlet, lams, np.ones(16), bad, mesh96)
+
+
+def test_voc_apply_on_plane_views_matches_oracle_bitwise(
+        full_trig_potential, dirichlet, periodic):
+    # plane views of (L, N, 2, 2) node matrices, as the Jordan chains and
+    # green_kernel pass them, and their contiguous copies give the bits of
+    # the apply on (L, N, 2, 2) matrices
+    mesh = build_mesh(64, order=5, singular_points=(1.1,))
+    lams = np.array(ORACLE_LAMS)
+    Mb, Mn = ode.propagate(full_trig_potential, lams, mesh)
+    f = _rand_f(mesh, seed=5).values
+    for U in (dirichlet, periodic):
+        Pmat = green._boundary_coefficients(U, lams, Mb[:, -1])
+        want = _oracle_voc_apply(Pmat, Mn, mesh, f)
+        view = np.moveaxis(Mn, (-2, -1), (0, 1))
+        assert _same_bits(_voc_apply(Pmat, view, mesh, f), want)
+        assert _same_bits(_voc_apply(Pmat, np.ascontiguousarray(view), mesh,
+                                     f), want)
+        assert _same_bits(_voc_apply(Pmat[1], view[:, :, 1], mesh, f),
+                          want[1])
 
 
 @pytest.mark.parametrize("y", [8.0, -8.0])

@@ -208,6 +208,8 @@ def test_run_equiconv_decay_and_verdicts():
     res = rep.metadata["delta_residual"]
     assert set(res) == {"operator", "comparison"}
     assert all(0.0 <= v <= 1e-6 for v in res.values())
+    # the Liouville residual of the M_est probe's fundamental system
+    assert 0.0 <= rep.metadata["det_residual"] < 1e-9
     assert set(rep.metadata["timings"]) == {
         "setup", "root_system", "comparison_system", "partial_sums",
         "metadata"}

@@ -513,25 +513,82 @@ TREE_LAMS = np.array([0.0, 0.4 + 0.2j, 3.7, -2.0 - 1.5j, 17.3 + 2.9j,
                       -39.5 + 0.3j])
 
 
+def _oracle_tree_monodromy(T):
+    # the pairwise reduction char_det(tree=True) used before the prefix
+    # routine, kept as its oracle: M(pi) = T[:, K-1] ... T[:, 0] for panel
+    # propagators T (L, K, 2, 2) on entry planes, the later panel of each
+    # pair on the left, an odd last panel carried
+    m = np.moveaxis(T, (-2, -1), (0, 1))
+    while m.shape[-1] > 1:
+        k = m.shape[-1]
+        h = k // 2
+        a, b = m[..., 1::2], m[..., 0:2 * h:2]
+        nxt = np.empty(m.shape[:-1] + (k - h,), dtype=complex)
+        tmp = np.empty(a.shape[2:], dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                c = nxt[i, j, ..., :h]
+                np.multiply(a[i, 0], b[0, j], out=c)
+                np.multiply(a[i, 1], b[1, j], out=tmp)
+                np.add(c, tmp, out=c)
+        if k % 2:
+            nxt[..., h] = m[..., -1]
+        m = nxt
+    return np.moveaxis(m[..., 0], (0, 1), (-2, -1))
+
+
 @pytest.mark.parametrize("name, panels, graded", [
     (name, panels, False) for name in sorted(TREE_POTENTIALS)
     for panels in (1, 2, 3, 128)] + [("power", 128, True)])
 def test_tree_monodromy_matches_sequential_product(name, panels, graded):
-    # pairwise reduction with odd panels carried: the same M(pi) as the
-    # sequential loop up to roundoff; graded is the 169-panel power mesh
+    # the reduction half of the prefix routine gives the old pairwise M(pi)
+    # bit for bit, and the sequential loop's up to roundoff; graded is the
+    # 169-panel power mesh
     P = make_potential(TREE_POTENTIALS[name])
     mesh = build_mesh(panels, order=5, singular_points=(
         P.singular_points if graded else ()))
     assert mesh.n_panels == (169 if graded else panels)
     panel_terms, _ = ode.propagation_terms(P, mesh, nodes=False)
     T = ode._magnus_propagators(panel_terms, TREE_LAMS)
-    got = ode._tree_monodromy(T)
+    levels = list(ode._pairwise_levels(ode._planes(T)))
+    got = np.moveaxis(levels[-1][..., 0], (0, 1), (-2, -1))
+    assert len(levels) == 1 + int(np.ceil(np.log2(mesh.n_panels)))
+    assert _same_bits(got, _oracle_tree_monodromy(T))
     want = propagate(P, TREE_LAMS, mesh, nodes=False)[0][:, -1]
     assert got.shape == want.shape == (TREE_LAMS.size, 2, 2)
     scale = np.max(np.abs(want), axis=(1, 2))
     assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * scale)
     if panels == 1:
         assert _same_bits(got, T[:, 0])
+
+
+@pytest.mark.parametrize("name, panels, graded", [
+    (name, panels, False) for name in sorted(TREE_POTENTIALS)
+    for panels in (1, 3, 128)] + [("power", 128, True)])
+def test_node_planes_match_propagate(name, panels, graded):
+    # pairwise prefixes at every panel start and the node matrices built on
+    # them agree with propagate's sequential loop to 1e-13 of max |M|; the
+    # graded case is the 169-panel power mesh
+    P = make_potential(TREE_POTENTIALS[name])
+    mesh = build_mesh(panels, order=5, singular_points=(
+        P.singular_points if graded else ()))
+    panel_terms, _ = ode.propagation_terms(P, mesh, nodes=False)
+    levels = list(ode._pairwise_levels(ode._planes(
+        ode._magnus_propagators(panel_terms, TREE_LAMS))))
+    starts = np.moveaxis(ode._pairwise_prefixes(levels), (0, 1), (-2, -1))
+    mono, Mn = ode.node_planes(P, TREE_LAMS, mesh)
+    Mb, Mn_seq = propagate(P, TREE_LAMS, mesh)
+    assert starts.shape == Mb[:, :-1].shape
+    assert mono.shape == (2, 2, TREE_LAMS.size)
+    assert Mn.shape == (2, 2, TREE_LAMS.size, mesh.size)
+    assert np.all(starts[:, 0] == np.eye(2))
+    assert _same_bits(mono, levels[-1][..., 0])
+    scale = np.max(np.abs(Mb), axis=(1, 2, 3))[:, None, None, None]
+    assert np.all(np.abs(starts - Mb[:, :-1]) <= 1e-13 * scale)
+    Mn = np.moveaxis(Mn, (0, 1), (-2, -1))
+    assert np.all(np.abs(Mn - Mn_seq) <= 1e-13 * scale)
+    with pytest.raises(OverflowCapError):
+        ode.node_planes(P, [1.0, 2.0 + 50.5j], mesh)
 
 
 def test_char_det_tree_matches_sequential(trig_potential, periodic,
