@@ -22,7 +22,7 @@ from .ode import (FundamentalSolution, NotAnEigenvalueError, OverflowCapError,
 from .potentials import (GaugeReduction, PotentialMatrix, ScalarFunction,
                          comparison_operator, gauge_reduce, make_potential)
 from .spectrum import (CLUSTER_TOL, Circle, ContourError, ContourFamily,
-                       EigenvalueList, RectContour, contour_family, localize,
-                       localization_seeds, winding_count)
+                       EigenvalueList, Ellipse, RectContour, contour_family,
+                       localize, localization_seeds, winding_count)
 
 __version__ = "0.1.0"

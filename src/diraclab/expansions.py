@@ -7,9 +7,10 @@ each eigenvalue cluster.  The partial sum
 
     S_m f = sum_{n=-2m}^{2m+1} <f, z_n> y_n
 
-then coincides with the sum of Riesz projectors over the first clusters,
-which :func:`projector_contour` cross-checks by direct contour integration
-of the resolvent.
+then coincides with the Riesz projector over the rectangle Gamma_m around
+the first 2m+1 clusters, which :func:`partial_sum_contour` cross-checks by
+integrating the resolvent with :func:`projector_contour` on the ellipse
+inscribed in Gamma_m.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .ode import eigenfunctions
 from .green import green_kernel  # noqa: F401
 from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
-from .spectrum import CLUSTER_TOL, Circle, ContourError, EigenvalueList, \
+from .spectrum import CLUSTER_TOL, ContourError, Ellipse, EigenvalueList, \
     localization_seeds, localize, trapezoid_angles
 # contour_family is looked up on its module at each call, where
 # bench/spans.py wraps it
@@ -72,6 +73,9 @@ class RootSystem:
 
     def indices(self, m=None):
         m = self.m_max if m is None else m
+        if int(m) != m:
+            raise ValueError(f"m={m!r} is not an integer")
+        m = int(m)
         if m > self.m_max:
             raise ValueError(f"m={m} exceeds stored range m_max={self.m_max}")
         if m < 0:
@@ -220,11 +224,12 @@ def partial_sum(rs: RootSystem, f: GridFunction2, m=None) -> GridFunction2:
     return GridFunction2(rs.mesh, acc)
 
 
-def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
-                      contour: Circle, f: GridFunction2,
-                      mesh: Mesh) -> GridFunction2:
+def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
+                      f: GridFunction2, mesh: Mesh) -> GridFunction2:
     """Riesz projector -(1/2 pi i) contour-integral of (L - lambda)^{-1} f
-    by the trapezoid rule with node doubling from 32 nodes.
+    by the trapezoid rule in theta with node doubling from 32 nodes, on a
+    contour whose at(theta) gives its nodes z(theta) and z'(theta)
+    (Circle, Ellipse).
 
     The nodes at n are the even nodes at 2n, so each doubling adds only the
     new odd nodes to a running sum, through one resolvent_sum call per
@@ -237,9 +242,7 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
         theta = trapezoid_angles(n)
         if level:
             theta = theta[1::2]     # the even nodes are in acc already
-        unit = np.exp(1j * theta)
-        acc += resolvent_sum(P, U, contour.center + contour.radius * unit,
-                             1j * contour.radius * unit, f.values, mesh)
+        acc += resolvent_sum(P, U, *contour.at(theta), f.values, mesh)
         cur = -acc / (1j * n)
         if prev is not None and np.max(np.abs(cur - prev)) < PROJECTOR_TOL:
             return GridFunction2(mesh, cur)
@@ -252,14 +255,24 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair,
 
 def partial_sum_contour(rs: RootSystem, f: GridFunction2,
                         m) -> GridFunction2:
-    """Cross-check of partial_sum: sum of contour projectors over the
-    circles gamma_k, k in [-m, m].  Raises ValueError for an m that
-    partial_sum refuses (negative, or above m_max)."""
-    rs.indices(m)
+    """Cross-check of partial_sum: the Riesz projector over Gamma_m, one
+    projector_contour call on the ellipse inscribed in Gamma_m's rectangle
+    (Ellipse.inscribed), where the trapezoid rule converges geometrically
+    in the distance to the nearest eigenvalue.  Raises ValueError for an m
+    that partial_sum refuses, and ContourError, before any resolvent is
+    evaluated, when the ellipse leaves out an eigenvalue of an index in
+    [-2m, 2m+1] or encloses any other stored one."""
+    idx = rs.indices(m)
     spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
     fam = spectrum.contour_family(spec0, rs.eigs, validate=False)
-    acc = np.zeros((2, rs.mesh.size), dtype=complex)
-    for k in range(-m, m + 1):
-        acc += projector_contour(rs.potential, rs.form, fam.gammas[k], f,
-                                 rs.mesh).values
-    return GridFunction2(rs.mesh, acc)
+    m = idx[-1] // 2                # an integral float m as its int
+    ellipse = Ellipse.inscribed(fam.big_contour(m))
+    ns = np.array(sorted(rs.eigs.values))
+    inside = ellipse.contains([rs.eigs.values[n] for n in ns])
+    wanted = (ns >= idx[0]) & (ns <= idx[-1])
+    if np.any(inside != wanted):
+        raise ContourError(
+            f"{ellipse} around Gamma_{m} leaves out lambda_n for n in "
+            f"{ns[wanted & ~inside].tolist()} and encloses lambda_n for n "
+            f"in {ns[inside & ~wanted].tolist()}")
+    return projector_contour(rs.potential, rs.form, ellipse, f, rs.mesh)

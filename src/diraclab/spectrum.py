@@ -52,6 +52,11 @@ class Circle:
     center: complex
     radius: float
 
+    def at(self, theta):
+        """z(theta) = center + radius e^(i theta) and z'(theta)."""
+        unit = np.exp(1j * theta)
+        return self.center + self.radius * unit, 1j * self.radius * unit
+
     def points(self, n):
         return self.center + self.radius * np.exp(1j * trapezoid_angles(n))
 
@@ -91,6 +96,33 @@ class RectContour:
         z = np.asarray(z)
         return ((z.real > self.re_min) & (z.real < self.re_max)
                 & (np.abs(z.imag) < self.im_half))
+
+
+@dataclass(frozen=True)
+class Ellipse:
+    """center + a cos(theta) + i b sin(theta), axes along the real and
+    imaginary directions."""
+    center: float
+    a: float
+    b: float
+
+    @classmethod
+    def inscribed(cls, rect: RectContour):
+        """The ellipse inscribed in rect: its ends touch the vertical sides
+        on the real axis, its top and bottom the horizontal sides."""
+        return cls(0.5 * (rect.re_min + rect.re_max),
+                   0.5 * (rect.re_max - rect.re_min), rect.im_half)
+
+    def at(self, theta):
+        """z(theta) and z'(theta)."""
+        c, s = np.cos(theta), np.sin(theta)
+        return (self.center + self.a * c + 1j * self.b * s,
+                -self.a * s + 1j * self.b * c)
+
+    def contains(self, z):
+        z = np.asarray(z)
+        u, v = (z.real - self.center) / self.a, z.imag / self.b
+        return u * u + v * v < 1.0
 
 
 def trapezoid_angles(n):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 import diraclab.expansions as expansions
 import diraclab.green as green
 import diraclab.ode as ode
+import diraclab.spectrum as spectrum
 from diraclab import (Circle, ContourError, GridFunction2,
                       NotAnEigenvalueError, PotentialMatrix, RootSystemError,
                       adjoint_pair, build_mesh, bvp_eigenfunction,
                       expansion_coefficients, fundamental_matrix,
-                      gauge_reduce, inner_product, localize, lp_norm,
-                      make_potential, partial_sum, partial_sum_contour,
-                      projector_contour, root_system)
+                      gauge_reduce, inner_product, localization_seeds,
+                      localize, lp_norm, make_potential, partial_sum,
+                      partial_sum_contour, projector_contour, root_system)
 from diraclab.ode import B_INV, inv2
 
 PI = np.pi
@@ -40,6 +42,11 @@ def test_indices_range_guard(rs_free_m8):
     with pytest.raises(ValueError):
         rs_free_m8.indices(-1)
     assert list(rs_free_m8.indices(0)) == [0, 1]
+    # an integral float is that integer; any other m is refused by name
+    assert rs_free_m8.indices(2.0) == rs_free_m8.indices(2)
+    for m in (1.5, "2"):
+        with pytest.raises(ValueError, match=f"m={m!r} is not an integer"):
+            rs_free_m8.indices(m)
 
 
 def test_root_system_rejects_negative_m_max(dirichlet, mesh96):
@@ -83,6 +90,18 @@ def test_projector_idempotent_and_orthogonal(rs_const_m8, mesh96):
     assert outside < 1e-9
 
 
+def _record_nodes(monkeypatch):
+    batches = []
+    inner = green.node_planes
+
+    def recording(P, lams, mesh):
+        batches.append(np.asarray(lams))
+        return inner(P, lams, mesh)
+
+    monkeypatch.setattr(green, "node_planes", recording)
+    return batches
+
+
 def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
                                                 const_potential, dirichlet,
                                                 monkeypatch):
@@ -90,14 +109,7 @@ def test_contour_projector_matches_biorthogonal(rs_const_m8, mesh96,
     e = rs_const_m8.entries
     circ = Circle(0.5 * (e[0].lam + e[1].lam),
                   0.5 * abs(e[0].lam - e[1].lam) + 0.25)
-    batches = []
-    inner = green.node_planes
-
-    def counting(P, lams, mesh):
-        batches.append(np.asarray(lams))
-        return inner(P, lams, mesh)
-
-    monkeypatch.setattr(green, "node_planes", counting)
+    batches = _record_nodes(monkeypatch)
     via_contour = projector_contour(const_potential, dirichlet, circ, f,
                                     mesh96)
     direct = (inner_product(f, e[0].z) * e[0].y.values
@@ -132,16 +144,112 @@ def test_partial_sum_contour_agreement(rs_const_m8, mesh96):
 def test_partial_sum_contour_refuses_m_as_partial_sum_does(rs_const_m8,
                                                            mesh96,
                                                            monkeypatch):
-    # m outside [0, m_max] raises partial_sum's ValueError before any
-    # contour work; a non-integer m raises partial_sum's TypeError
+    # m outside [0, m_max], or a non-integer m, raises partial_sum's
+    # ValueError before any contour work
     f = _f_smooth(mesh96)
     monkeypatch.setattr(expansions, "localization_seeds", None)
-    for m, exc in ((-1, ValueError), (9, ValueError), (1.5, TypeError)):
-        with pytest.raises(exc) as want:
+    for m in (-1, 9, 1.5):
+        with pytest.raises(ValueError) as want:
             partial_sum(rs_const_m8, f, m)
-        with pytest.raises(exc) as got:
+        with pytest.raises(ValueError) as got:
             partial_sum_contour(rs_const_m8, f, m)
         assert str(got.value) == str(want.value)
+
+
+def _circle_sum(rs, f, m):
+    """Oracle of partial_sum_contour: S_m f as the sum of the projectors
+    over the circles gamma_k, k in [-m, m], one contour per pair."""
+    spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
+    fam = spectrum.contour_family(spec0, rs.eigs, validate=False)
+    return sum(projector_contour(rs.potential, rs.form, fam.gammas[k], f,
+                                 rs.mesh).values for k in range(-m, m + 1))
+
+
+@pytest.fixture(scope="module")
+def rs_power_graded(dirichlet):
+    # the graded 169-panel mesh of the power potential
+    P = make_potential({"family": "power", "alpha": 0.4, "x0": 1.1,
+                        "amplitude": 0.5})
+    mesh = build_mesh(128, order=5, singular_points=P.singular_points)
+    assert mesh.n_panels == 169
+    return root_system(P, dirichlet, 4, mesh)
+
+
+@pytest.fixture(scope="module")
+def rs_const128(const_potential, dirichlet, mesh128):
+    return root_system(const_potential, dirichlet, 4, mesh128)
+
+
+@pytest.mark.parametrize("system", ["rs_power_graded", "rs_const128"])
+def test_partial_sum_contour_matches_circle_sum(system, request):
+    rs = request.getfixturevalue(system)
+    f = _f_smooth(rs.mesh)
+    for m in (0, 1, 2):
+        oracle = _circle_sum(rs, f, m)
+        got = partial_sum_contour(rs, f, m).values
+        assert np.max(np.abs(got - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+
+def test_partial_sum_contour_is_one_projector_call(rs_const128, monkeypatch):
+    # one ellipse around Gamma_2 accepts at 256 nodes, each propagated
+    # once, where the five circles gamma_k took 640
+    batches = _record_nodes(monkeypatch)
+    calls = []
+    inner = expansions.projector_contour
+
+    def counting(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(expansions, "projector_contour", counting)
+    partial_sum_contour(rs_const128, _f_smooth(rs_const128.mesh), 2)
+    assert [type(c) for c in calls] == [spectrum.Ellipse]
+    nodes = np.concatenate(batches).tolist()
+    assert len(nodes) == 256 == len(set(nodes))
+
+
+def test_partial_sum_contour_matches_partial_sum_at_m_max(rs_const_m8,
+                                                          mesh96):
+    f = _f_smooth(mesh96)
+    direct = partial_sum(rs_const_m8, f, 8).values
+    via = partial_sum_contour(rs_const_m8, f, 8).values
+    assert np.max(np.abs(via - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_ellipse_is_inscribed_in_gamma_m(rs_const128):
+    rs = rs_const128
+    spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
+    rect = spectrum.contour_family(spec0, rs.eigs,
+                                   validate=False).big_contour(2)
+    ellipse = spectrum.Ellipse.inscribed(rect)
+    ends = ellipse.at(np.array([0.0, 0.5 * PI, PI, 1.5 * PI]))[0]
+    want = [rect.re_max, ellipse.center + 1j * rect.im_half, rect.re_min,
+            ellipse.center - 1j * rect.im_half]
+    assert np.allclose(ends, want, rtol=0.0, atol=1e-14)
+    # the derivative the trapezoid rule weights by, against a difference
+    theta, h = np.linspace(0.1, 6.0, 7), 1e-6
+    diff = (ellipse.at(theta + h)[0] - ellipse.at(theta - h)[0]) / (2 * h)
+    assert np.allclose(ellipse.at(theta)[1], diff, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n, move, phrase", [
+    # lambda_5 closes Gamma_2 on the right; lifted by 3i it sits in the
+    # rectangle's corner, outside the ellipse
+    (5, lambda v: v[5] + 3j, "leaves out lambda_n for n in [5]"),
+    # lambda_6 moved onto lambda_1, in the middle of the ellipse
+    (6, lambda v: v[1], "encloses lambda_n for n in [6]"),
+], ids=["inner-left-out", "outer-enclosed"])
+def test_partial_sum_contour_checks_containment_first(rs_const128, n, move,
+                                                      phrase, monkeypatch):
+    rs = rs_const128
+    values = dict(rs.eigs.values)
+    values[n] = move(values)
+    moved = dataclasses.replace(rs, eigs=dataclasses.replace(rs.eigs,
+                                                             values=values))
+    batches = _record_nodes(monkeypatch)
+    with pytest.raises(ContourError, match=re.escape(phrase)):
+        partial_sum_contour(moved, _f_smooth(rs.mesh), 2)
+    assert batches == []
 
 
 def test_periodic_double_eigenvalues(periodic, const_potential, mesh96):
