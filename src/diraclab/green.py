@@ -327,17 +327,17 @@ def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
     """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
     fit the decay exponent in y (expected -1 + 1/mu - 1/nu).  Each kernel
     is applied to the whole battery at once.  Raises ValueError unless
-    1 <= mu <= nu (so neither is NaN) and y_list holds only positive values,
-    two or more distinct."""
+    1 <= mu <= nu (so neither is NaN) and y_list holds only positive finite
+    values, two or more distinct."""
     for name, v in (("mu", mu), ("nu", nu)):
         if not v >= 1.0:
             raise ValueError(f"{name} must be >= 1 or inf; got {v!r}")
     if nu < mu:
         raise ValueError("requires 1 <= mu <= nu <= infinity")
     ys = np.asarray(y_list, dtype=float)
-    if not np.all(ys > 0.0) or np.unique(ys).size < 2:
-        raise ValueError(f"y_list must hold positive values, at least two "
-                         f"of them distinct; got {list(y_list)}")
+    if not np.all((ys > 0.0) & np.isfinite(ys)) or np.unique(ys).size < 2:
+        raise ValueError(f"y_list must hold positive finite values, at least "
+                         f"two of them distinct; got {list(y_list)}")
     battery = _test_battery(mesh)
     norms_mu = [lp_norm(GridFunction2(mesh, f), mu) for f in battery]
     ests = np.empty(ys.size)

@@ -156,6 +156,14 @@ class EquiconvReport:
     metadata: dict
 
 
+def _component(spec):
+    """The component, 0 or 1, that a bump or power function fills."""
+    comp = spec.get("component", 0)
+    if comp not in (0, 1):
+        raise ValueError(f"component must be 0 or 1; got {comp!r}")
+    return int(comp)
+
+
 def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     """Test functions f = (f1, f2) on the mesh.
 
@@ -187,7 +195,9 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     if family == "bump":
         c = float(spec.get("center", np.pi / 2))
         w = float(spec.get("width", np.pi / 8))
-        comp = int(spec.get("component", 0))
+        if not w > 0.0:
+            raise ValueError(f"bump width must be positive; got {w!r}")
+        comp = _component(spec)
         ind = ((x > c - w / 2) & (x < c + w / 2)).astype(complex)
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = ind
@@ -195,7 +205,7 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     if family == "power":
         eps = float(spec.get("eps", 0.05))
         x0 = float(spec.get("x0", np.pi / 3))
-        comp = int(spec.get("component", 0))
+        comp = _component(spec)
         alpha = (0.0 if mu == np.inf else 1.0 / float(mu)) - eps
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = np.abs(x - x0) ** (-alpha)

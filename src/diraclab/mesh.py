@@ -37,7 +37,6 @@ def _reference_panel(order):
     ])
     # Wpart[j, i] = integral of the i-th Lagrange basis over [-1, xi_j]
     wpart = np.zeros((order, order))
-    wfull = np.zeros(order)
     for i in range(order):
         c = np.array([1.0])
         for j in range(order):
@@ -46,7 +45,6 @@ def _reference_panel(order):
         c = c / npoly.polyval(xi[i], c)
         ci = npoly.polyint(c)
         wpart[:, i] = npoly.polyval(xi, ci) - npoly.polyval(-1.0, ci)
-        wfull[i] = npoly.polyval(1.0, ci) - npoly.polyval(-1.0, ci)
     # Lagrange differentiation matrix at the nodes
     diff = np.zeros((order, order))
     for j in range(order):

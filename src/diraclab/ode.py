@@ -24,7 +24,7 @@ IM_CAP = 50.0
 # |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
 ACCEPT_TOL = 1e-6
 # lambdas per call where node matrices are formed in batches (propagate in
-# the eigenfunction core, node_planes in resolvent_sum); bounds the node
+# eigenfunctions, node_planes in green.resolvent_sum); bounds the node
 # matrices alive at once to a chunk
 EIG_CHUNK = 16
 # spectral parameters per propagate call in char_det; bounds the transfer
@@ -183,18 +183,14 @@ def _planes(M):
     return np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
 
 
-def _magnus_propagators(terms: _MagnusTerms, lams, out=None):
+def _magnus_propagators(terms: _MagnusTerms, lams):
     """Fourth-order Magnus propagators exp(Omega) for each lambda (L,) over
-    the intervals of terms, as (L,) + S + (2, 2), written into out when
-    given.  Without out, the result is a view whose entries [..., i, j]
-    are contiguous planes; a 2x2 block of it is not contiguous, so it is
-    for elementwise use (mul2), not for np.matmul, which would leave BLAS
-    and round differently.
+    the intervals of terms, as contiguous entry planes (2, 2, L) + S.  A
+    caller that multiplies them by np.matmul first copies them into
+    contiguous (..., 2, 2) blocks: BLAS rounds other layouts differently.
 
     Where terms hold distinct columns, Omega and its exponential are formed
-    on those columns only and copied to their intervals by one np.take;
-    the copy is free of temporaries when out is None or a view of C-order
-    S + (L, 2, 2) memory, as propagate's panel-major T is."""
+    on those columns only and copied to their intervals by one np.take."""
     il = 1j * np.asarray(lams, dtype=complex)
     shape = il.shape + terms.s.shape
     il = il.reshape(il.shape + (1,) * terms.s.ndim)
@@ -209,22 +205,13 @@ def _magnus_propagators(terms: _MagnusTerms, lams, out=None):
             np.add(tmp, terms.comm0[i, j], out=tmp)
             np.multiply(terms.c4ss, tmp, out=tmp)
             np.add(o, tmp, out=o)
-    planes = omega.reshape((4,) + shape)
+    _expm2_planes(*omega.reshape((4,) + shape),
+                  np.moveaxis(omega, (0, 1), (-2, -1)))
     if terms.index is None:
-        if out is None:
-            out = np.moveaxis(omega, (0, 1), (-2, -1))
-        return _expm2_planes(*planes, out)
-    # mode="clip": with the default "raise", np.take buffers out; every
-    # index is in range, so clipping changes nothing
-    if out is None:
-        _expm2_planes(*planes, np.moveaxis(omega, (0, 1), (-2, -1)))
-        full = np.take(omega, terms.index, axis=-1, mode="clip")
-        return np.moveaxis(full, (0, 1), (-2, -1))
-    cols = np.empty(terms.s.shape + il.shape[:1] + (2, 2), dtype=complex)
-    _expm2_planes(*planes, np.moveaxis(cols, 0, 1))
-    np.take(cols, terms.index, axis=0, out=np.moveaxis(out, 0, -3),
-            mode="clip")
-    return out
+        return omega
+    # every index is in range, so clipping changes nothing; it is cheaper
+    # than the default mode's bounds check
+    return np.take(omega, terms.index, axis=-1, mode="clip")
 
 
 def _expm2_planes(m00, m01, m10, m11, out):
@@ -336,8 +323,8 @@ def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     L = lams.size
     # panel-major, so that each step reads and writes contiguous slabs,
     # one zgemm per 2x2 product as in any layout
-    T = np.empty((K, L, 2, 2), dtype=complex)
-    _magnus_propagators(panels, lams, out=T.swapaxes(0, 1))
+    T = np.ascontiguousarray(
+        _magnus_propagators(panels, lams).transpose(3, 2, 0, 1))
     Mb = np.empty((K + 1, L, 2, 2), dtype=complex)
     Mb[0] = np.eye(2)
     for k in range(K):
@@ -346,8 +333,8 @@ def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     if not nodes:
         return Mb, None
     Mn = np.empty((L, K, mesh.order, 2, 2), dtype=complex)
-    mul2(_magnus_propagators(subs, lams), Mb[:, None, :-1],
-         out=Mn.swapaxes(1, 2))
+    mul2(np.moveaxis(_magnus_propagators(subs, lams), (0, 1), (-2, -1)),
+         Mb[:, None, :-1], out=Mn.swapaxes(1, 2))
     return Mb, Mn.reshape(L, mesh.size, 2, 2)
 
 
@@ -373,8 +360,8 @@ class FundamentalSolution:
         k = self.mesh.panel_of(x)
         a = self.mesh.breaks[k]
         terms = _magnus_terms(self.potential, a, x - a)
-        T = _magnus_propagators(terms, np.array([self.lam]),
-                                out=np.empty((1, x.size, 2, 2), complex))[0]
+        T = np.ascontiguousarray(np.moveaxis(
+            _magnus_propagators(terms, [self.lam])[:, :, 0], (0, 1), (-2, -1)))
         out = T @ self.boundary_values[k]
         return out[0] if scalar else out
 
@@ -385,16 +372,6 @@ class FundamentalSolution:
         trace = 1j * (self.potential.p4(x) - self.potential.p1(x))
         target = np.exp(self.mesh.cumulative(trace))
         return float(np.max(np.abs(det2(self.node_values) - target)))
-
-
-def _node_chunks(P: PotentialMatrix, lams, mesh: Mesh):
-    """(chunk, Mb, Mn) for EIG_CHUNK lambdas per propagate(nodes=True)
-    call, in order."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    for i in range(0, lams.size, EIG_CHUNK):
-        chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
-        yield chunk, Mb, Mn
 
 
 def fundamental_matrix(P: PotentialMatrix, lam,
@@ -471,14 +448,13 @@ def node_planes(P: PotentialMatrix, lams, mesh: Mesh):
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _check_cap(lams)
     panels, subs = propagation_terms(P, mesh)
-    levels = list(_pairwise_levels(_planes(_magnus_propagators(panels,
-                                                               lams))))
+    levels = list(_pairwise_levels(_magnus_propagators(panels, lams)))
     starts = _pairwise_prefixes(levels)
     # sub-steps are (order, K) planes; the nodes run panel by panel
     Mn = np.empty((2, 2, lams.size, mesh.n_panels, mesh.order),
                   dtype=complex)
-    _plane_product(_planes(_magnus_propagators(subs, lams)),
-                   starts[..., None, :], Mn.swapaxes(-2, -1))
+    _plane_product(_magnus_propagators(subs, lams), starts[..., None, :],
+                   Mn.swapaxes(-2, -1))
     return levels[-1][..., 0], Mn.reshape(2, 2, lams.size, mesh.size)
 
 
@@ -502,8 +478,7 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
         chunk = lams[i:i + DET_CHUNK]
         if tree:
             _check_cap(chunk)
-            for top in _pairwise_levels(_planes(_magnus_propagators(
-                    panels, chunk))):
+            for top in _pairwise_levels(_magnus_propagators(panels, chunk)):
                 pass
             mono = np.moveaxis(top[..., 0], (0, 1), (-2, -1))
         else:
@@ -583,7 +558,10 @@ def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
     |Delta(lambda)| exceeds ACCEPT_TOL (AcceptanceScale).
     """
     scale = AcceptanceScale(P, U, scale_lams, mesh)
-    for chunk, Mb, Mn in _node_chunks(P, lams, mesh):
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    for i in range(0, lams.size, EIG_CHUNK):
+        chunk = lams[i:i + EIG_CHUNK]
+        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
         mono = Mb[:, -1]
         T = U.C[None] + U.D[None] @ mono
         dets = det2(T)

@@ -426,6 +426,14 @@ def test_opnorm_scaling_rejects_nonpositive_y(dirichlet, mesh96):
             opnorm_scaling(dirichlet, 1.0, 2.0, ys, mesh=mesh96)
 
 
+def test_opnorm_scaling_rejects_non_finite_y(dirichlet, mesh96):
+    # y = inf overflows the kernel and then fails in np.polyfit with an
+    # SVD that does not converge; nan compares false with 0 as well
+    for ys in ([4.0, 8.0, np.inf], [4.0, np.nan, 8.0]):
+        with pytest.raises(ValueError, match="positive finite values"):
+            opnorm_scaling(dirichlet, 1.0, 2.0, ys, mesh=mesh96)
+
+
 def test_opnorm_scaling_rejects_fewer_than_two_distinct_y(dirichlet, mesh96):
     # one y leaves the slope undetermined
     for ys in ([8.0], [8.0, 8.0]):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ def test_make_function_families(mesh96, dirichlet):
     assert not np.array_equal(r1.values, r3.values)
     with pytest.raises(ValueError):
         make_function({"family": "spline"}, mesh96)
+
+
+@pytest.mark.parametrize("spec, message", [
+    *[({"family": family, "component": comp},
+       f"component must be 0 or 1; got {comp}")
+      for family in ("bump", "power") for comp in (-1, 2)],
+    *[({"family": "bump", "width": w}, f"bump width must be positive; got {w}")
+      for w in (0.0, -0.5)],
+])
+def test_make_function_refuses_bad_component_and_width(mesh96, spec,
+                                                       message):
+    # -1 would fill the second component, 2 end in a bare IndexError and a
+    # width <= 0 give f = 0, each without a word
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_function(spec, mesh96)
 
 
 def test_make_function_smooth_terms(mesh96):

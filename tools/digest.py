@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per output family of a checkout, so that two checkouts
+can be compared bit for bit:
+
+    python3 tools/digest.py CHECKOUT
+
+CHECKOUT is the root of a checkout (``.`` for this one).  Its package is
+imported from ``CHECKOUT/src`` and its benchmark workloads from
+``CHECKOUT/bench``, with BLAS pinned to one thread as in a benchmark run.
+The families are
+
+- equiconv: every report row (m, nu, norm_diff), ``M_est``,
+  ``det_residual`` and the root and dual vectors ``Y``, ``Z`` of both root
+  systems, for the four equiconv configs at f seeds 0 and 5;
+- spectrum: the eigenvalues, multiplicities and diagnostics of the three
+  spectrum problems;
+- resolvent: the rows of the resolvent ops (operator-norm estimates and
+  slopes, contour partial sums) at f seeds 0-7.
+
+A digest covers the bit patterns of every number, so a change that claims
+unchanged results must print the same three lines as its parent.  Nothing
+is written.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+EQUICONV_SEEDS = (0, 5)
+RESOLVENT_SEEDS = range(8)
+
+
+def _feed(h, value):
+    """Add the type, shape and bits of value to the hash h; lists and
+    tuples are fed item by item, in order."""
+    # imported here, after import_package has pinned BLAS
+    import numpy as np
+    if isinstance(value, (list, tuple)):
+        h.update(f"seq {len(value)};".encode())
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, str):
+        h.update(f"str {len(value)};".encode() + value.encode())
+    else:
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.dtype.str} {a.shape};".encode() + a.tobytes())
+
+
+def equiconv(workloads):
+    h = hashlib.sha256()
+    for seed in EQUICONV_SEEDS:
+        w = workloads.Equiconv(seed, {})
+        with w.hooks():
+            for op in w.ops:
+                report, rs, rs0 = op.run()
+                _feed(h, [op.key, [(r["m"], r["nu"], r["norm_diff"])
+                                   for r in report.rows],
+                          report.metadata["M_est"],
+                          report.metadata["det_residual"],
+                          rs.Y, rs.Z, rs0.Y, rs0.Z])
+    return h.hexdigest()
+
+
+def spectrum(workloads):
+    h = hashlib.sha256()
+    w = workloads.Spectrum(0, {})
+    for op in w.ops:
+        eigs, _ = op.run()
+        n = sorted(eigs.values)
+        _feed(h, [op.key, n, [eigs.values[k] for k in n],
+                  [eigs.multiplicity[k] for k in n], eigs.diagnostics])
+    return h.hexdigest()
+
+
+def resolvent(workloads):
+    h = hashlib.sha256()
+    for seed in RESOLVENT_SEEDS:
+        w = workloads.Resolvent(seed, {})
+        for op in w.ops:
+            _feed(h, [op.key, op.rows(op.run())])
+    return h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkout", help="root of the checkout to digest")
+    args = parser.parse_args(argv)
+    bench = os.path.join(os.path.abspath(args.checkout), "bench")
+    sys.path.insert(0, bench)
+    # pins BLAS and imports the package from the checkout's src/
+    from run import import_package
+    import_package()
+    import workloads
+    for family in (equiconv, spectrum, resolvent):
+        print(f"{family.__name__} {family(workloads)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
