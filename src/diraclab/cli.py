@@ -49,9 +49,7 @@ def _add_problem_args(sp):
 
 def cmd_equiconv(args):
     report = run_equiconv(_load_config(args.config))
-    out = args.output or "equiconv_report"
-    emit_report(report, out + ".csv", "csv")
-    emit_report(report, out + ".json", "structured")
+    emit_report(report, args.output or "equiconv_report")
     for r in report.rows:
         nu = "inf" if r["nu"] == np.inf else r["nu"]
         print(f"m={r['m']:4d}  nu={nu:>4}  ||S_m f - S_m^0 f|| = "
@@ -65,6 +63,9 @@ def cmd_sweep(args):
     import glob
     import os
     paths = sorted(glob.glob(os.path.join(args.dir, "*.json")))
+    if not paths:
+        print(f"error: no *.json configs in {args.dir!r}", file=sys.stderr)
+        return 2
     configs = [_load_config(p) for p in paths]
     bundle = sweep(configs, out_dir=args.output or args.dir + "_out")
     print(f"{len(bundle['reports'])} runs completed, "

@@ -21,18 +21,19 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, adjoint_pair
 from .green import _voc_apply, resolvent_sum
-from .mesh import GridFunction2, Mesh, inner_product
-from .ode import eigenfunctions
+from .mesh import GridFunction2, Mesh, as_count, inner_product, lp_norm
+from .ode import EIG_CHUNK, det2
 # not called here; kept importable from this module, where bench/spans.py
 # wraps them
 from .green import green_kernel  # noqa: F401
-from .ode import bvp_eigenfunction, fundamental_matrix  # noqa: F401
+from .ode import fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
-from .spectrum import CLUSTER_TOL, ContourError, Ellipse, EigenvalueList, \
-    localization_seeds, localize, trapezoid_angles
-# contour_family is looked up on its module at each call, where
-# bench/spans.py wraps it
-from . import spectrum
+from .spectrum import ACCEPT_TOL, CLUSTER_TOL, AcceptanceScale, ContourError, \
+    Ellipse, EigenvalueList, NotAnEigenvalueError, localization_seeds, \
+    localize, trapezoid_angles
+# propagate and contour_family are looked up on their modules at each
+# call, where bench/spans.py wraps them
+from . import ode, spectrum
 
 GRAM_COND_MAX = 1e8
 # projector_contour stops when two successive trapezoid rules agree to
@@ -72,14 +73,9 @@ class RootSystem:
     delta_residual: float
 
     def indices(self, m=None):
-        m = self.m_max if m is None else m
-        if int(m) != m:
-            raise ValueError(f"m={m!r} is not an integer")
-        m = int(m)
+        m = self.m_max if m is None else as_count(m, "m")
         if m > self.m_max:
             raise ValueError(f"m={m} exceeds stored range m_max={self.m_max}")
-        if m < 0:
-            raise ValueError(f"m={m} is negative")
         return range(-2 * m, 2 * m + 2)
 
     def biorthogonality_residual(self, sample=None):
@@ -95,6 +91,81 @@ class RootSystem:
         wy = (self.Y[rows] * self.mesh.weights).reshape(rows.size, -1)
         G = wy @ np.conj(self.Z[rows]).reshape(rows.size, -1).T
         return float(np.max(np.abs(G - (rows[:, None] == rows[None, :]))))
+
+
+@dataclass
+class EigenfunctionResult:
+    lam: complex
+    functions: list            # one GridFunction2, or two when degenerate
+    degenerate: bool
+    residual: float            # |Delta(lam)|
+
+
+def _normalize_eigenfunction(y: GridFunction2, value_at_zero):
+    """L2 norm 1 with the first sizable component of value_at_zero, the
+    value y(0), rotated to the positive real axis."""
+    nrm = lp_norm(y, 2)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero function")
+    vals = y.values / nrm
+    ref = np.asarray(value_at_zero, dtype=complex)
+    mags = np.abs(ref)
+    idx = 0 if mags[0] > 1e-8 * max(mags.max(), 1e-300) else 1
+    phase = ref[idx] / abs(ref[idx]) if mags[idx] > 0 else 1.0
+    return GridFunction2(y.mesh, vals * np.conj(phase))
+
+
+def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
+                   mesh: Mesh, scale_lams):
+    """Eigenfunction(s) at accepted eigenvalues, EIG_CHUNK per propagate
+    call: y = M(., lambda) v with v spanning the numerical null space of
+    C + D M(pi, lambda).
+
+    Yields (EigenfunctionResult, node values M(x_j, lambda), monodromy) for
+    each lambda in order.  The matrices are views into the current chunk;
+    a caller that keeps them past the next step keeps the chunk alive.
+    Raises NotAnEigenvalueError when |Delta(lambda)| > ACCEPT_TOL * scale,
+    the scale being delta_scale over scale_lams, probed only when some
+    |Delta(lambda)| exceeds ACCEPT_TOL (AcceptanceScale).
+    """
+    scale = AcceptanceScale(P, U, scale_lams, mesh)
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    for i in range(0, lams.size, EIG_CHUNK):
+        chunk = lams[i:i + EIG_CHUNK]
+        Mb, Mn = ode.propagate(P, chunk, mesh, nodes=True)
+        mono = Mb[:, -1]
+        T = U.C[None] + U.D[None] @ mono
+        dets = det2(T)
+        bad = np.flatnonzero(scale.exceeds(dets))
+        if bad.size:
+            b = bad[0]
+            raise NotAnEigenvalueError(
+                f"|Delta({complex(chunk[b])})| = {abs(dets[b]):.3e} exceeds "
+                f"{ACCEPT_TOL:.1e} * {scale.value:.3e}")
+        _, s, vh = np.linalg.svd(T)
+        tscale = np.maximum(1.0, np.max(np.abs(mono), axis=(1, 2)))
+        for l, lam in enumerate(chunk):
+            degenerate = bool(s[l, 0] <= 1e-6 * tscale[l])
+            # null space: the last right singular vector, or both
+            vecs = vh[l, (0 if degenerate else 1):].conj()
+            # M(x_j) v at every node as one (2N, 2) matrix-vector product:
+            # one gemv rounds each row as the N per-node 2x2 products do
+            rows = Mn[l].reshape(-1, 2)
+            funcs = [_normalize_eigenfunction(GridFunction2(
+                mesh, (rows @ v).reshape(-1, 2).T), value_at_zero=v)
+                for v in vecs]
+            yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
+                                       degenerate=degenerate,
+                                       residual=float(abs(dets[l]))),
+                   Mn[l], mono[l])
+
+
+def bvp_eigenfunction(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
+                      mesh: Mesh) -> EigenfunctionResult:
+    """Eigenfunction(s) at one eigenvalue, the one-eigenvalue case of
+    eigenfunctions, accepted against delta_scale at that eigenvalue."""
+    (result, _, _), = eigenfunctions(P, U, [lam], mesh, [lam])
+    return result
 
 
 def _clusters(eigs: EigenvalueList):
@@ -165,11 +236,9 @@ def root_system(P: PotentialMatrix, U: BoundaryMatrixPair, m_max,
     """Biorthogonal root system of the operator and its adjoint for all
     indices in [-2 m_max, 2 m_max + 1].
 
-    Each system is accepted against one scale, max(1, median |Delta(lambda_n
-    + 0.49)|), probed only when some |Delta(lambda_n)| exceeds ACCEPT_TOL,
-    and built from chunked propagate calls over its distinct eigenvalues;
-    z_n are then corrected cluster by cluster to the dual basis
-    <y_j, z_k> = delta_jk."""
+    Each system is accepted against one AcceptanceScale and built by
+    eigenfunctions over its distinct eigenvalues; z_n are then corrected
+    cluster by cluster to the dual basis <y_j, z_k> = delta_jk."""
     eigs = localize(P, U, m_max, mesh)
     groups = _clusters(eigs)
     lams, slots = _distinct(eigs, groups)

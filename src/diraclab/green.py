@@ -31,7 +31,7 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
     is_regular, minors, unperturbed_spectrum
-from .mesh import GridFunction2, Mesh, lp_norm
+from .mesh import GridFunction2, Mesh, check_exponent, lp_norm
 from .ode import B_INV, EIG_CHUNK, FundamentalSolution, det2, \
     fundamental_matrix, inv2, node_planes
 from .potentials import PotentialMatrix
@@ -50,12 +50,8 @@ def _forward_conv(mesh: Mesh, lam, v):
     """I(x) = int_0^x e^{i lam (x - t)} v(t) dt at the nodes, by a panel
     recursion whose factors all decay when Im lam >= 0."""
     v = np.asarray(v, dtype=complex)
-    vk = v.reshape(v.shape[:-1] + (mesh.n_panels, mesh.order))
     rel = mesh.nodes2d - mesh.panel_starts[:, None]
-    u = np.exp(-1j * lam * rel) * vk
-    half = 0.5 * mesh.panel_lengths
-    lloc = np.einsum("ji,...ki->...kj", mesh._wpart, u) * half[:, None]
-    ltot = np.einsum("...ki,ki->...k", u, mesh.weights2d)
+    ltot, lloc = mesh.panel_integrals(np.exp(-1j * lam * rel.ravel()) * v)
     fac = np.exp(1j * lam * mesh.panel_lengths)
     Ib = np.zeros(v.shape[:-1] + (mesh.n_panels,), dtype=complex)
     acc = np.zeros(v.shape[:-1], dtype=complex)
@@ -222,7 +218,7 @@ def _voc_apply(Pmat, Mn, mesh: Mesh, values):
     (..., N, 2, 2) memory gives the bits of its contiguous copy."""
     h = np.diagonal(B_INV)[:, None] * values
     h0, h1 = h[..., 0, :], h[..., 1, :]
-    d = Mn[0, 0] * Mn[1, 1] - Mn[0, 1] * Mn[1, 0]
+    d = det2(np.moveaxis(Mn, (0, 1), (-2, -1)))
     g = np.stack([(Mn[1, 1] * h0 - Mn[0, 1] * h1) / d,
                   (Mn[0, 0] * h1 - Mn[1, 0] * h0) / d], axis=-2)
     gcum = mesh.cumulative(g)
@@ -329,9 +325,8 @@ def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
     is applied to the whole battery at once.  Raises ValueError unless
     1 <= mu <= nu (so neither is NaN) and y_list holds only positive finite
     values, two or more distinct."""
-    for name, v in (("mu", mu), ("nu", nu)):
-        if not v >= 1.0:
-            raise ValueError(f"{name} must be >= 1 or inf; got {v!r}")
+    check_exponent(mu, "mu")
+    check_exponent(nu, "nu")
     if nu < mu:
         raise ValueError("requires 1 <= mu <= nu <= infinity")
     ys = np.asarray(y_list, dtype=float)

@@ -26,7 +26,8 @@ import numpy as np
 from .boundary import boundary_from_config
 from .expansions import partial_sum, root_system
 from .green import green_kernel, kernel_sup
-from .mesh import GridFunction2, build_mesh, lp_norm
+from .mesh import GridFunction2, as_count, build_mesh, check_exponent, \
+    lp_norm
 from .potentials import (PotentialMatrix, ScalarFunction, comparison_operator,
                          make_potential, term_sum)
 
@@ -60,17 +61,12 @@ def _exponent(p, name):
 def _inv(p, name):
     """1/p as an exact Fraction; p may be numeric or the string 'inf'."""
     p = _exponent(p, name)
-    if p != p:
-        raise ValueError(f"{name} must be >= 1 or inf, got NaN")
+    check_exponent(p, name)
     if p == np.inf:
         return Fraction(0)
     if isinstance(p, float):
-        frac = Fraction(p).limit_denominator(10 ** 9)
-    else:
-        frac = Fraction(p)
-    if frac < 1:
-        raise ValueError(f"{name} must be >= 1 or inf, got {p}")
-    return 1 / frac
+        return 1 / Fraction(p).limit_denominator(10 ** 9)
+    return 1 / Fraction(p)
 
 
 def admissible(kappa, mu, nu):
@@ -118,6 +114,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
+        as_count(self.mesh_panels, "mesh_panels", 1)
+        as_count(self.mesh_order, "mesh_order", 1)
         object.__setattr__(self, "kappa", _exponent(self.kappa, "kappa"))
         # a finite kappa <= 1 is reported as outside the theorem, but NaN
         # is no exponent at all and would pass as one
@@ -128,10 +126,9 @@ class ExperimentConfig:
             _exponent(nu, "nu") for nu in self.nu_list))
         if not self.nu_list:
             raise ValueError("nu list must not be empty")
-        # each exponent must be >= 1 or inf, as admissible reads it
-        _inv(self.mu, "mu")
+        check_exponent(self.mu, "mu")
         for nu in self.nu_list:
-            _inv(nu, "nu")
+            check_exponent(nu, "nu")
         # rows and verdicts are keyed by nu: 2 and 2.0 are one exponent
         if len(set(self.nu_list)) < len(self.nu_list):
             raise ValueError(f"nu list {self.nu_list} repeats an exponent")
@@ -199,6 +196,9 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
             raise ValueError(f"bump width must be positive; got {w!r}")
         comp = _component(spec)
         ind = ((x > c - w / 2) & (x < c + w / 2)).astype(complex)
+        if not ind.any():
+            raise ValueError(f"bump center {c!r} and width {w!r} cover no "
+                             f"mesh node")
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = ind
         return GridFunction2(mesh, vals)
@@ -207,12 +207,16 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         x0 = float(spec.get("x0", np.pi / 3))
         comp = _component(spec)
         alpha = (0.0 if mu == np.inf else 1.0 / float(mu)) - eps
+        if alpha > 0.0 and np.any(x == x0):
+            raise ValueError(f"power x0={x0!r} is a mesh node")
         vals = np.zeros((2, mesh.size), dtype=complex)
         vals[comp] = np.abs(x - x0) ** (-alpha)
         return GridFunction2(mesh, vals)
     if family == "random_trig":
         rng = np.random.default_rng(seed)
         nt = int(spec.get("n_terms", 6))
+        if nt < 1:
+            raise ValueError(f"random_trig n_terms must be positive; got {nt}")
         vals = np.zeros((2, mesh.size), dtype=complex)
         for comp in range(2):
             for k in range(1, nt + 1):
@@ -316,7 +320,7 @@ def _worker_count():
 
 def sweep(configs, out_dir=None):
     """Run configurations in parallel with per-config isolation."""
-    results = [None] * len(configs)
+    results = []
 
     def one(i):
         try:
@@ -326,8 +330,7 @@ def sweep(configs, out_dir=None):
 
     if configs:
         with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            for i, res in enumerate(pool.map(one, range(len(configs)))):
-                results[i] = res
+            results = list(pool.map(one, range(len(configs))))
     bundle = {
         "reports": [r for kind, r in results if kind == "report"],
         "errors": [r for kind, r in results if kind == "error"],
@@ -337,11 +340,10 @@ def sweep(configs, out_dir=None):
         index = []
         for i, (kind, r) in enumerate(results):
             if kind == "report":
-                base = os.path.join(out_dir, f"run_{i:03d}")
-                emit_report(r, base + ".csv", "csv")
-                emit_report(r, base + ".json", "structured")
+                csv, doc = emit_report(r, os.path.join(out_dir,
+                                                       f"run_{i:03d}"))
                 index.append({"config": i, "status": "ok",
-                              "csv": base + ".csv", "json": base + ".json"})
+                              "csv": csv, "json": doc})
             else:
                 index.append({"config": i, "status": "error", "message": r})
         with open(os.path.join(out_dir, "index.json"), "w") as fh:
@@ -353,18 +355,18 @@ def _fmt_nu(nu):
     return "inf" if nu == np.inf else repr(float(nu))
 
 
-def emit_report(report: EquiconvReport, path, format="csv"):
-    """Write a report as CSV (fixed header) or structured JSON."""
-    if format == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in report.rows:
-                ok, exc = report.verdicts[r["nu"]]
-                fh.write(f"{r['m']},{_fmt_nu(r['nu'])},{r['norm_diff']!r},"
-                         f"{str(ok).lower()},{str(exc).lower()}\n")
-        return path
-    if format == "structured":
-        doc = {
+def emit_report(report: EquiconvReport, base):
+    """Write a report as base.csv (fixed header) and base.json (structured:
+    config, rows, verdicts, warnings and metadata); returns both paths."""
+    csv, doc = base + ".csv", base + ".json"
+    with open(csv, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in report.rows:
+            ok, exc = report.verdicts[r["nu"]]
+            fh.write(f"{r['m']},{_fmt_nu(r['nu'])},{r['norm_diff']!r},"
+                     f"{str(ok).lower()},{str(exc).lower()}\n")
+    with open(doc, "w") as fh:
+        json.dump({
             "config": report.config.to_dict(),
             "rows": [{"m": r["m"], "nu": _fmt_nu(r["nu"]),
                       "norm_diff": r["norm_diff"]} for r in report.rows],
@@ -372,8 +374,5 @@ def emit_report(report: EquiconvReport, path, format="csv"):
                          for nu, (ok, exc) in report.verdicts.items()},
             "warnings": report.warnings,
             "metadata": report.metadata,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        return path
-    raise ValueError(f"unknown format {format!r}")
+        }, fh, indent=2)
+    return csv, doc

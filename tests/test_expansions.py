@@ -49,6 +49,15 @@ def test_indices_range_guard(rs_free_m8):
             rs_free_m8.indices(m)
 
 
+def test_root_system_takes_m_max_as_indices_takes_m(dirichlet, mesh96):
+    want = root_system(P0, dirichlet, 2, mesh96)
+    got = root_system(P0, dirichlet, 2.0, mesh96)
+    assert got.m_max == 2 and isinstance(got.m_max, int)
+    assert got.Y.tobytes() == want.Y.tobytes()
+    with pytest.raises(ValueError, match="m_max=1.5 is not an integer"):
+        root_system(P0, dirichlet, 1.5, mesh96)
+
+
 def test_root_system_rejects_negative_m_max(dirichlet, mesh96):
     with pytest.raises(ValueError, match="m_max=-1 is negative"):
         root_system(P0, dirichlet, -1, mesh96)
@@ -405,7 +414,7 @@ def test_healthy_root_system_never_probes_the_scale(const_potential,
     rs = root_system(const_potential, dirichlet, 4, mesh96)
     assert probed == []
     # the counter sees the probe when it is made
-    ode.delta_scale(const_potential, dirichlet, [0.3, 1.2], mesh96)
+    spectrum.delta_scale(const_potential, dirichlet, [0.3, 1.2], mesh96)
     assert probed == [2]
     # delta_residual is the largest |Delta| the fills computed, over the
     # operator and the adjoint; abs per value, as the fills take it

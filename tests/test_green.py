@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diraclab.green as green
+import diraclab.mesh as mesh_module
 import diraclab.ode as ode
 from diraclab import (BoundaryMatrixPair, FundamentalSolution, GridFunction2,
                       NotRegularError, PoleError, PotentialMatrix, build_mesh,
@@ -41,6 +42,45 @@ def _oracle_constructed(P, U, lam, mesh, ts, xs):
     mid = Pmat[None] + (tb < xb)[:, None, None] * np.eye(2)[None]
     out = Mx @ mid @ inv2(Mt) @ B_INV[None]
     return out.reshape(shape + (2, 2))
+
+
+def _oracle_cumulative(mesh, values):
+    # Mesh.cumulative as it read the reference panel's partial-integral
+    # matrix itself, before Mesh.panel_integrals
+    wpart = mesh_module._reference_panel(mesh.order)[3]
+    v = np.asarray(values)
+    vk = v.reshape(v.shape[:-1] + (mesh.n_panels, mesh.order))
+    panel_int = np.einsum("...ki,ki->...k", vk, mesh.weights2d)
+    prefix = np.cumsum(panel_int, axis=-1)
+    prefix = np.concatenate(
+        [np.zeros(prefix.shape[:-1] + (1,), dtype=prefix.dtype),
+         prefix[..., :-1]], axis=-1)
+    half = 0.5 * mesh.panel_lengths
+    partial = np.einsum("ji,...ki->...kj", wpart, vk)
+    partial = partial * half[:, None]
+    out = prefix[..., :, None] + partial
+    return out.reshape(v.shape)
+
+
+def _oracle_forward_conv(mesh, lam, v):
+    # green._forward_conv as it read the mesh's private partial-integral
+    # matrix, before Mesh.panel_integrals
+    wpart = mesh_module._reference_panel(mesh.order)[3]
+    v = np.asarray(v, dtype=complex)
+    vk = v.reshape(v.shape[:-1] + (mesh.n_panels, mesh.order))
+    rel = mesh.nodes2d - mesh.panel_starts[:, None]
+    u = np.exp(-1j * lam * rel) * vk
+    half = 0.5 * mesh.panel_lengths
+    lloc = np.einsum("ji,...ki->...kj", wpart, u) * half[:, None]
+    ltot = np.einsum("...ki,ki->...k", u, mesh.weights2d)
+    fac = np.exp(1j * lam * mesh.panel_lengths)
+    Ib = np.zeros(v.shape[:-1] + (mesh.n_panels,), dtype=complex)
+    acc = np.zeros(v.shape[:-1], dtype=complex)
+    for k in range(mesh.n_panels):
+        Ib[..., k] = acc
+        acc = fac[k] * (acc + ltot[..., k])
+    out = np.exp(1j * lam * rel) * (Ib[..., :, None] + lloc)
+    return out.reshape(v.shape)
 
 
 def _oracle_voc_apply(Pmat, Mn, mesh, values):
@@ -452,3 +492,25 @@ def test_opnorm_scaling_matches_per_function_loop(dirichlet, mesh128, mu, nu):
         ref.append(max(lp_norm(K.apply(f), nu) / lp_norm(f, mu)
                        for f in battery))
     assert np.allclose(est.estimates, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mesh", [build_mesh(32, order=5),
+                                  build_mesh(24, order=4,
+                                             singular_points=(1.1,))],
+                         ids=["plain", "graded"])
+def test_panel_quadrature_matches_pre_change_formulas(mesh):
+    # Mesh.cumulative and the free kernel's forward convolution take their
+    # panel and partial integrals from Mesh.panel_integrals; every value
+    # keeps its bits, for real and complex values with and without
+    # leading axes, and for a strided view
+    rng = np.random.default_rng(3)
+    n = mesh.size
+    real = rng.normal(size=n)
+    cplx = rng.normal(size=(3, 2, n)) + 1j * rng.normal(size=(3, 2, n))
+    strided = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))).T
+    for values in (real, cplx, strided):
+        assert mesh.cumulative(values).tobytes() == \
+            _oracle_cumulative(mesh, values).tobytes()
+        for lam in (2.5, 0.3 + 1.7j, -4.0 + 0.01j):
+            assert green._forward_conv(mesh, lam, values).tobytes() == \
+                _oracle_forward_conv(mesh, lam, values).tobytes()

@@ -70,6 +70,19 @@ def test_config_roundtrip():
     assert cfg2 == cfg
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mesh_panels", 0, "mesh_panels=0 is below 1"),
+    ("mesh_panels", -4, "mesh_panels=-4 is below 1"),
+    ("mesh_panels", 64.5, "mesh_panels=64.5 is not an integer"),
+    ("mesh_order", 0, "mesh_order=0 is below 1"),
+    ("mesh_order", 2.5, "mesh_order=2.5 is not an integer"),
+])
+def test_config_refuses_bad_mesh_sizes(field, value, message):
+    # these built, and failed only in run_equiconv as StageError [setup]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m_schedule=(4, 2))
@@ -178,6 +191,29 @@ def test_make_function_refuses_bad_component_and_width(mesh96, spec,
     # width <= 0 give f = 0, each without a word
     with pytest.raises(ValueError, match=re.escape(message)):
         make_function(spec, mesh96)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (lambda mesh: {"family": "bump", "center": 10},
+     "bump center 10.0 and width 0.39269908169872414 cover no mesh node"),
+    (lambda mesh: {"family": "bump", "center": 0.5, "width": 1e-4},
+     "bump center 0.5 and width 0.0001 cover no mesh node"),
+    (lambda mesh: {"family": "power", "x0": float(mesh.nodes[7])},
+     "power x0="),
+    (lambda mesh: {"family": "random_trig", "n_terms": 0},
+     "random_trig n_terms must be positive; got 0"),
+    (lambda mesh: {"family": "random_trig", "n_terms": -2},
+     "random_trig n_terms must be positive; got -2"),
+], ids=["bump-outside", "bump-between-nodes", "power-on-node",
+        "random-trig-no-terms", "random-trig-negative"])
+def test_make_function_refuses_zero_or_infinite_functions(mesh96, spec,
+                                                         message):
+    # a bump that covers no node and a random_trig with no terms gave
+    # f = 0, and a power function singular at a node filled inf with a
+    # RuntimeWarning, each without a word
+    spec = spec(mesh96)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_function(spec, mesh96, mu=2.0)
 
 
 def test_make_function_smooth_terms(mesh96):
@@ -306,8 +342,8 @@ def test_emit_and_parse_roundtrip(tmp_path):
     rep = run_equiconv(cfg)
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"
-    emit_report(rep, str(csv_path), "csv")
-    emit_report(rep, str(json_path), "structured")
+    assert emit_report(rep, str(tmp_path / "r")) == (str(csv_path),
+                                                     str(json_path))
     header, *lines = csv_path.read_text().splitlines()
     assert header == CSV_HEADER
     assert len(lines) == len(rep.rows)
@@ -319,8 +355,6 @@ def test_emit_and_parse_roundtrip(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["config"]["kappa"] == "inf"
     assert doc["verdicts"]["inf"]["admissible"] in (True, False)
-    with pytest.raises(ValueError):
-        emit_report(rep, str(tmp_path / "x"), "xml")
 
 
 def test_reports_deterministic(tmp_path):
@@ -328,7 +362,7 @@ def test_reports_deterministic(tmp_path):
         potential={"family": "constant_offdiag", "c": 0.3},
         f={"family": "random_trig"}, seed=11, nu_list=(2.0,),
         m_schedule=(2,), mesh_panels=64)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(run_equiconv(cfg), str(p1), "csv")
-    emit_report(run_equiconv(cfg), str(p2), "csv")
-    assert p1.read_bytes() == p2.read_bytes()
+    emit_report(run_equiconv(cfg), str(tmp_path / "a"))
+    emit_report(run_equiconv(cfg), str(tmp_path / "b"))
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,25 @@ def test_cumulative_polynomial_exact(mesh):
     x = mesh.nodes
     got = mesh.cumulative(x ** 4)
     assert np.max(np.abs(got - x ** 5 / 5.0)) < 1e-12
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "panels=-1 is below 1"), ((0,), "panels=0 is below 1"),
+    ((1.5,), "panels=1.5 is not an integer"),
+    (("8",), "panels='8' is not an integer"),
+    ((8, 0), "order=0 is below 1"), ((8, 2.5), "order=2.5 is not an integer"),
+])
+def test_build_mesh_refuses_bad_sizes(args, message):
+    # these raised IndexError, TypeError and numpy's "deg must be a
+    # positive integer", naming neither the input nor its value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_mesh(*args)
+
+
+def test_build_mesh_takes_integral_floats():
+    mesh, same = build_mesh(8, order=4), build_mesh(8.0, order=4.0)
+    assert same.order == 4 and isinstance(same.order, int)
+    assert np.array_equal(mesh.nodes, same.nodes)
 
 
 def test_derivative(mesh):

@@ -8,7 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
+import diraclab.expansions as expansions
 import diraclab.ode as ode
+import diraclab.spectrum as spectrum
 from diraclab import (ExperimentConfig, NotAnEigenvalueError,
                       OverflowCapError, PotentialMatrix, ScalarFunction,
                       boundary_from_config, build_mesh, bvp_eigenfunction,
@@ -673,7 +675,7 @@ def test_node_chunks_match_single_lambdas(dirichlet, monkeypatch):
         return inner(P, lams, mesh, **kw)
 
     monkeypatch.setattr(ode, "propagate", counting)
-    batched = list(ode.eigenfunctions(P, dirichlet, lams, mesh, lams))
+    batched = list(expansions.eigenfunctions(P, dirichlet, lams, mesh, lams))
     assert sizes == [16, 16, 8] and ode.EIG_CHUNK == 16
     assert [r.lam for r, _, _ in batched] == list(lams)
     for (_, Mn, mono), (Mb1, Mn1) in zip(batched, single):
@@ -721,16 +723,16 @@ def test_overflow_cap():
 
 
 def _counting_delta_scale(monkeypatch, value=None):
-    """Sizes of the lambda sets ode.delta_scale is asked for; it returns
-    value instead of the real scale when value is given."""
+    """Sizes of the lambda sets spectrum.delta_scale is asked for; it
+    returns value instead of the real scale when value is given."""
     calls = []
-    inner = ode.delta_scale
+    inner = spectrum.delta_scale
 
     def counting(P, U, lams, mesh):
         calls.append(np.size(lams))
         return inner(P, U, lams, mesh) if value is None else value
 
-    monkeypatch.setattr(ode, "delta_scale", counting)
+    monkeypatch.setattr(spectrum, "delta_scale", counting)
     return calls
 
 
@@ -742,7 +744,7 @@ def test_bvp_eigenfunction_free_dirichlet(dirichlet, monkeypatch):
     assert calls == []
     assert r.residual == abs(char_det(PotentialMatrix.zero(), dirichlet, 3.0,
                                       mesh))
-    assert r.residual <= ode.ACCEPT_TOL
+    assert r.residual <= spectrum.ACCEPT_TOL
     assert not r.degenerate
     y = r.functions[0]
     assert lp_norm(y, 2) == pytest.approx(1.0, abs=1e-10)
@@ -757,9 +759,10 @@ def test_bvp_rejects_non_eigenvalue(dirichlet, monkeypatch):
     mesh = build_mesh(64, order=5)
     lam = 3.4
     delta = abs(char_det(PotentialMatrix.zero(), dirichlet, lam, mesh))
-    scale = ode.delta_scale(PotentialMatrix.zero(), dirichlet, [lam], mesh)
+    scale = spectrum.delta_scale(PotentialMatrix.zero(), dirichlet, [lam],
+                                 mesh)
     message = (f"|Delta({complex(lam)})| = {delta:.3e} exceeds "
-               f"{ode.ACCEPT_TOL:.1e} * {scale:.3e}")
+               f"{spectrum.ACCEPT_TOL:.1e} * {scale:.3e}")
     calls = _counting_delta_scale(monkeypatch)
     with pytest.raises(NotAnEigenvalueError, match=re.escape(message)):
         bvp_eigenfunction(PotentialMatrix.zero(), dirichlet, lam, mesh)
@@ -787,7 +790,7 @@ def test_acceptance_scale_decides_as_the_eager_rule(dirichlet, monkeypatch):
     rng = np.random.default_rng(4)
     for value in (1.0, 1.7, 250.0):
         calls = _counting_delta_scale(monkeypatch, value=value)
-        scale = ode.AcceptanceScale(None, dirichlet, [0.0], None)
+        scale = spectrum.AcceptanceScale(None, dirichlet, [0.0], None)
         quiet = 1e-6 * rng.uniform(0.0, 1.0, 50) * np.exp(2j * rng.normal(
             size=50))
         assert not scale.exceeds(quiet).any() and calls == []
@@ -815,7 +818,7 @@ def test_delta_scale_probes_each_distinct_lambda_once(periodic, monkeypatch):
         return inner(P, U, lam, mesh, **kw)
 
     monkeypatch.setattr(ode, "char_det", counting)
-    assert ode.delta_scale(P, periodic, lams, mesh) == want
+    assert spectrum.delta_scale(P, periodic, lams, mesh) == want
     assert sizes == [4]
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diraclab.ode as ode
 import diraclab.spectrum as spectrum
 from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
@@ -477,6 +477,20 @@ def test_localize_requires_regular_form(mesh96):
         localize(P0, bf, 2, mesh96)
 
 
+def test_localize_takes_m_max_as_indices_takes_m(dirichlet, mesh96):
+    # 1.5 and 2.0 raised a bare TypeError from range(); an integral float
+    # now counts as that integer, and any other m_max is refused by name
+    want = localize(P0, dirichlet, 2, mesh96)
+    got = localize(P0, dirichlet, 2.0, mesh96)
+    assert got.m_max == 2 and isinstance(got.m_max, int)
+    assert got.values == want.values
+    for m_max in (1.5, "2", None):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"m_max={m_max!r} is not an "
+                                           f"integer")):
+            localize(P0, dirichlet, m_max, mesh96)
+
+
 def test_localize_rejects_negative_m_max(dirichlet, mesh96):
     # n in [-2 m_max, 2 m_max + 1] is empty for m_max < 0
     with pytest.raises(ValueError, match="m_max=-1 is negative"):
@@ -502,13 +516,13 @@ def test_localize_constant_offdiag_oracle(const_potential, periodic, mesh96,
     # |Delta| > ACCEPT_TOL, so localize probes the acceptance scale of its
     # 14 seeds, once (a healthy localize never does: test_expansions)
     calls = []
-    inner = ode.delta_scale
+    inner = spectrum.delta_scale
 
     def counting(P, U, lams, mesh):
         calls.append(np.size(lams))
         return inner(P, U, lams, mesh)
 
-    monkeypatch.setattr(ode, "delta_scale", counting)
+    monkeypatch.setattr(spectrum, "delta_scale", counting)
     eigs = localize(const_potential, periodic, 3, mesh96)
     assert calls == [14]
     a, b = sorted(eigs.pair(0), key=lambda z: z.real)
