@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,8 +28,20 @@ SPECTRUM_HEADER = "n,re_lambda,im_lambda,re_lambda0,im_lambda0,abs_diff,multipli
 
 
 def _load_config(path):
-    with open(path) as fh:
-        return ExperimentConfig(**json.load(fh))
+    """The ExperimentConfig of a JSON config file; every ValueError (not a
+    JSON object, an unknown key, a bad value) names the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a JSON {type(doc).__name__} is not a config "
+                             f"object")
+        unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
+        return ExperimentConfig(**doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _setup(args):
@@ -48,7 +61,12 @@ def _add_problem_args(sp):
 
 
 def cmd_equiconv(args):
-    report = run_equiconv(_load_config(args.config))
+    try:
+        config = _load_config(args.config)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    report = run_equiconv(config)
     emit_report(report, args.output or "equiconv_report")
     for r in report.rows:
         nu = "inf" if r["nu"] == np.inf else r["nu"]
@@ -66,7 +84,11 @@ def cmd_sweep(args):
     if not paths:
         print(f"error: no *.json configs in {args.dir!r}", file=sys.stderr)
         return 2
-    configs = [_load_config(p) for p in paths]
+    try:
+        configs = [_load_config(p) for p in paths]
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     bundle = sweep(configs, out_dir=args.output or args.dir + "_out")
     print(f"{len(bundle['reports'])} runs completed, "
           f"{len(bundle['errors'])} failed")

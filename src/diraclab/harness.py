@@ -14,6 +14,7 @@ excluded corner kappa = nu = inf, mu = 1 flagged separately.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,19 +104,20 @@ class ExperimentConfig:
     comparison: str = "free"        # "free" | "corollary-diagonal"
 
     def __post_init__(self):
-        ms = tuple(int(m) for m in self.m_schedule)
-        if not ms:
+        sched = tuple(self.m_schedule)
+        if not sched:
             raise ValueError("m schedule must not be empty")
-        if ms != tuple(self.m_schedule):
-            raise ValueError(f"m schedule {tuple(self.m_schedule)} holds a "
-                             f"non-integer m")
-        if min(ms) < 0:
-            raise ValueError(f"m schedule {ms} holds a negative m")
+        try:
+            ms = tuple(as_count(m, "m") for m in sched)
+        except ValueError as err:
+            raise ValueError(f"m schedule {sched} holds a non-integer or "
+                             f"negative m: {err}") from None
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m schedule must be strictly increasing")
         object.__setattr__(self, "m_schedule", ms)
         as_count(self.mesh_panels, "mesh_panels", 1)
         as_count(self.mesh_order, "mesh_order", 1)
+        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         object.__setattr__(self, "kappa", _exponent(self.kappa, "kappa"))
         # a finite kappa <= 1 is reported as outside the theorem, but NaN
         # is no exponent at all and would pass as one
@@ -214,9 +216,10 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
         return GridFunction2(mesh, vals)
     if family == "random_trig":
         rng = np.random.default_rng(seed)
-        nt = int(spec.get("n_terms", 6))
-        if nt < 1:
+        nt = spec.get("n_terms", 6)
+        if not (isinstance(nt, numbers.Real) and nt >= 1):
             raise ValueError(f"random_trig n_terms must be positive; got {nt}")
+        nt = as_count(nt, "random_trig n_terms")
         vals = np.zeros((2, mesh.size), dtype=complex)
         for comp in range(2):
             for k in range(1, nt + 1):

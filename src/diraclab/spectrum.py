@@ -7,10 +7,12 @@ numbers of Delta along circles gamma_n and rectangles Gamma_m validate the
 counts; a pair whose Newton iterations fail is recovered from
 argument-principle moments on a circle around its seeds.
 
-Winding counts and recovery moments read one pass of Delta values
-(:func:`_winding_pass`), refined by node doubling: the nodes at n are exactly
-the even nodes at 2n, bit for bit, so each level evaluates Delta only at its
-new odd nodes (:func:`_nested_nodes`).
+Winding counts and recovery moments read one pass of Delta values per
+contour, refined by node doubling: the nodes at n are exactly the even nodes
+at 2n, bit for bit, so each level evaluates Delta only at its new odd nodes
+(:func:`_winding_rule`).  A family of contours (the circles gamma_k of a
+validation, the circles of the pairs a localization recovers) is evaluated
+level by level, one char_det call per level (:func:`_winding_passes`).
 """
 from __future__ import annotations
 
@@ -137,31 +139,23 @@ def trapezoid_angles(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _nested_nodes(points, evaluate, n, levels):
-    """(n, points(n), values) for n, 2n, ..., 2^(levels-1) n nodes.
-
-    values = evaluate(points(n)) with the node axis last, but each level
-    after the first evaluates only its new odd nodes and interleaves them
-    with the previous level's values, which serve as its even nodes."""
-    pts = points(n)
-    vals = evaluate(pts)
-    yield n, pts, vals
-    for _ in range(levels - 1):
-        n *= 2
-        pts = points(n)
-        vals = np.stack([vals, evaluate(pts[1::2])], axis=-1).reshape(
-            vals.shape[:-1] + (n,))
-        yield n, pts, vals
-
-
-def _winding_pass(P, U, contour, mesh):
-    """(winding number, nodes, Delta values) at the level winding_count
-    accepts.  Recovery moments read these values, so the pairwise product's
-    bits reach an eigenvalue only as an estimate a failed polish keeps."""
+def _winding_rule(contour):
+    """The winding rule of one contour, as a generator: it yields the nodes
+    whose Delta values it needs next, is sent those values, and returns
+    (winding number, nodes, Delta values) at the level it accepts, or raises
+    ContourError.  The rule starts at 16 nodes per unit arc length (at least
+    16) and doubles, at most WINDING_DOUBLINGS times, until every argument
+    increment stays below pi/2.  The nodes at n are exactly the even nodes
+    at 2n, so each level after the first asks only for its new odd nodes and
+    interleaves their values with the previous level's."""
     n = max(16, int(np.ceil(16 * contour.arc_length)))
-    for _, pts, vals in _nested_nodes(
-            contour.points, lambda z: char_det(P, U, z, mesh, tree=True), n,
-            WINDING_DOUBLINGS + 1):
+    pts = contour.points(n)
+    vals = yield pts
+    for level in range(WINDING_DOUBLINGS + 1):
+        if level:
+            n *= 2
+            pts = contour.points(n)
+            vals = np.stack([vals, (yield pts[1::2])], axis=-1).reshape(n)
         closed = np.concatenate([vals, vals[:1]])
         if np.min(np.abs(closed)) == 0.0:
             raise ContourError("Delta vanishes on the contour; adjust it")
@@ -175,14 +169,53 @@ def _winding_pass(P, U, contour, mesh):
         "winding did not stabilize after doublings; adjust the contour")
 
 
+def _winding_passes(P, U, contours, mesh):
+    """The winding rule (_winding_rule) on a family of contours, level by
+    level: each char_det(tree=True) call evaluates the nodes that every
+    contour still open asks for next.  Returns, per contour, (winding
+    number, nodes, Delta values) at the level the rule accepts, or the
+    ContourError it raises.  Each Delta value is independent of its batch,
+    so every result is bit for bit that of the contour's own pass."""
+    rules = [_winding_rule(c) for c in contours]
+    out = [None] * len(rules)
+    asks = {i: next(rule) for i, rule in enumerate(rules)}
+    while asks:
+        nodes = list(asks.values())
+        vals = char_det(P, U, np.concatenate(nodes), mesh, tree=True)
+        parts = np.split(vals, np.cumsum([z.size for z in nodes])[:-1])
+        opened, asks = list(asks), {}
+        for i, v in zip(opened, parts):
+            try:
+                asks[i] = rules[i].send(v)
+            except StopIteration as accepted:
+                out[i] = accepted.value
+            except ContourError as err:
+                out[i] = err
+    return out
+
+
+def _accepted(result):
+    """A _winding_passes result as (winding number, nodes, Delta values);
+    raises its ContourError."""
+    if isinstance(result, ContourError):
+        raise result
+    return result
+
+
+def _winding_pass(P, U, contour, mesh):
+    """(winding number, nodes, Delta values) at the level winding_count
+    accepts: _winding_passes on a family of one contour.  Recovery moments
+    read these values, so the pairwise product's bits reach an eigenvalue
+    only as an estimate a failed polish keeps."""
+    return _accepted(_winding_passes(P, U, [contour], mesh)[0])
+
+
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh):
-    """Winding number of Delta along the contour.  The rule starts at 16
-    nodes per unit arc length (at least 16) and doubles, at most
-    WINDING_DOUBLINGS times, until every argument increment stays below
-    pi/2.  Delta comes from the pairwise monodromy product
-    (char_det(tree=True)): the count is an integer, so the last bits of
-    Delta that an eigenvalue would carry do not reach it."""
+    """Winding number of Delta along the contour: the rule of _winding_rule
+    on a family of one contour.  Delta comes from the pairwise monodromy
+    product (char_det(tree=True)): the count is an integer, so the last bits
+    of Delta that an eigenvalue would carry do not reach it."""
     return _winding_pass(P, U, contour, mesh)[0]
 
 
@@ -329,31 +362,49 @@ def _label_order(members):
                   key=lambda m: m[0].imag * (np.sign(m[0].real) or 1.0))
 
 
-def _recover_pair(P, U, mesh, seed_mid, cap):
-    """Both zeros of a pair whose Newton iterations failed: grow a circle
-    around the seed midpoint until it winds twice, then take moments from
-    the Delta values of that same winding pass.
-    Returns [(zero, polished)] in label order (_label_order); polished is
-    False where the Newton polish did not converge within 0.1 and the
-    moment estimate is kept."""
+def _recover_pairs(P, U, mesh, seed_mids, caps):
+    """Both zeros of each pair whose Newton iterations failed: grow a circle
+    around its seed midpoint, up to its cap, until it winds twice, then take
+    moments from the Delta values of that same winding pass.  At each
+    radius the circles of the pairs still open are one family
+    (_winding_passes), and one Newton run polishes the moments of every
+    pair that closes there.
+    Returns, per pair, [(zero, polished)] in label order (_label_order);
+    polished is False where the Newton polish did not converge within 0.1
+    and the moment estimate is kept.  Raises ContourError for the first
+    pair, in order, that no circle isolates."""
+    found = [None] * len(seed_mids)
+    todo = range(len(seed_mids))
     r = DELTA
-    while r <= cap:
-        circ = Circle(complex(seed_mid), float(r))
-        try:
-            w, nodes, values = _winding_pass(P, U, circ, mesh)
-            if w == 2:
-                moments = _pair_moments(circ, nodes, values)
-                lam, conv = _newton(P, U, mesh, np.array(moments))
+    while todo := [i for i in todo if r <= caps[i]]:
+        circles = [Circle(complex(seed_mids[i]), float(r)) for i in todo]
+        moments = {}
+        for i, circ, result in zip(todo, circles,
+                                   _winding_passes(P, U, circles, mesh)):
+            if not isinstance(result, ContourError) and result[0] == 2:
+                moments[i] = _pair_moments(circ, *result[1:])
+        if moments:
+            est = np.array(list(moments.values()))
+            lam, conv = _newton(P, U, mesh, est.ravel())
+            for i, zs, zns, cs in zip(moments, est, lam.reshape(-1, 2),
+                                      conv.reshape(-1, 2)):
                 out = []
-                for z, zn, c in zip(moments, lam, conv):
+                for z, zn, c in zip(zs, zns, cs):
                     polished = bool(c and abs(zn - z) < 0.1)
                     out.append((complex(zn if polished else z), polished))
-                return _label_order(out)
-        except ContourError:
-            pass
+                found[i] = _label_order(out)
+        todo = [i for i in todo if i not in moments]
         r *= 1.4
-    raise ContourError(
-        f"could not isolate the eigenvalue pair around {seed_mid}")
+    for mid, pair in zip(seed_mids, found):
+        if pair is None:
+            raise ContourError(
+                f"could not isolate the eigenvalue pair around {mid}")
+    return found
+
+
+def _recover_pair(P, U, mesh, seed_mid, cap):
+    """_recover_pairs for one pair."""
+    return _recover_pairs(P, U, mesh, [seed_mid], [cap])[0]
 
 
 def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
@@ -436,18 +487,20 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
         for k, steep in zip(collapsed, scale.exceeds(dp, 1e-3)):
             if steep:
                 bad[k] = True       # both members fell into one simple zero
-    for k in range(-m_max, m_max + 1):
-        if bad[k]:
-            gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
-            cap = 0.45 * min(gaps) if gaps else 0.9
-            pair = _recover_pair(P, U, mesh, mids[k], max(cap, DELTA))
-            diagnostics.append(f"pair {k} recovered by contour moments")
-            for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
-                values[n] = z
-                if not polished:
-                    diagnostics.append(
-                        f"lambda_{n}: Newton polish did not converge within "
-                        f"0.1 of the moment estimate {z}; estimate kept")
+    recover = [k for k in range(-m_max, m_max + 1) if bad[k]]
+    caps = []
+    for k in recover:
+        gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
+        caps.append(max(0.45 * min(gaps) if gaps else 0.9, DELTA))
+    pairs = _recover_pairs(P, U, mesh, [mids[k] for k in recover], caps)
+    for k, pair in zip(recover, pairs):
+        diagnostics.append(f"pair {k} recovered by contour moments")
+        for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
+            values[n] = z
+            if not polished:
+                diagnostics.append(
+                    f"lambda_{n}: Newton polish did not converge within "
+                    f"0.1 of the moment estimate {z}; estimate kept")
     for k in range(-m_max, m_max + 1):
         a, b = values[2 * k], values[2 * k + 1]
         if abs(a - b) < DOUBLE_TOL:
@@ -475,13 +528,17 @@ def _check_gamma(k, circ, w):
 
 
 def _validate_pairs(P, U, mesh, eigs: EigenvalueList):
-    """Record the winding number of each circle gamma_k on eigs; raises
-    ContourError at the first one that is not 2."""
+    """Record on eigs the winding number of each circle gamma_k, all
+    evaluated as one family; raises ContourError at the first k whose pass
+    failed or whose winding is not 2."""
     eigs.windings_for = (P, U, mesh)
-    for k in eigs.pair_indices():
-        circ = _pair_circle(*eigs.pair(k))
-        w = eigs.windings[circ] = winding_count(P, U, circ, mesh)
-        _check_gamma(k, circ, w)
+    circles = {k: _pair_circle(*eigs.pair(k)) for k in eigs.pair_indices()}
+    results = _winding_passes(P, U, list(circles.values()), mesh)
+    for circ, result in zip(circles.values(), results):
+        if not isinstance(result, ContourError):
+            eigs.windings[circ] = result[0]
+    for (k, circ), result in zip(circles.items(), results):
+        _check_gamma(k, circ, _accepted(result)[0])
 
 
 @dataclass
@@ -514,7 +571,8 @@ def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
     and rectangles Gamma_m, winding-validated when (P, U, mesh) are given.
 
     A circle whose winding number localize(validate=True) recorded on eigs
-    for these same P, U and mesh objects is not evaluated again."""
+    for these same P, U and mesh objects is not evaluated again; the other
+    circles and Gamma_m are evaluated as one family (_winding_passes)."""
     gammas = {}
     all_vals = eigs.values
     for k in eigs.pair_indices():
@@ -540,12 +598,15 @@ def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
         same = eigs.windings_for is not None and all(
             a is b for a, b in zip(eigs.windings_for, (P, U, mesh)))
         known = eigs.windings if same else {}
-        for k, circ in gammas.items():
-            _check_gamma(k, circ, known[circ] if circ in known
-                         else winding_count(P, U, circ, mesh))
+        todo = [c for c in gammas.values() if c not in known]
         m_small = min(2, eigs.m_max)
         rect = fam.big_contour(m_small)
-        w = winding_count(P, U, rect, mesh)
+        *results, last = _winding_passes(P, U, todo + [rect], mesh)
+        fresh = dict(zip(todo, results))
+        for k, circ in gammas.items():
+            _check_gamma(k, circ, known[circ] if circ in known
+                         else _accepted(fresh[circ])[0])
+        w = _accepted(last)[0]
         if w != 4 * m_small + 2:
             raise ContourError(f"Gamma_{m_small} winding {w} != {4 * m_small + 2}")
         inside0 = [spec0_values[n] + 0j for n in range(-2 * m_small, 2 * m_small + 2)]

@@ -67,6 +67,40 @@ def test_sweep_refuses_a_directory_without_configs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([CFG], "a JSON list is not a config object"),
+    ({**CFG, "bogus": 1}, "unknown config key 'bogus'"),
+])
+def test_equiconv_refuses_a_file_that_is_not_a_config(tmp_path, capsys, doc,
+                                                      message):
+    # ExperimentConfig(**doc) died with a bare TypeError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["equiconv", "--config", str(cfg),
+               "--output", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([CFG], "a JSON list is not a config object"),
+    ({**CFG, "bogus": 1}, "unknown config key 'bogus'"),
+])
+def test_sweep_refuses_a_file_that_is_not_a_config(tmp_path, capsys, doc,
+                                                   message):
+    # a sweep's own output directory holds index.json, a list: pointing
+    # --dir at it died with a bare TypeError traceback
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    (d / "a.json").write_text(json.dumps({**CFG, "m_schedule": [2]}))
+    (d / "b.json").write_text(json.dumps(doc))
+    rc = main(["sweep", "--dir", str(d), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {d / 'b.json'}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--potential", '{"family": "zero"}',

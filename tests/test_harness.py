@@ -83,6 +83,34 @@ def test_config_refuses_bad_mesh_sizes(field, value, message):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"m_schedule": (2, float("nan"))},
+     "m schedule (2, nan) holds a non-integer or negative m: "
+     "m=nan is not an integer"),
+    ({"seed": 1.5}, "seed=1.5 is not an integer"),
+    ({"seed": -1}, "seed=-1 is negative"),
+])
+def test_config_refuses_bad_counts_by_name(kw, message):
+    # NaN raised Python's bare "cannot convert float NaN to integer", and a
+    # fractional or negative seed built and failed only in run_equiconv as
+    # StageError [setup], from numpy's default_rng
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**kw)
+    assert ExperimentConfig(seed=3.0).seed == 3
+
+
+def test_make_function_refuses_fractional_random_trig_terms(mesh96):
+    # int() silently truncated 2.5 terms to 2
+    with pytest.raises(ValueError,
+                       match=re.escape("random_trig n_terms=2.5 is not an "
+                                       "integer")):
+        make_function({"family": "random_trig", "n_terms": 2.5}, mesh96)
+    two = make_function({"family": "random_trig", "n_terms": 2}, mesh96)
+    assert np.array_equal(make_function({"family": "random_trig",
+                                         "n_terms": 2.0}, mesh96).values,
+                          two.values)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m_schedule=(4, 2))

@@ -37,15 +37,16 @@ def char_det_sizes(monkeypatch):
 
 @pytest.fixture
 def winding_contours(monkeypatch):
-    """Contours passed to winding_count through the spectrum module."""
+    """Contours that enter the spectrum module's family routine
+    _winding_passes, which every winding count goes through."""
     contours = []
-    inner = spectrum.winding_count
+    inner = spectrum._winding_passes
 
-    def recording(P, U, contour, mesh):
-        contours.append(contour)
-        return inner(P, U, contour, mesh)
+    def recording(P, U, family, mesh):
+        contours.extend(family)
+        return inner(P, U, family, mesh)
 
-    monkeypatch.setattr(spectrum, "winding_count", recording)
+    monkeypatch.setattr(spectrum, "_winding_passes", recording)
     return contours
 
 
@@ -152,6 +153,43 @@ def test_winding_default_start_is_16_per_unit_arc(dirichlet, mesh96,
     assert char_det_sizes == [(int(np.ceil(16 * PI)), True)] == [(51, True)]
 
 
+def test_winding_family_matches_each_contours_own_pass(periodic, mesh96,
+                                                      char_det_sizes,
+                                                      monkeypatch):
+    # a family of contours whose rules stop at different levels: each
+    # member's winding, nodes and Delta values are bit for bit those of its
+    # own pass, and a member whose pass raises carries the same error.  One
+    # char_det call per level: 51 + 21 + 160 + 16 + 16 nodes, then the new
+    # odd nodes of the two Stated circles, the only ones still open
+    monkeypatch.setattr(spectrum, "WINDING_DOUBLINGS", 1)
+    family = [Circle(0.0, 0.5), Circle(0.5 + 3.0j, 0.2),
+              RectContour(-1.5, 1.5, 1.0), Stated(Circle(0.0, 2.5), 1.0),
+              Stated(Circle(0.0, 3.5), 1.0)]
+    results = spectrum._winding_passes(P0, periodic, family, mesh96)
+    assert char_det_sizes == [(264, True), (32, True)]
+    assert [r[0] for r in results[:4]] == [2, 0, 2, 6]
+    assert [r[1].size for r in results[:4]] == [51, 21, 160, 32]
+    for contour, got in zip(family[:4], results):
+        want = _winding_pass(P0, periodic, contour, mesh96)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert isinstance(results[4], ContourError)
+    with pytest.raises(ContourError) as own:
+        _winding_pass(P0, periodic, family[4], mesh96)
+    assert str(results[4]) == str(own.value)
+    assert "did not stabilize" in str(own.value)
+
+
+def test_validation_evaluates_its_circles_as_one_family(dirichlet, mesh96,
+                                                       char_det_sizes):
+    # the five circles gamma_k of radius 0.75 accept at their first level,
+    # 76 nodes each: one pairwise call for all of them, not one per circle
+    eigs = localize(P0, dirichlet, 2, mesh96, validate=True)
+    assert [s for s in char_det_sizes if s[1]] == [(5 * 76, True)]
+    assert sorted(eigs.windings.values()) == [2] * 5
+
+
 @pytest.mark.parametrize("pspec, form", [
     ({"family": "constant_offdiag", "c": 0.3}, "periodic"),
     ({"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
@@ -220,18 +258,20 @@ def test_only_windings_use_the_tree_product(const_potential, periodic,
     calls = []                  # (inside a winding pass, tree) per char_det
     inside = [False]
     passes, moment_values = [], []
-    inner_det, inner_pass = spectrum.char_det, spectrum._winding_pass
+    inner_det, inner_passes = spectrum.char_det, spectrum._winding_passes
     inner_moments = spectrum._pair_moments
 
     def det(P, U, lam, mesh, **kw):
         calls.append((inside[0], kw.get("tree", False)))
         return inner_det(P, U, lam, mesh, **kw)
 
-    def winding_pass(*args, **kw):
+    def winding_passes(*args, **kw):
         inside[0] = True
         try:
-            passes.append(inner_pass(*args, **kw))
-            return passes[-1]
+            results = inner_passes(*args, **kw)
+            passes.extend(r for r in results
+                          if not isinstance(r, ContourError))
+            return results
         finally:
             inside[0] = False
 
@@ -240,7 +280,7 @@ def test_only_windings_use_the_tree_product(const_potential, periodic,
         return inner_moments(circ, nodes, values)
 
     monkeypatch.setattr(spectrum, "char_det", det)
-    monkeypatch.setattr(spectrum, "_winding_pass", winding_pass)
+    monkeypatch.setattr(spectrum, "_winding_passes", winding_passes)
     monkeypatch.setattr(spectrum, "_pair_moments", moments)
     eigs = localize(const_potential, periodic, 2, mesh96, validate=True)
     assert sum("recovered" in d for d in eigs.diagnostics) == 5
@@ -282,18 +322,19 @@ def test_pair_moments_need_winding_two(const_potential, periodic, dirichlet,
     # grows the circle by 1.4 and takes moments only from the pass that
     # winds twice
     passes, moment_radii = [], []
-    inner_pass, inner_moments = spectrum._winding_pass, spectrum._pair_moments
+    inner_passes = spectrum._winding_passes
+    inner_moments = spectrum._pair_moments
 
-    def winding_pass(P, U, contour, mesh):
-        out = inner_pass(P, U, contour, mesh)
-        passes.append((contour.radius, out[0]))
+    def winding_passes(P, U, contours, mesh):
+        out = inner_passes(P, U, contours, mesh)
+        passes.extend((c.radius, r[0]) for c, r in zip(contours, out))
         return out
 
     def moments(circ, nodes, values):
         moment_radii.append(circ.radius)
         return inner_moments(circ, nodes, values)
 
-    monkeypatch.setattr(spectrum, "_winding_pass", winding_pass)
+    monkeypatch.setattr(spectrum, "_winding_passes", winding_passes)
     monkeypatch.setattr(spectrum, "_pair_moments", moments)
     (a, _), (b, _) = _recover_pair(const_potential, periodic, mesh96, 0.0,
                                    0.9)
@@ -539,7 +580,9 @@ def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
                                           monkeypatch):
     # localize's first run is made to fail, so every pair is recovered by
     # moments; force each Newton polish after it to fail too, so each
-    # member keeps its moment estimate and says so
+    # member keeps its moment estimate and says so.  One polish run takes
+    # the pairs that close at one radius: six at the first circle, and the
+    # pair +-c around 0 at the next
     normal = localize(const_potential, periodic, 3, mesh96)
     assert not any("polish" in d for d in normal.diagnostics)
     inner = spectrum._newton
@@ -554,7 +597,7 @@ def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
 
     monkeypatch.setattr(spectrum, "_newton", failing)
     eigs = localize(const_potential, periodic, 3, mesh96)
-    assert runs == [14] + [2] * 7
+    assert runs == [14, 12, 2]
     marked = [d for d in eigs.diagnostics if "polish" in d]
     assert [d.split(":")[0] for d in marked] == [
         f"lambda_{n}" for n in range(-6, 8)]
@@ -657,8 +700,9 @@ def test_validate_flag_smoke(trig_potential, dirichlet, mesh96):
 def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
                                        winding_contours):
     # hand validation a list with lambda_3 = 3 moved to 5.7: gamma_1 then
-    # encloses the zeros 2, 3, 4 and 5, and localize raises at once, after
-    # circle windings only
+    # encloses the zeros 2, 3, 4 and 5, and localize raises after circle
+    # windings only; the five circles are one family, all evaluated before
+    # gamma_1 is checked
     inner = spectrum.EigenvalueList
 
     def shifted(**kw):
@@ -669,4 +713,4 @@ def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
     with pytest.raises(ContourError, match=r"gamma_1 \(center 3.8500"
                        r"\+0.0000j, r 2.100\) winding 4 != 2"):
         localize(P0, dirichlet, 2, mesh96, validate=True)
-    assert [type(c) for c in winding_contours] == [Circle] * 4
+    assert [type(c) for c in winding_contours] == [Circle] * 5

@@ -3,11 +3,14 @@
 can be compared bit for bit:
 
     python3 tools/digest.py CHECKOUT
+    python3 tools/digest.py BASE HEAD
 
 CHECKOUT is the root of a checkout (``.`` for this one).  Its package is
 imported from ``CHECKOUT/src`` and its benchmark workloads from
 ``CHECKOUT/bench``, with BLAS pinned to one thread as in a benchmark run.
-The families are
+Given two checkouts, each is digested in its own interpreter, and each
+family's line shows both digests and ``same`` or ``differs``; the exit
+status is 1 when any family differs.  The families are
 
 - equiconv: every report row (m, nu, norm_diff), ``M_est``,
   ``det_residual`` and the root and dual vectors ``Y``, ``Z`` of both root
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 
 EQUICONV_SEEDS = (0, 5)
@@ -83,10 +87,37 @@ def resolvent(workloads):
     return h.hexdigest()
 
 
+def _digests(checkout):
+    """{family: digest} of a checkout, from this script run on it in a new
+    interpreter, which imports that checkout's package and nothing else."""
+    cmd = ([sys.executable] + [f"-W{w}" for w in sys.warnoptions]
+           + [os.path.abspath(__file__), checkout])
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE,
+                         text=True).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+def compare(base, head):
+    """Print each family's digests in base and head; 1 if any differs."""
+    old, new = _digests(base), _digests(head)
+    differs = False
+    for family, digest in old.items():
+        same = new.get(family) == digest
+        differs |= not same
+        print(f"{family} {digest} {new.get(family)} "
+              f"{'same' if same else 'differs'}", flush=True)
+    return 1 if differs else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("checkout", help="root of the checkout to digest")
+    parser.add_argument("checkout", help="root of the checkout to digest, "
+                        "or of the base checkout when head is given")
+    parser.add_argument("head", nargs="?",
+                        help="root of a second checkout to compare with")
     args = parser.parse_args(argv)
+    if args.head is not None:
+        return compare(args.checkout, args.head)
     bench = os.path.join(os.path.abspath(args.checkout), "bench")
     sys.path.insert(0, bench)
     # pins BLAS and imports the package from the checkout's src/
