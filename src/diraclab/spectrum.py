@@ -3,16 +3,26 @@
 Perturbed eigenvalues are found by Newton iteration on the characteristic
 determinant, seeded by the closed-form unperturbed spectrum (shifted by the
 gauge constant gamma when the potential has diagonal entries).  Winding
-numbers of Delta along circles gamma_n and rectangles Gamma_m validate the
-counts; a pair whose Newton iterations fail is recovered from
-argument-principle moments on a circle around its seeds.
+numbers along circles gamma_n and rectangles Gamma_m validate the counts; a
+pair whose Newton iterations fail is recovered from argument-principle
+moments on a circle around its seeds.
 
-Winding counts and recovery moments read one pass of Delta values per
-contour, refined by node doubling: the nodes at n are exactly the even nodes
-at 2n, bit for bit, so each level evaluates Delta only at its new odd nodes
-(:func:`_winding_rule`).  A family of contours (the circles gamma_k of a
-validation, the circles of the pairs a localization recovers) is evaluated
-level by level, one char_det call per level (:func:`_winding_passes`).
+Winding counts and recovery moments read one pass of values per contour,
+refined by node doubling: the nodes at n are exactly the even nodes at 2n,
+bit for bit, so each level evaluates only its new odd nodes
+(:func:`_winding_rule`).  A family of contours is evaluated level by level,
+one char_det call per level (:func:`_family_passes`).
+
+Validation compares Delta with the free operator, as the paper's Rouche
+argument does (:func:`_rouche_windings`): along the circles gamma_k and
+Gamma_m it winds g = Delta / Delta0, with Delta0 = delta0(form, lambda -
+gamma) of the gauge reduction.  The winding of Delta is that of g plus the
+free zeros lambda_n^0 + gamma inside the contour, which are known in closed
+form.  g stays near 1 away from the lowest pairs, so its rule starts at one
+node per unit arc length, where Delta's starts at 16.  A contour whose pass
+on g fails is wound on Delta instead.  Recovery and winding_count wind Delta
+itself (:func:`_winding_passes`): recovery reads its moments from Delta's
+values.
 """
 from __future__ import annotations
 
@@ -20,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryMatrixPair, NotRegularError, is_regular, \
-    unperturbed_spectrum
+from .boundary import BoundaryMatrixPair, NotRegularError, delta0, \
+    is_regular, minors, unperturbed_spectrum
 from . import ode
 from .mesh import Mesh, as_count
 from .ode import char_det
@@ -42,8 +52,11 @@ HALVING_TOL = 0.02
 DOUBLED_STEP_GAIN = 0.1
 # central-difference step of the Delta' estimate
 SLOPE_H = 1e-6
-# how often winding_count may double its rule
+# how often a winding rule may double its nodes
 WINDING_DOUBLINGS = 8
+# g = Delta / Delta0 counts as undefined at a node where Delta0 cancels to
+# within this fraction of its largest term (a free zero on the node)
+FREE_ZERO_TOL = 1e-8
 # |Delta(lambda)| / scale below which lambda is accepted as an eigenvalue
 ACCEPT_TOL = 1e-6
 
@@ -73,6 +86,10 @@ class Circle:
     def arc_length(self):
         return 2.0 * np.pi * self.radius
 
+    @property
+    def real_range(self):
+        return self.center.real - self.radius, self.center.real + self.radius
+
     def contains(self, z):
         return np.abs(np.asarray(z) - self.center) < self.radius
 
@@ -100,6 +117,10 @@ class RectContour:
     @property
     def arc_length(self):
         return 2.0 * (self.re_max - self.re_min + 2.0 * self.im_half)
+
+    @property
+    def real_range(self):
+        return self.re_min, self.re_max
 
     def contains(self, z):
         z = np.asarray(z)
@@ -139,16 +160,16 @@ def trapezoid_angles(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _winding_rule(contour):
+def _winding_rule(contour, per_unit_arc=16, least=16):
     """The winding rule of one contour, as a generator: it yields the nodes
-    whose Delta values it needs next, is sent those values, and returns
-    (winding number, nodes, Delta values) at the level it accepts, or raises
-    ContourError.  The rule starts at 16 nodes per unit arc length (at least
-    16) and doubles, at most WINDING_DOUBLINGS times, until every argument
-    increment stays below pi/2.  The nodes at n are exactly the even nodes
-    at 2n, so each level after the first asks only for its new odd nodes and
-    interleaves their values with the previous level's."""
-    n = max(16, int(np.ceil(16 * contour.arc_length)))
+    whose values it needs next, is sent those values, and returns (winding
+    number, nodes, values) at the level it accepts, or raises ContourError.
+    The rule starts at per_unit_arc nodes per unit arc length (at least
+    least) and doubles, at most WINDING_DOUBLINGS times, until every
+    argument increment stays below pi/2.  The nodes at n are exactly the
+    even nodes at 2n, so each level after the first asks only for its new
+    odd nodes and interleaves their values with the previous level's."""
+    n = max(least, int(np.ceil(per_unit_arc * contour.arc_length)))
     pts = contour.points(n)
     vals = yield pts
     for level in range(WINDING_DOUBLINGS + 1):
@@ -157,6 +178,9 @@ def _winding_rule(contour):
             pts = contour.points(n)
             vals = np.stack([vals, (yield pts[1::2])], axis=-1).reshape(n)
         closed = np.concatenate([vals, vals[:1]])
+        if not np.all(np.isfinite(closed)):
+            raise ContourError("the winding function is undefined on the "
+                               "contour; adjust it")
         if np.min(np.abs(closed)) == 0.0:
             raise ContourError("Delta vanishes on the contour; adjust it")
         steps = np.angle(closed[1:] / closed[:-1])
@@ -169,19 +193,18 @@ def _winding_rule(contour):
         "winding did not stabilize after doublings; adjust the contour")
 
 
-def _winding_passes(P, U, contours, mesh):
-    """The winding rule (_winding_rule) on a family of contours, level by
-    level: each char_det(tree=True) call evaluates the nodes that every
-    contour still open asks for next.  Returns, per contour, (winding
-    number, nodes, Delta values) at the level the rule accepts, or the
-    ContourError it raises.  Each Delta value is independent of its batch,
-    so every result is bit for bit that of the contour's own pass."""
-    rules = [_winding_rule(c) for c in contours]
+def _family_passes(rules, evaluate):
+    """Winding rules (_winding_rule) of a family of contours, run level by
+    level: each evaluate call takes the nodes that every rule still open
+    asks for next.  Returns, per rule, (winding number, nodes, values) at
+    the level it accepts, or the ContourError it raises.  Where each value
+    is independent of its batch, every result is bit for bit that of the
+    rule's own pass."""
     out = [None] * len(rules)
     asks = {i: next(rule) for i, rule in enumerate(rules)}
     while asks:
         nodes = list(asks.values())
-        vals = char_det(P, U, np.concatenate(nodes), mesh, tree=True)
+        vals = evaluate(np.concatenate(nodes))
         parts = np.split(vals, np.cumsum([z.size for z in nodes])[:-1])
         opened, asks = list(asks), {}
         for i, v in zip(opened, parts):
@@ -194,9 +217,79 @@ def _winding_passes(P, U, contours, mesh):
     return out
 
 
+def _winding_passes(P, U, contours, mesh):
+    """Delta's winding rule on a family of contours (_family_passes), each
+    level one char_det(tree=True) call.  Returns, per contour, (winding
+    number, nodes, Delta values) at the level the rule accepts, or the
+    ContourError it raises."""
+    return _family_passes([_winding_rule(c) for c in contours],
+                          lambda z: char_det(P, U, z, mesh, tree=True))
+
+
+def _rouche_ratio(P, U, red, mesh, z):
+    """g = Delta / Delta0 at the nodes z, Delta from one char_det(tree=True)
+    call and Delta0 = delta0(red.form, z - red.gamma).  g is nan where Delta0
+    cancels to within FREE_ZERO_TOL of its largest term, so that a pass
+    with a free zero on a node raises instead of winding around it."""
+    mu = z - red.gamma
+    m = minors(red.form)
+    d0 = delta0(red.form, mu)
+    size = np.maximum(abs(m.J12 + m.J34), np.maximum(
+        abs(m.J14) * np.exp(np.pi * mu.imag),
+        abs(m.J23) * np.exp(-np.pi * mu.imag)))
+    d = char_det(P, U, z, mesh, tree=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(d0) > FREE_ZERO_TOL * size, d / d0, np.nan)
+
+
+def _free_zeros_inside(spec0, gamma, contour):
+    """The zeros lambda_n^0 + gamma of Delta0(lambda - gamma) inside the
+    contour, counted with multiplicity.  Re lambda_n^0 - n lies in (-2, 1],
+    so only the n within the contour's real range, widened by 2 on each
+    side, can lie inside."""
+    lo, hi = contour.real_range
+    ns = np.arange(int(np.floor(lo - gamma.real)) - 2,
+                   int(np.ceil(hi - gamma.real)) + 3)
+    return int(np.count_nonzero(contour.contains(spec0.lambda0(ns) + gamma)))
+
+
+def _rouche_windings(P, U, red, contours, mesh):
+    """Winding numbers of Delta along a family of contours, each the winding
+    of g = Delta / Delta0 (_rouche_ratio) plus the free zeros inside it
+    (_free_zeros_inside); red is gauge_reduce(P, U, mesh).  g's rule starts
+    at one node per unit arc length (at least 8) and keeps Delta's pi/2
+    increments, integer check and doublings.  A contour whose pass on g
+    raises is wound on Delta (_winding_passes), as one family, so it gets
+    Delta's result exactly.
+
+    Returns, per contour, (winding number, margin) or the ContourError
+    Delta's rule raised; margin is max |g - 1| at the nodes g's rule
+    accepted (None where Delta's rule decided).  Below 1 along the whole
+    contour, it is Rouche's condition for Delta and Delta0 to have the same
+    zeros inside."""
+    spec0 = unperturbed_spectrum(red.form)
+    rules = [_winding_rule(c, 1, 8) for c in contours]
+    results = _family_passes(
+        rules, lambda z: _rouche_ratio(P, U, red, mesh, z))
+    failed = [c for c, r in zip(contours, results)
+              if isinstance(r, ContourError)]
+    redone = iter(_winding_passes(P, U, failed, mesh))
+    out = []
+    for contour, result in zip(contours, results):
+        if isinstance(result, ContourError):
+            result = next(redone)
+            out.append(result if isinstance(result, ContourError)
+                       else (result[0], None))
+        else:
+            w, _, g = result
+            out.append((w + _free_zeros_inside(spec0, red.gamma, contour),
+                        float(np.max(np.abs(g - 1.0)))))
+    return out
+
+
 def _accepted(result):
-    """A _winding_passes result as (winding number, nodes, Delta values);
-    raises its ContourError."""
+    """A _winding_passes or _rouche_windings result, or raises its
+    ContourError."""
     if isinstance(result, ContourError):
         raise result
     return result
@@ -230,6 +323,10 @@ class EigenvalueList:
     # (P, U, mesh) objects they hold for
     windings: dict = field(default_factory=dict, repr=False, compare=False)
     windings_for: tuple = field(default=None, repr=False, compare=False)
+    # max |Delta / Delta0 - 1| at the accepted nodes of each of those
+    # circles that was wound on g (_rouche_windings): below 1, the Rouche
+    # comparison with the free operator holds there
+    margins: dict = field(default_factory=dict, repr=False, compare=False)
 
     def indices(self):
         return sorted(self.values)
@@ -458,7 +555,8 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     ok, _ = is_regular(U)
     if not ok:
         raise NotRegularError("localization requires a regular form")
-    spec0, gamma = localization_seeds(P, U, mesh)
+    red = gauge_reduce(P, U, mesh)
+    spec0, gamma = unperturbed_spectrum(red.form), red.gamma
     ns = np.arange(-2 * m_max, 2 * m_max + 2)
     seeds = spec0.lambda0(ns).astype(complex) + gamma
     lam, converged = _newton(P, U, mesh, seeds)
@@ -509,7 +607,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     eigs = EigenvalueList(m_max=m_max, values=values, seeds=seedmap,
                           multiplicity=mult, diagnostics=diagnostics)
     if validate:
-        _validate_pairs(P, U, mesh, eigs)
+        _validate_pairs(P, U, mesh, red, eigs)
     return eigs
 
 
@@ -527,16 +625,19 @@ def _check_gamma(k, circ, w):
             f"winding {w} != 2")
 
 
-def _validate_pairs(P, U, mesh, eigs: EigenvalueList):
-    """Record on eigs the winding number of each circle gamma_k, all
-    evaluated as one family; raises ContourError at the first k whose pass
-    failed or whose winding is not 2."""
+def _validate_pairs(P, U, mesh, red, eigs: EigenvalueList):
+    """Record on eigs the winding number and margin of each circle gamma_k,
+    all wound on g = Delta / Delta0 as one family (_rouche_windings, with
+    red = gauge_reduce(P, U, mesh)); raises ContourError at the first k
+    whose winding failed or is not 2."""
     eigs.windings_for = (P, U, mesh)
     circles = {k: _pair_circle(*eigs.pair(k)) for k in eigs.pair_indices()}
-    results = _winding_passes(P, U, list(circles.values()), mesh)
+    results = _rouche_windings(P, U, red, list(circles.values()), mesh)
     for circ, result in zip(circles.values(), results):
         if not isinstance(result, ContourError):
-            eigs.windings[circ] = result[0]
+            eigs.windings[circ], margin = result
+            if margin is not None:
+                eigs.margins[circ] = margin
     for (k, circ), result in zip(circles.items(), results):
         _check_gamma(k, circ, _accepted(result)[0])
 
@@ -572,7 +673,8 @@ def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
 
     A circle whose winding number localize(validate=True) recorded on eigs
     for these same P, U and mesh objects is not evaluated again; the other
-    circles and Gamma_m are evaluated as one family (_winding_passes)."""
+    circles and Gamma_m are wound on g = Delta / Delta0 as one family
+    (_rouche_windings)."""
     gammas = {}
     all_vals = eigs.values
     for k in eigs.pair_indices():
@@ -601,7 +703,8 @@ def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
         todo = [c for c in gammas.values() if c not in known]
         m_small = min(2, eigs.m_max)
         rect = fam.big_contour(m_small)
-        *results, last = _winding_passes(P, U, todo + [rect], mesh)
+        *results, last = _rouche_windings(P, U, gauge_reduce(P, U, mesh),
+                                          todo + [rect], mesh)
         fresh = dict(zip(todo, results))
         for k, circ in gammas.items():
             _check_gamma(k, circ, known[circ] if circ in known

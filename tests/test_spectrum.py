@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 import diraclab.spectrum as spectrum
 from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       PotentialMatrix, RectContour, build_mesh, contour_family,
-                      localize, localization_seeds, make_potential,
-                      unperturbed_spectrum, winding_count)
+                      gauge_reduce, localize, localization_seeds,
+                      make_potential, unperturbed_spectrum, winding_count)
 from diraclab.ode import char_det
 from diraclab.spectrum import (_newton, _pair_moments, _recover_pair,
                                _winding_pass, trapezoid_angles)
@@ -18,6 +19,18 @@ from diraclab.spectrum import (_newton, _pair_moments, _recover_pair,
 PI = np.pi
 P0 = PotentialMatrix.zero()
 AP_TRIG = {"family": "trig", "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]]}
+# the three problems of the benchmark's spectrum workload
+SPECTRUM_PROBLEMS = {
+    "periodic-constant": ({"family": "constant_offdiag", "c": 0.3},
+                          "periodic"),
+    "antiperiodic-trig": (AP_TRIG, "antiperiodic"),
+    "dirichlet-power": ({"family": "power", "alpha": 0.6, "x0": 1.1,
+                         "amplitude": 0.5}, "dirichlet"),
+}
+# diagonal entries with nonzero means: gamma != 0 and a rescaled D block
+GAUGED_TRIG = {"family": "trig", "p1": [["cos", 0, [0.7, 0.2]]],
+               "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]],
+               "p4": [["sin", 1, [0.4, -0.3]]]}
 
 
 @pytest.fixture
@@ -37,16 +50,16 @@ def char_det_sizes(monkeypatch):
 
 @pytest.fixture
 def winding_contours(monkeypatch):
-    """Contours that enter the spectrum module's family routine
-    _winding_passes, which every winding count goes through."""
+    """Contours that enter the spectrum module's validation routine
+    _rouche_windings, which every validated winding goes through."""
     contours = []
-    inner = spectrum._winding_passes
+    inner = spectrum._rouche_windings
 
-    def recording(P, U, family, mesh):
+    def recording(P, U, red, family, mesh):
         contours.extend(family)
-        return inner(P, U, family, mesh)
+        return inner(P, U, red, family, mesh)
 
-    monkeypatch.setattr(spectrum, "_winding_passes", recording)
+    monkeypatch.setattr(spectrum, "_rouche_windings", recording)
     return contours
 
 
@@ -184,10 +197,13 @@ def test_winding_family_matches_each_contours_own_pass(periodic, mesh96,
 def test_validation_evaluates_its_circles_as_one_family(dirichlet, mesh96,
                                                        char_det_sizes):
     # the five circles gamma_k of radius 0.75 accept at their first level,
-    # 76 nodes each: one pairwise call for all of them, not one per circle
+    # 8 nodes each on g = Delta / Delta0, which is constant for the free
+    # operator: one pairwise call for all of them, not one per circle, and
+    # every winding of 2 comes from the two free zeros inside
     eigs = localize(P0, dirichlet, 2, mesh96, validate=True)
-    assert [s for s in char_det_sizes if s[1]] == [(5 * 76, True)]
+    assert [s for s in char_det_sizes if s[1]] == [(5 * 8, True)]
     assert sorted(eigs.windings.values()) == [2] * 5
+    assert eigs.margins.keys() == eigs.windings.keys()
 
 
 @pytest.mark.parametrize("pspec, form", [
@@ -229,6 +245,87 @@ def test_gamma_windings_match_sequential_product(pspec, form, request,
         assert winding_count(P, U, circ, mesh) == w == 2
 
 
+def _problem(pspec, form, request):
+    U = request.getfixturevalue(form)
+    P = make_potential(pspec)
+    return P, U, build_mesh(96, order=5, singular_points=P.singular_points)
+
+
+@pytest.mark.parametrize("pspec, form", [
+    *SPECTRUM_PROBLEMS.values(), (GAUGED_TRIG, "dirichlet"),
+    (GAUGED_TRIG, "periodic")],
+    ids=[*SPECTRUM_PROBLEMS, "dirichlet-gauged", "periodic-gauged"])
+def test_rouche_windings_match_delta_rule(pspec, form, request):
+    # every winding that validation records, and Gamma_2's, is the one
+    # Delta's own rule gives: g's winding plus the free zeros inside
+    P, U, mesh = _problem(pspec, form, request)
+    eigs = localize(P, U, 3, mesh, validate=True)
+    assert len(eigs.windings) == 7
+    assert eigs.margins.keys() == eigs.windings.keys()
+    for circ, w in eigs.windings.items():
+        assert winding_count(P, U, circ, mesh) == w == 2
+    spec0, _ = localization_seeds(P, U, mesh)
+    rect = contour_family(spec0, eigs, P=P, U=U, mesh=mesh).big_contour(2)
+    (w, margin), = spectrum._rouche_windings(P, U, gauge_reduce(P, U, mesh),
+                                             [rect], mesh)
+    assert w == winding_count(P, U, rect, mesh) == 10
+    assert margin is not None
+
+
+@pytest.mark.parametrize("label", SPECTRUM_PROBLEMS)
+def test_rouche_margin_below_one_at_large_k(label, request):
+    # max |Delta / Delta0 - 1| at the accepted nodes is recorded for every
+    # validated circle; away from the lowest pairs Delta0 dominates and the
+    # Rouche comparison holds (0.012, 0.011 and 0.29 at |k| >= 16)
+    P, U, mesh = _problem(*SPECTRUM_PROBLEMS[label], request)
+    eigs = localize(P, U, 17, mesh, validate=True)
+    assert eigs.margins.keys() == eigs.windings.keys()
+    for k in eigs.pair_indices():
+        if abs(k) >= 16:
+            assert eigs.margins[spectrum._pair_circle(*eigs.pair(k))] < 1.0
+
+
+def test_rouche_pass_doubles_at_low_k(request, char_det_sizes):
+    # near the singular power potential's lowest pair, g = Delta / Delta0
+    # swings far from 1 (max |g - 1| about 7.4) and its rule doubles from 8
+    # nodes to 64, to the winding Delta's rule gives
+    P, U, mesh = _problem(*SPECTRUM_PROBLEMS["dirichlet-power"], request)
+    circ = Circle(0.6393125004413678 - 0.07461500823543114j, 0.58)
+    (w, margin), = spectrum._rouche_windings(P, U, gauge_reduce(P, U, mesh),
+                                             [circ], mesh)
+    assert char_det_sizes == [(8, True), (8, True), (16, True), (32, True)]
+    assert margin > 1.0
+    assert w == winding_count(P, U, circ, mesh) == 2
+
+
+@pytest.mark.parametrize("form, contour", [
+    ("periodic", Circle(1.0, 1.0)), ("periodic", RectContour(-2.0, 2.0, 1.0)),
+    ("dirichlet", Circle(0.0, 2.0))])
+def test_free_zero_on_a_node_falls_back_to_delta_rule(form, contour,
+                                                      const_potential,
+                                                      request, mesh96):
+    # free zeros sit on nodes of g's first level: the double zeros 0 and 2
+    # (the periodic circle) and -2 and 2 (the rectangle), where Delta0 is 0
+    # exactly, and the simple zero 2 (the Dirichlet circle), where it is
+    # 1e-16 of its terms and g would wind about its pole unresolved.  g's
+    # pass raises without a RuntimeWarning, and the contour gets the
+    # winding of Delta's own rule, with no margin
+    U = request.getfixturevalue(form)
+    red = gauge_reduce(const_potential, U, mesh96)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        failed, = spectrum._family_passes(
+            [spectrum._winding_rule(contour, 1, 8)],
+            lambda z: spectrum._rouche_ratio(const_potential, U, red, mesh96,
+                                             z))
+        got = spectrum._rouche_windings(const_potential, U, red, [contour],
+                                        mesh96)
+    assert isinstance(failed, ContourError)
+    assert "undefined" in str(failed)
+    want = winding_count(const_potential, U, contour, mesh96)
+    assert got == [(want, None)]
+
+
 def _first_newton_run_fails(monkeypatch):
     """Make localize's first Newton run report every iterate unconverged,
     so that every pair is recovered by contour moments; later runs (the
@@ -256,24 +353,32 @@ def test_only_windings_use_the_tree_product(const_potential, periodic,
     # first run is made to fail and every pair is recovered
     _first_newton_run_fails(monkeypatch)
     calls = []                  # (inside a winding pass, tree) per char_det
-    inside = [False]
+    inside = [0]
     passes, moment_values = [], []
     inner_det, inner_passes = spectrum.char_det, spectrum._winding_passes
+    inner_rouche = spectrum._rouche_windings
     inner_moments = spectrum._pair_moments
 
     def det(P, U, lam, mesh, **kw):
-        calls.append((inside[0], kw.get("tree", False)))
+        calls.append((inside[0] > 0, kw.get("tree", False)))
         return inner_det(P, U, lam, mesh, **kw)
 
     def winding_passes(*args, **kw):
-        inside[0] = True
+        inside[0] += 1
         try:
             results = inner_passes(*args, **kw)
             passes.extend(r for r in results
                           if not isinstance(r, ContourError))
             return results
         finally:
-            inside[0] = False
+            inside[0] -= 1
+
+    def rouche_windings(*args, **kw):
+        inside[0] += 1
+        try:
+            return inner_rouche(*args, **kw)
+        finally:
+            inside[0] -= 1
 
     def moments(circ, nodes, values):
         moment_values.append(values)
@@ -281,6 +386,7 @@ def test_only_windings_use_the_tree_product(const_potential, periodic,
 
     monkeypatch.setattr(spectrum, "char_det", det)
     monkeypatch.setattr(spectrum, "_winding_passes", winding_passes)
+    monkeypatch.setattr(spectrum, "_rouche_windings", rouche_windings)
     monkeypatch.setattr(spectrum, "_pair_moments", moments)
     eigs = localize(const_potential, periodic, 2, mesh96, validate=True)
     assert sum("recovered" in d for d in eigs.diagnostics) == 5
