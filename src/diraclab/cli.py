@@ -4,7 +4,9 @@ Subcommands: equiconv (single experiment), sweep (directory of configs),
 spectrum (eigenvalue table), green (kernel diagnostics), expand (expansion
 coefficients), resnorm (resolvent norm scaling).  Config files are JSON
 documents read as ExperimentConfig(**doc); the environment variable
-DIRACLAB_THREADS caps worker counts.
+DIRACLAB_THREADS caps worker counts.  A refused argument prints "error: "
+and the argument with the reason, and exits 2; failures of the computation
+itself raise.
 """
 from __future__ import annotations
 
@@ -17,38 +19,53 @@ import numpy as np
 
 from .boundary import boundary_from_config
 from .expansions import expansion_coefficients, partial_sum, root_system
-from .green import green0_kernel, green_kernel, kernel_sup, opnorm_scaling
+from .green import check_scaling_args, green0_kernel, green_kernel, \
+    kernel_sup, opnorm_scaling
 from .harness import (ExperimentConfig, emit_report, make_function,
                       run_equiconv, sweep)
-from .mesh import build_mesh, lp_norm
+from .mesh import as_count, build_mesh, lp_norm
 from .potentials import make_potential
 from .spectrum import localize
 
 SPECTRUM_HEADER = "n,re_lambda,im_lambda,re_lambda0,im_lambda0,abs_diff,multiplicity"
 
 
-def _load_config(path):
-    """The ExperimentConfig of a JSON config file; every ValueError (not a
-    JSON object, an unknown key, a bad value) names the file."""
+class _ArgumentError(Exception):
+    """A refused argument; main prints it after "error: " and exits 2."""
+
+
+def _argument(name, read, *args, **kw):
+    """read(*args, **kw), the value of the argument name; the ValueError or
+    KeyError that refuses it is raised as _ArgumentError naming it.  Only
+    argument checks may go through here: PoleError and NotAnEigenvalueError
+    of a computation are ValueErrors too."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"a JSON {type(doc).__name__} is not a config "
-                             f"object")
-        unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
-        if unknown:
-            raise ValueError(f"unknown config key {unknown[0]!r}")
-        return ExperimentConfig(**doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        return read(*args, **kw)
+    except (KeyError, ValueError) as err:
+        reason = err.args[0] if isinstance(err, KeyError) else err
+        raise _ArgumentError(f"{name}: {reason}") from None
+
+
+def _load_config(path):
+    """The ExperimentConfig of a JSON config file; refused as an argument
+    (not a JSON object, an unknown key, a bad value) under its path."""
+    with open(path) as fh:
+        doc = _argument(path, json.load, fh)
+    if not isinstance(doc, dict):
+        raise _ArgumentError(f"{path}: a JSON {type(doc).__name__} is not a "
+                             f"config object")
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise _ArgumentError(f"{path}: unknown config key {unknown[0]!r}")
+    return _argument(path, ExperimentConfig, **doc)
 
 
 def _setup(args):
-    U = boundary_from_config(args.boundary)
-    P = make_potential(json.loads(args.potential))
-    mesh = build_mesh(args.panels, order=args.order,
-                      singular_points=P.singular_points)
+    U = _argument("--boundary", boundary_from_config, args.boundary)
+    P = _argument("--potential", lambda s: make_potential(json.loads(s)),
+                  args.potential)
+    mesh = _argument("--panels", build_mesh, args.panels, order=args.order,
+                     singular_points=P.singular_points)
     return U, P, mesh
 
 
@@ -61,11 +78,7 @@ def _add_problem_args(sp):
 
 
 def cmd_equiconv(args):
-    try:
-        config = _load_config(args.config)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    config = _load_config(args.config)
     report = run_equiconv(config)
     emit_report(report, args.output or "equiconv_report")
     for r in report.rows:
@@ -82,13 +95,8 @@ def cmd_sweep(args):
     import os
     paths = sorted(glob.glob(os.path.join(args.dir, "*.json")))
     if not paths:
-        print(f"error: no *.json configs in {args.dir!r}", file=sys.stderr)
-        return 2
-    try:
-        configs = [_load_config(p) for p in paths]
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise _ArgumentError(f"no *.json configs in {args.dir!r}")
+    configs = [_load_config(p) for p in paths]
     bundle = sweep(configs, out_dir=args.output or args.dir + "_out")
     print(f"{len(bundle['reports'])} runs completed, "
           f"{len(bundle['errors'])} failed")
@@ -99,7 +107,8 @@ def cmd_sweep(args):
 
 def cmd_spectrum(args):
     U, P, mesh = _setup(args)
-    eigs = localize(P, U, args.m_max, mesh, validate=args.validate)
+    m_max = _argument("--m-max", as_count, args.m_max, "m_max")
+    eigs = localize(P, U, m_max, mesh, validate=args.validate)
     lines = [SPECTRUM_HEADER]
     for row in eigs.as_rows():
         n, re_l, im_l, re_0, im_0, d, mult = row
@@ -136,15 +145,17 @@ def cmd_green(args):
 
 def cmd_expand(args):
     U, P, mesh = _setup(args)
-    rs = root_system(P, U, args.m_max, mesh)
-    f = make_function(json.loads(args.function), mesh, form=U)
+    m_max = _argument("--m-max", as_count, args.m_max, "m_max")
+    f = _argument("--function", lambda s: make_function(json.loads(s), mesh,
+                                                        form=U), args.function)
+    rs = root_system(P, U, m_max, mesh)
     coeffs = expansion_coefficients(rs, f)
     print("n,re_coeff,im_coeff,re_lambda,im_lambda")
     for n in sorted(coeffs):
         c = coeffs[n]
         lam = rs.entries[n].lam
         print(f"{n},{c.real!r},{c.imag!r},{lam.real!r},{lam.imag!r}")
-    for m in (args.m_max // 2, args.m_max):
+    for m in (m_max // 2, m_max):
         if m >= 1:
             sm = partial_sum(rs, f, m)
             print(f"# ||S_{m} f - f||_2 = {lp_norm(sm - f, 2):.6e}",
@@ -153,9 +164,10 @@ def cmd_expand(args):
 
 
 def cmd_resnorm(args):
-    U = boundary_from_config(args.boundary)
-    mesh = build_mesh(args.panels, order=args.order)
-    ys = [float(v) for v in args.y.split(",")]
+    U = _argument("--boundary", boundary_from_config, args.boundary)
+    mesh = _argument("--panels", build_mesh, args.panels, order=args.order)
+    ys = _argument("--y", lambda s: [float(v) for v in s.split(",")], args.y)
+    _argument("--mu/--nu/--y", check_scaling_args, args.mu, args.nu, ys)
     est = opnorm_scaling(U, args.mu, args.nu, ys, mesh=mesh)
     expected = -1.0 + 1.0 / args.mu - 1.0 / args.nu
     print("y,norm_estimate")
@@ -209,7 +221,11 @@ def main(argv=None):
     sp.set_defaults(fn=cmd_resnorm)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _ArgumentError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

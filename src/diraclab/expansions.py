@@ -21,7 +21,8 @@ import numpy as np
 
 from .boundary import BoundaryMatrixPair, adjoint_pair
 from .green import _voc_apply, resolvent_sum
-from .mesh import GridFunction2, Mesh, as_count, inner_product, lp_norm
+from .mesh import GridFunction2, Mesh, MeshMismatchError, inner_product, \
+    lp_norm
 from .ode import EIG_CHUNK, det2
 # not called here; kept importable from this module, where bench/spans.py
 # wraps them
@@ -29,11 +30,11 @@ from .green import green_kernel  # noqa: F401
 from .ode import fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 from .spectrum import ACCEPT_TOL, CLUSTER_TOL, AcceptanceScale, ContourError, \
-    Ellipse, EigenvalueList, NotAnEigenvalueError, localization_seeds, \
-    localize, trapezoid_angles
-# propagate and contour_family are looked up on their modules at each
-# call, where bench/spans.py wraps them
-from . import ode, spectrum
+    Ellipse, EigenvalueList, NotAnEigenvalueError, localize, \
+    trapezoid_angles
+# propagate is looked up on its module at each call, where bench/spans.py
+# wraps it
+from . import ode
 
 GRAM_COND_MAX = 1e8
 # projector_contour stops when two successive trapezoid rules agree to
@@ -73,10 +74,7 @@ class RootSystem:
     delta_residual: float
 
     def indices(self, m=None):
-        m = self.m_max if m is None else as_count(m, "m")
-        if m > self.m_max:
-            raise ValueError(f"m={m} exceeds stored range m_max={self.m_max}")
-        return range(-2 * m, 2 * m + 2)
+        return self.eigs.indices(m)
 
     def biorthogonality_residual(self, sample=None):
         """Max |<y_j, z_k> - delta_jk| over index pairs (all by default)."""
@@ -302,8 +300,12 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
 
     The nodes at n are the even nodes at 2n, so each doubling adds only the
     new odd nodes to a running sum, through one resolvent_sum call per
-    level.  Raises ContourError when two successive rules still differ by
-    PROJECTOR_TOL or more after PROJECTOR_DOUBLINGS doublings."""
+    level.  Raises MeshMismatchError, before any resolvent is evaluated,
+    unless f lives on mesh, and ContourError when two successive rules
+    still differ by PROJECTOR_TOL or more after PROJECTOR_DOUBLINGS
+    doublings."""
+    if not f.mesh.same_as(mesh):
+        raise MeshMismatchError("the projector requires f on its mesh")
     acc = np.zeros((2, mesh.size), dtype=complex)
     prev = None
     n = 32
@@ -326,22 +328,20 @@ def partial_sum_contour(rs: RootSystem, f: GridFunction2,
                         m) -> GridFunction2:
     """Cross-check of partial_sum: the Riesz projector over Gamma_m, one
     projector_contour call on the ellipse inscribed in Gamma_m's rectangle
-    (Ellipse.inscribed), where the trapezoid rule converges geometrically
-    in the distance to the nearest eigenvalue.  Raises ValueError for an m
-    that partial_sum refuses, and ContourError, before any resolvent is
-    evaluated, when the ellipse leaves out an eigenvalue of an index in
-    [-2m, 2m+1] or encloses any other stored one."""
+    (EigenvalueList.big_contour, Ellipse.inscribed), where the trapezoid
+    rule converges geometrically in the distance to the nearest eigenvalue.
+    Raises ValueError for an m that partial_sum refuses, and, before any
+    resolvent is evaluated, ContourError when the ellipse leaves out an
+    eigenvalue of an index in [-2m, 2m+1] or encloses any other stored one,
+    and MeshMismatchError unless f lives on the root system's mesh."""
     idx = rs.indices(m)
-    spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
-    fam = spectrum.contour_family(spec0, rs.eigs, validate=False)
-    m = idx[-1] // 2                # an integral float m as its int
-    ellipse = Ellipse.inscribed(fam.big_contour(m))
+    ellipse = Ellipse.inscribed(rs.eigs.big_contour(m))
     ns = np.array(sorted(rs.eigs.values))
     inside = ellipse.contains([rs.eigs.values[n] for n in ns])
     wanted = (ns >= idx[0]) & (ns <= idx[-1])
     if np.any(inside != wanted):
         raise ContourError(
-            f"{ellipse} around Gamma_{m} leaves out lambda_n for n in "
-            f"{ns[wanted & ~inside].tolist()} and encloses lambda_n for n "
-            f"in {ns[inside & ~wanted].tolist()}")
+            f"{ellipse} around Gamma_{idx[-1] // 2} leaves out lambda_n for "
+            f"n in {ns[wanted & ~inside].tolist()} and encloses lambda_n for "
+            f"n in {ns[inside & ~wanted].tolist()}")
     return projector_contour(rs.potential, rs.form, ellipse, f, rs.mesh)

@@ -318,13 +318,10 @@ def _test_battery(mesh: Mesh):
     return np.array(fam)
 
 
-def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
-                   mesh: Mesh) -> OpNormEstimate:
-    """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
-    fit the decay exponent in y (expected -1 + 1/mu - 1/nu).  Each kernel
-    is applied to the whole battery at once.  Raises ValueError unless
-    1 <= mu <= nu (so neither is NaN) and y_list holds only positive finite
-    values, two or more distinct."""
+def check_scaling_args(mu, nu, y_list):
+    """y_list as a float array, or a ValueError unless 1 <= mu <= nu (so
+    neither is NaN) and y_list holds only positive finite values, two or
+    more distinct."""
     check_exponent(mu, "mu")
     check_exponent(nu, "nu")
     if nu < mu:
@@ -333,6 +330,16 @@ def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
     if not np.all((ys > 0.0) & np.isfinite(ys)) or np.unique(ys).size < 2:
         raise ValueError(f"y_list must hold positive finite values, at least "
                          f"two of them distinct; got {list(y_list)}")
+    return ys
+
+
+def opnorm_scaling(U: BoundaryMatrixPair, mu, nu, y_list,
+                   mesh: Mesh) -> OpNormEstimate:
+    """Estimate ||R0(iy)||_{L_mu -> L_nu} from below over a bump battery and
+    fit the decay exponent in y (expected -1 + 1/mu - 1/nu).  Each kernel
+    is applied to the whole battery at once.  Raises the ValueError of
+    check_scaling_args for bad mu, nu or y_list."""
+    ys = check_scaling_args(mu, nu, y_list)
     battery = _test_battery(mesh)
     norms_mu = [lp_norm(GridFunction2(mesh, f), mu) for f in battery]
     ests = np.empty(ys.size)

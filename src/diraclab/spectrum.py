@@ -2,10 +2,11 @@
 
 Perturbed eigenvalues are found by Newton iteration on the characteristic
 determinant, seeded by the closed-form unperturbed spectrum (shifted by the
-gauge constant gamma when the potential has diagonal entries).  Winding
-numbers along circles gamma_n and rectangles Gamma_m validate the counts; a
-pair whose Newton iterations fail is recovered from argument-principle
-moments on a circle around its seeds.
+gauge constant gamma when the potential has diagonal entries).  A pair whose
+Newton iterations fail is recovered from argument-principle moments on a
+circle around its seeds.  The paper's contour family comes from the list:
+circles gamma_k around each pair and rectangles Gamma_m around the central
+block, placed from the eigenvalues and seeds (EigenvalueList.big_contour).
 
 Winding counts and recovery moments read one pass of values per contour,
 refined by node doubling: the nodes at n are exactly the even nodes at 2n,
@@ -13,16 +14,16 @@ bit for bit, so each level evaluates only its new odd nodes
 (:func:`_winding_rule`).  A family of contours is evaluated level by level,
 one char_det call per level (:func:`_family_passes`).
 
-Validation compares Delta with the free operator, as the paper's Rouche
-argument does (:func:`_rouche_windings`): along the circles gamma_k and
-Gamma_m it winds g = Delta / Delta0, with Delta0 = delta0(form, lambda -
-gamma) of the gauge reduction.  The winding of Delta is that of g plus the
-free zeros lambda_n^0 + gamma inside the contour, which are known in closed
-form.  g stays near 1 away from the lowest pairs, so its rule starts at one
-node per unit arc length, where Delta's starts at 16.  A contour whose pass
-on g fails is wound on Delta instead.  Recovery and winding_count wind Delta
-itself (:func:`_winding_passes`): recovery reads its moments from Delta's
-values.
+Validation (:func:`_validate`) winds every gamma_k and Gamma_min(2, m_max)
+as one family, comparing Delta with the free operator as the paper's Rouche
+argument does (:func:`_rouche_windings`): it winds g = Delta / Delta0, with
+Delta0 = delta0(form, lambda - gamma) of the gauge reduction.  The winding
+of Delta is that of g plus the free zeros lambda_n^0 + gamma inside the
+contour, which are known in closed form.  g stays near 1 away from the
+lowest pairs, so its rule starts at one node per unit arc length, where
+Delta's starts at 16.  A contour whose pass on g fails is wound on Delta
+instead.  Recovery and winding_count wind Delta itself
+(:func:`_winding_passes`): recovery reads its moments from Delta's values.
 """
 from __future__ import annotations
 
@@ -295,21 +296,13 @@ def _accepted(result):
     return result
 
 
-def _winding_pass(P, U, contour, mesh):
-    """(winding number, nodes, Delta values) at the level winding_count
-    accepts: _winding_passes on a family of one contour.  Recovery moments
-    read these values, so the pairwise product's bits reach an eigenvalue
-    only as an estimate a failed polish keeps."""
-    return _accepted(_winding_passes(P, U, [contour], mesh)[0])
-
-
 def winding_count(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
                   mesh: Mesh):
     """Winding number of Delta along the contour: the rule of _winding_rule
     on a family of one contour.  Delta comes from the pairwise monodromy
     product (char_det(tree=True)): the count is an integer, so the last bits
     of Delta that an eigenvalue would carry do not reach it."""
-    return _winding_pass(P, U, contour, mesh)[0]
+    return _accepted(_winding_passes(P, U, [contour], mesh)[0])[0]
 
 
 @dataclass
@@ -328,14 +321,36 @@ class EigenvalueList:
     # comparison with the free operator holds there
     margins: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def indices(self):
-        return sorted(self.values)
+    def indices(self, m=None):
+        """n in [-2m, 2m+1] (m = m_max by default); ValueError for an m
+        outside [0, m_max] or not an integer."""
+        m = self.m_max if m is None else as_count(m, "m")
+        if m > self.m_max:
+            raise ValueError(f"m={m} exceeds stored range m_max={self.m_max}")
+        return range(-2 * m, 2 * m + 2)
 
     def pair(self, k):
         return self.values[2 * k], self.values[2 * k + 1]
 
     def pair_indices(self):
         return range(-self.m_max, self.m_max + 1)
+
+    def big_contour(self, m):
+        """Gamma_m: the rectangle around lambda_n and its seed for n in
+        indices(m), its vertical sides midway to the nearest other ones (or
+        1/2 out), its horizontal sides 1/2 above every |Im|, at least 1."""
+        idx = self.indices(m)
+        inner, left, right = [], [], []
+        for n in self.values:
+            side = left if n < idx[0] else right if n > idx[-1] else inner
+            side += [self.values[n].real, self.seeds[n].real]
+        re_min = (0.5 * (min(inner) + max(left)) if left
+                  else min(inner) - 0.5)
+        re_max = (0.5 * (max(inner) + min(right)) if right
+                  else max(inner) + 0.5)
+        im_max = max(abs(z.imag) for z in [*self.values.values(),
+                                           *self.seeds.values()])
+        return RectContour(re_min, re_max, max(1.0, im_max + 0.5))
 
     def tail_max(self, lo, hi):
         devs = [abs(self.values[n] - self.seeds[n]) for n in self.values
@@ -499,11 +514,6 @@ def _recover_pairs(P, U, mesh, seed_mids, caps):
     return found
 
 
-def _recover_pair(P, U, mesh, seed_mid, cap):
-    """_recover_pairs for one pair."""
-    return _recover_pairs(P, U, mesh, [seed_mid], [cap])[0]
-
-
 def delta_scale(P: PotentialMatrix, U: BoundaryMatrixPair, lams, mesh: Mesh):
     """Acceptance scale max(1, median |Delta(lambda_n + 0.49)|) for a set of
     eigenvalues, from boundary values only.  Each distinct probe is
@@ -549,16 +559,16 @@ def localization_seeds(P: PotentialMatrix, U: BoundaryMatrixPair, mesh: Mesh):
 def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
              validate=False) -> EigenvalueList:
     """Eigenvalues lambda_n for n in [-2 m_max, 2 m_max + 1], paired to
-    their seeds.  With validate, each pair's circle gamma_k must wind twice
-    around the zeros of Delta, or ContourError is raised."""
+    their seeds.  With validate, the contour family must pass _validate,
+    or ContourError is raised."""
     m_max = as_count(m_max, "m_max")
     ok, _ = is_regular(U)
     if not ok:
         raise NotRegularError("localization requires a regular form")
     red = gauge_reduce(P, U, mesh)
-    spec0, gamma = unperturbed_spectrum(red.form), red.gamma
     ns = np.arange(-2 * m_max, 2 * m_max + 2)
-    seeds = spec0.lambda0(ns).astype(complex) + gamma
+    seeds = unperturbed_spectrum(red.form).lambda0(ns).astype(complex) \
+        + red.gamma
     lam, converged = _newton(P, U, mesh, seeds)
     diagnostics = []
     keys = [int(n) for n in ns]
@@ -607,7 +617,7 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
     eigs = EigenvalueList(m_max=m_max, values=values, seeds=seedmap,
                           multiplicity=mult, diagnostics=diagnostics)
     if validate:
-        _validate_pairs(P, U, mesh, red, eigs)
+        _validate(P, U, mesh, red, eigs)
     return eigs
 
 
@@ -617,102 +627,53 @@ def _pair_circle(lam_a, lam_b):
     return Circle(complex(center), float(radius))
 
 
-def _check_gamma(k, circ, w):
-    """Raise ContourError unless gamma_k winds twice around the zeros."""
-    if w != 2:
-        raise ContourError(
-            f"gamma_{k} (center {circ.center:.4f}, r {circ.radius:.3f}) "
-            f"winding {w} != 2")
-
-
-def _validate_pairs(P, U, mesh, red, eigs: EigenvalueList):
-    """Record on eigs the winding number and margin of each circle gamma_k,
-    all wound on g = Delta / Delta0 as one family (_rouche_windings, with
-    red = gauge_reduce(P, U, mesh)); raises ContourError at the first k
-    whose winding failed or is not 2."""
-    eigs.windings_for = (P, U, mesh)
+def _validate(P, U, mesh, red, eigs: EigenvalueList):
+    """Wind every gamma_k and Gamma_m0, m0 = min(2, m_max), as one family
+    (_rouche_windings; red = gauge_reduce(P, U, mesh)).  Raises ContourError
+    at the first gamma_k that fails or does not wind twice, then when
+    Gamma_m0 does not wind 4 m0 + 2 times or leaves out a seed of its block.
+    Only then records each circle's winding and margin, and (P, U, mesh)."""
     circles = {k: _pair_circle(*eigs.pair(k)) for k in eigs.pair_indices()}
-    results = _rouche_windings(P, U, red, list(circles.values()), mesh)
-    for circ, result in zip(circles.values(), results):
-        if not isinstance(result, ContourError):
-            eigs.windings[circ], margin = result
-            if margin is not None:
-                eigs.margins[circ] = margin
+    m0 = min(2, eigs.m_max)
+    rect = eigs.big_contour(m0)
+    *results, last = _rouche_windings(P, U, red, [*circles.values(), rect],
+                                      mesh)
     for (k, circ), result in zip(circles.items(), results):
-        _check_gamma(k, circ, _accepted(result)[0])
+        if _accepted(result)[0] != 2:
+            raise ContourError(
+                f"gamma_{k} (center {circ.center:.4f}, r {circ.radius:.3f}) "
+                f"winding {result[0]} != 2")
+    if _accepted(last)[0] != 4 * m0 + 2:
+        raise ContourError(f"Gamma_{m0} winding {last[0]} != {4 * m0 + 2}")
+    block = [eigs.seeds[n] for n in eigs.indices(m0)]
+    if not np.all(rect.contains(np.array(block))):
+        raise ContourError("Gamma_m fails to enclose the unperturbed block")
+    for circ, (w, margin) in zip(circles.values(), results):
+        eigs.windings[circ] = w
+        if margin is not None:
+            eigs.margins[circ] = margin
+    eigs.windings_for = (P, U, mesh)
 
 
 @dataclass
 class ContourFamily:
     gammas: dict                    # pair index k -> Circle
-    half_height: float
     eigs: EigenvalueList
-    spec0_values: dict              # n -> lambda_n^0
-
-    def big_contour(self, m):
-        """Gamma_m: rectangle enclosing lambda_n and lambda_n^0 for
-        n in [-2m, 2m+1], with vertical sides midway between clusters."""
-        lo, hi = -2 * m, 2 * m + 1
-        inner = [self.eigs.values[n].real for n in range(lo, hi + 1)]
-        inner += [self.spec0_values[n].real for n in range(lo, hi + 1)]
-        outer_left = [self.eigs.values[n].real for n in self.eigs.values if n < lo]
-        outer_left += [self.spec0_values[n].real for n in self.spec0_values if n < lo]
-        outer_right = [self.eigs.values[n].real for n in self.eigs.values if n > hi]
-        outer_right += [self.spec0_values[n].real for n in self.spec0_values if n > hi]
-        left = (0.5 * (min(inner) + max(outer_left)) if outer_left
-                else min(inner) - 0.5)
-        right = (0.5 * (max(inner) + min(outer_right)) if outer_right
-                 else max(inner) + 0.5)
-        return RectContour(left, right, self.half_height)
 
 
 def contour_family(spec0, eigs: EigenvalueList, P=None, U=None, mesh=None,
                    validate=True) -> ContourFamily:
-    """Circles gamma_k around the eigenvalue pairs (lambda_2k, lambda_2k+1)
-    and rectangles Gamma_m, winding-validated when (P, U, mesh) are given.
-
-    A circle whose winding number localize(validate=True) recorded on eigs
-    for these same P, U and mesh objects is not evaluated again; the other
-    circles and Gamma_m are wound on g = Delta / Delta0 as one family
-    (_rouche_windings)."""
-    gammas = {}
-    all_vals = eigs.values
-    for k in eigs.pair_indices():
-        circ = _pair_circle(*eigs.pair(k))
-        outside = [abs(all_vals[n] - circ.center) for n in all_vals
-                   if n not in (2 * k, 2 * k + 1)]
-        if outside:
-            nearest = min(outside)
-            if nearest <= circ.radius:
-                shrunk = 0.5 * (nearest + 0.5 * abs(all_vals[2 * k] - all_vals[2 * k + 1]))
-                circ = Circle(circ.center, max(shrunk, 1e-6))
-        gammas[k] = circ
-    im_max = max(abs(v.imag) for v in all_vals.values())
-    half_height = max(1.0, im_max + 0.5)
-    ns = np.array(sorted(all_vals))
-    spec0_values = {int(n): complex(spec0.lambda0(np.array([n]))[0])
-                    for n in ns}
-    fam = ContourFamily(gammas=gammas, half_height=half_height,
-                        eigs=eigs, spec0_values=spec0_values)
+    """The circles gamma_k around the pairs (lambda_2k, lambda_2k+1) of eigs;
+    Gamma_m is eigs.big_contour(m), placed from the eigenvalues and their
+    gamma-shifted seeds, so spec0 is no longer read.  With validate, runs
+    _validate unless localize(validate=True) already did on eigs for these
+    same P, U and mesh objects."""
+    fam = ContourFamily(gammas={k: _pair_circle(*eigs.pair(k))
+                                for k in eigs.pair_indices()}, eigs=eigs)
     if validate:
         if P is None or U is None or mesh is None:
             raise ValueError("validation requires P, U and a mesh")
-        same = eigs.windings_for is not None and all(
-            a is b for a, b in zip(eigs.windings_for, (P, U, mesh)))
-        known = eigs.windings if same else {}
-        todo = [c for c in gammas.values() if c not in known]
-        m_small = min(2, eigs.m_max)
-        rect = fam.big_contour(m_small)
-        *results, last = _rouche_windings(P, U, gauge_reduce(P, U, mesh),
-                                          todo + [rect], mesh)
-        fresh = dict(zip(todo, results))
-        for k, circ in gammas.items():
-            _check_gamma(k, circ, known[circ] if circ in known
-                         else _accepted(fresh[circ])[0])
-        w = _accepted(last)[0]
-        if w != 4 * m_small + 2:
-            raise ContourError(f"Gamma_{m_small} winding {w} != {4 * m_small + 2}")
-        inside0 = [spec0_values[n] + 0j for n in range(-2 * m_small, 2 * m_small + 2)]
-        if not np.all(rect.contains(np.array(inside0))):
-            raise ContourError("Gamma_m fails to enclose the unperturbed block")
+        done = eigs.windings_for
+        if done is None or any(a is not b for a, b in zip(done, (P, U, mesh))):
+            _validate(P, U, mesh, gauge_reduce(P, U, mesh), eigs)
     return fam

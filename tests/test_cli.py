@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from diraclab import CSV_HEADER
+from diraclab import CSV_HEADER, PoleError
 from diraclab.cli import SPECTRUM_HEADER, main
 
 CFG = {
@@ -112,10 +112,43 @@ def test_spectrum_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "expand"])
-def test_negative_m_max_rejected(command):
+def test_negative_m_max_rejected(command, capsys):
     # expand died in the cluster grouping, spectrum printed an empty table
-    with pytest.raises(ValueError, match="m_max=-1 is negative"):
-        main([command, "--panels", "64", "--m-max", "-1"])
+    rc = main([command, "--panels", "64", "--m-max", "-1"])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == "error: --m-max: m_max=-1 is negative\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "green", "expand"])
+@pytest.mark.parametrize("args, message", [
+    (["--boundary", "bogus"], "--boundary: unknown boundary preset 'bogus'"),
+    (["--potential", "notjson"], "--potential: Expecting value"),
+    (["--potential", '{"family": "nope"}'],
+     "--potential: unknown potential family 'nope'"),
+    (["--panels", "0"], "--panels: panels=0 is below 1"),
+], ids=["boundary", "potential-json", "potential-family", "panels"])
+def test_problem_argument_errors_exit_2(command, args, message, capsys):
+    # each died with a KeyError, JSONDecodeError or ValueError traceback
+    rc = main([command, "--panels", "16", *args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_expand_refuses_a_bad_function(capsys):
+    rc = main(["expand", "--panels", "16", "--m-max", "1",
+               "--function", "notjson"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --function: ")
+
+
+def test_computation_errors_still_raise():
+    # a pole of the resolvent is not an argument error: lambda = 1 is an
+    # eigenvalue of the free Dirichlet-type operator
+    with pytest.raises(PoleError):
+        main(["green", "--panels", "16", "--re-lambda", "1",
+              "--im-lambda", "0"])
 
 
 def test_green_command(capsys):
@@ -159,10 +192,23 @@ def test_resnorm_command(capsys):
 
 
 @pytest.mark.parametrize("flag,name", [("--mu", "mu"), ("--nu", "nu")])
-def test_resnorm_rejects_nan_exponent(flag, name):
+def test_resnorm_rejects_nan_exponent(flag, name, capsys):
     # a NaN exponent would print nan estimates and a nan slope and exit 0
-    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-        main(["resnorm", "--panels", "16", flag, "nan", "--y", "4,8"])
+    rc = main(["resnorm", "--panels", "16", flag, "nan", "--y", "4,8"])
+    assert rc == 2
+    assert f"{name} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--mu", "0.5"], "--mu/--nu/--y: mu must be >= 1 or inf, got 0.5"),
+    (["--y", "4"], "--mu/--nu/--y: y_list must hold positive finite values"),
+    (["--y", "4,x"], "--y: could not convert string to float: 'x'"),
+    (["--boundary", "bogus"], "--boundary: unknown boundary preset 'bogus'"),
+], ids=["mu", "one-y", "y-not-float", "boundary"])
+def test_resnorm_argument_errors_exit_2(args, message, capsys):
+    rc = main(["resnorm", "--panels", "16", *args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("flag", ["--mu", "--nu"])

@@ -9,7 +9,8 @@ import diraclab.green as green
 import diraclab.ode as ode
 import diraclab.spectrum as spectrum
 from diraclab import (Circle, ContourError, GridFunction2,
-                      NotAnEigenvalueError, PotentialMatrix, RootSystemError,
+                      MeshMismatchError, NotAnEigenvalueError,
+                      PotentialMatrix, RootSystemError,
                       adjoint_pair, build_mesh, bvp_eigenfunction,
                       expansion_coefficients, fundamental_matrix,
                       gauge_reduce, inner_product, localization_seeds,
@@ -156,13 +157,31 @@ def test_partial_sum_contour_refuses_m_as_partial_sum_does(rs_const_m8,
     # m outside [0, m_max], or a non-integer m, raises partial_sum's
     # ValueError before any contour work
     f = _f_smooth(mesh96)
-    monkeypatch.setattr(expansions, "localization_seeds", None)
+    monkeypatch.setattr(expansions, "Ellipse", None)
+    monkeypatch.setattr(expansions, "projector_contour", None)
     for m in (-1, 9, 1.5):
         with pytest.raises(ValueError) as want:
             partial_sum(rs_const_m8, f, m)
         with pytest.raises(ValueError) as got:
             partial_sum_contour(rs_const_m8, f, m)
         assert str(got.value) == str(want.value)
+
+
+def test_projector_refuses_f_on_another_mesh(rs_const_m8, monkeypatch):
+    # a smooth f on another 160-node mesh: partial_sum refuses it through
+    # inner_product, and projector_contour and partial_sum_contour refuse
+    # it before any resolvent is evaluated
+    rs = rs_const_m8
+    f = _f_smooth(build_mesh(32, order=5))
+    assert f.mesh.size == 160 != rs.mesh.size
+    with pytest.raises(MeshMismatchError):
+        partial_sum(rs, f, 1)
+    monkeypatch.setattr(expansions, "resolvent_sum", None)
+    with pytest.raises(MeshMismatchError):
+        projector_contour(rs.potential, rs.form, Circle(0.0, 0.5), f,
+                          rs.mesh)
+    with pytest.raises(MeshMismatchError):
+        partial_sum_contour(rs, f, 1)
 
 
 def _circle_sum(rs, f, m):
@@ -227,9 +246,7 @@ def test_partial_sum_contour_matches_partial_sum_at_m_max(rs_const_m8,
 
 def test_ellipse_is_inscribed_in_gamma_m(rs_const128):
     rs = rs_const128
-    spec0, _ = localization_seeds(rs.potential, rs.form, rs.mesh)
-    rect = spectrum.contour_family(spec0, rs.eigs,
-                                   validate=False).big_contour(2)
+    rect = rs.eigs.big_contour(2)
     ellipse = spectrum.Ellipse.inscribed(rect)
     ends = ellipse.at(np.array([0.0, 0.5 * PI, PI, 1.5 * PI]))[0]
     want = [rect.re_max, ellipse.center + 1j * rect.im_half, rect.re_min,

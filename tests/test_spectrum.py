@@ -13,8 +13,7 @@ from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
                       gauge_reduce, localize, localization_seeds,
                       make_potential, unperturbed_spectrum, winding_count)
 from diraclab.ode import char_det
-from diraclab.spectrum import (_newton, _pair_moments, _recover_pair,
-                               _winding_pass, trapezoid_angles)
+from diraclab.spectrum import _newton, _pair_moments, trapezoid_angles
 
 PI = np.pi
 P0 = PotentialMatrix.zero()
@@ -31,6 +30,18 @@ SPECTRUM_PROBLEMS = {
 GAUGED_TRIG = {"family": "trig", "p1": [["cos", 0, [0.7, 0.2]]],
                "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]],
                "p4": [["sin", 1, [0.4, -0.3]]]}
+
+
+def _winding_pass(P, U, contour, mesh):
+    """(winding number, nodes, Delta values) of one contour's own pass, or
+    its ContourError raised."""
+    return spectrum._accepted(
+        spectrum._winding_passes(P, U, [contour], mesh)[0])
+
+
+def _recover_pair(P, U, mesh, seed_mid, cap):
+    """Pair recovery around one seed midpoint."""
+    return spectrum._recover_pairs(P, U, mesh, [seed_mid], [cap])[0]
 
 
 @pytest.fixture
@@ -198,10 +209,12 @@ def test_validation_evaluates_its_circles_as_one_family(dirichlet, mesh96,
                                                        char_det_sizes):
     # the five circles gamma_k of radius 0.75 accept at their first level,
     # 8 nodes each on g = Delta / Delta0, which is constant for the free
-    # operator: one pairwise call for all of them, not one per circle, and
-    # every winding of 2 comes from the two free zeros inside
+    # operator, and so does Gamma_2 at ceil(arc) nodes: one pairwise call
+    # for all of them, not one per contour, and every winding of 2 comes
+    # from the two free zeros inside
     eigs = localize(P0, dirichlet, 2, mesh96, validate=True)
-    assert [s for s in char_det_sizes if s[1]] == [(5 * 8, True)]
+    gamma2 = int(np.ceil(eigs.big_contour(2).arc_length))
+    assert [s for s in char_det_sizes if s[1]] == [(5 * 8 + gamma2, True)]
     assert sorted(eigs.windings.values()) == [2] * 5
     assert eigs.margins.keys() == eigs.windings.keys()
 
@@ -264,8 +277,7 @@ def test_rouche_windings_match_delta_rule(pspec, form, request):
     assert eigs.margins.keys() == eigs.windings.keys()
     for circ, w in eigs.windings.items():
         assert winding_count(P, U, circ, mesh) == w == 2
-    spec0, _ = localization_seeds(P, U, mesh)
-    rect = contour_family(spec0, eigs, P=P, U=U, mesh=mesh).big_contour(2)
+    rect = eigs.big_contour(2)
     (w, margin), = spectrum._rouche_windings(P, U, gauge_reduce(P, U, mesh),
                                              [rect], mesh)
     assert w == winding_count(P, U, rect, mesh) == 10
@@ -757,7 +769,7 @@ def test_contour_family_free(dirichlet, mesh96):
     for k in range(-3, 4):
         circ = fam.gammas[k]
         assert np.all(circ.contains(np.array(eigs.pair(k))))
-    rect = fam.big_contour(1)
+    rect = eigs.big_contour(1)
     assert winding_count(P0, dirichlet, rect, mesh96) == 6
 
 
@@ -780,12 +792,44 @@ def test_contour_family_reuses_localize_windings(const_potential, periodic,
     assert circles >= 5
     del winding_contours[:]
     contour_family(spec0, eigs, P=const_potential, U=periodic, mesh=mesh96)
-    assert [type(c) for c in winding_contours] == [RectContour]
+    assert winding_contours == []
     # an equal mesh that is another object certifies nothing: all again
     del winding_contours[:]
     contour_family(spec0, eigs, P=const_potential, U=periodic,
                    mesh=build_mesh(96, order=5))
     assert [type(c) for c in winding_contours] == [Circle] * 5 + [RectContour]
+
+
+@pytest.mark.parametrize("p1", [2.0, 3.2])
+def test_contour_family_places_gamma_m_from_shifted_seeds(p1, dirichlet):
+    # a constant diagonal potential shifts every seed by gamma = p1 / 2
+    # (1.0 and 1.6): Gamma_2 placed from the unshifted free eigenvalues
+    # failed to stabilize (p1 = 2) or to enclose the block (p1 = 3.2) where
+    # localize passed; placed from the eigenvalues and their shifted
+    # seeds, it holds both, and contour_family passes on any mesh object
+    P = make_potential({"family": "trig", "p1": [["cos", 0, p1]]})
+    mesh = build_mesh(96, order=5, singular_points=P.singular_points)
+    eigs = localize(P, dirichlet, 3, mesh, validate=True)
+    spec0, gamma = localization_seeds(P, dirichlet, mesh)
+    assert abs(gamma - 0.5 * p1) < 1e-12
+    contour_family(spec0, eigs, P=P, U=dirichlet, mesh=mesh)
+    contour_family(spec0, eigs, P=P, U=dirichlet,
+                   mesh=build_mesh(96, order=5))
+    rect = eigs.big_contour(2)
+    block = range(-4, 6)
+    assert np.all(rect.contains([eigs.values[n] for n in block]))
+    assert np.all(rect.contains([eigs.seeds[n] for n in block]))
+
+
+def test_big_contour_refuses_m_by_name(dirichlet, mesh96):
+    # as RootSystem.indices does: m outside [0, m_max], or not an integer
+    eigs = localize(P0, dirichlet, 3, mesh96)
+    for m, phrase in [(4, "m=4 exceeds stored range m_max=3"),
+                      (-1, "m=-1 is negative"),
+                      (1.5, "m=1.5 is not an integer")]:
+        with pytest.raises(ValueError, match=re.escape(phrase)):
+            eigs.big_contour(m)
+    assert eigs.big_contour(2.0) == eigs.big_contour(2)
 
 
 def test_contour_family_needs_operator_for_validation(dirichlet, mesh96):
@@ -806,9 +850,9 @@ def test_validate_flag_smoke(trig_potential, dirichlet, mesh96):
 def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
                                        winding_contours):
     # hand validation a list with lambda_3 = 3 moved to 5.7: gamma_1 then
-    # encloses the zeros 2, 3, 4 and 5, and localize raises after circle
-    # windings only; the five circles are one family, all evaluated before
-    # gamma_1 is checked
+    # encloses the zeros 2, 3, 4 and 5, and localize raises; the five
+    # circles and Gamma_2 are one family, all evaluated before gamma_1 is
+    # checked
     inner = spectrum.EigenvalueList
 
     def shifted(**kw):
@@ -819,4 +863,16 @@ def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
     with pytest.raises(ContourError, match=r"gamma_1 \(center 3.8500"
                        r"\+0.0000j, r 2.100\) winding 4 != 2"):
         localize(P0, dirichlet, 2, mesh96, validate=True)
-    assert [type(c) for c in winding_contours] == [Circle] * 5
+    assert [type(c) for c in winding_contours] == [Circle] * 5 + [RectContour]
+
+
+def test_failed_validation_records_nothing(dirichlet, mesh96):
+    # a contour_family call that raises leaves the list unvalidated, so a
+    # second call winds the family again and raises again
+    eigs = localize(P0, dirichlet, 2, mesh96)
+    eigs.values[3] += 2.7
+    for _ in range(2):
+        with pytest.raises(ContourError, match="gamma_1"):
+            contour_family(None, eigs, P=P0, U=dirichlet, mesh=mesh96)
+        assert eigs.windings_for is None
+        assert not eigs.windings and not eigs.margins

@@ -16,8 +16,9 @@ status is 1 when any family differs.  The families are
   ``det_residual`` and the root and dual vectors ``Y``, ``Z`` of both root
   systems, for the four equiconv configs at f seeds 0 and 5;
 - spectrum: the eigenvalues, multiplicities and diagnostics of the three
-  spectrum problems, and the winding number of each circle that validation
-  recorded, as sorted (center, radius, winding);
+  spectrum problems, and the winding number and Rouche margin of each
+  circle that validation recorded, as sorted (center, radius, winding) and
+  (center, radius, margin);
 - resolvent: the rows of the resolvent ops (operator-norm estimates and
   slopes, contour partial sums) at f seeds 0-7.
 
@@ -74,12 +75,13 @@ def spectrum(workloads):
     for op in w.ops:
         eigs, _ = op.run()
         n = sorted(eigs.values)
-        windings = sorted(
-            ((c.center.real, c.center.imag, c.radius), w)
-            for c, w in eigs.windings.items())
+        windings, margins = (sorted(
+            ((c.center.real, c.center.imag, c.radius), v)
+            for c, v in record.items())
+            for record in (eigs.windings, eigs.margins))
         _feed(h, [op.key, n, [eigs.values[k] for k in n],
                   [eigs.multiplicity[k] for k in n], eigs.diagnostics,
-                  windings])
+                  windings, margins])
     return h.hexdigest()
 
 
