@@ -29,8 +29,8 @@ from .expansions import partial_sum, root_system
 from .green import green_kernel, kernel_sup
 from .mesh import GridFunction2, as_count, build_mesh, check_exponent, \
     lp_norm
-from .potentials import (PotentialMatrix, ScalarFunction, comparison_operator,
-                         make_potential, term_sum)
+from .potentials import (PotentialMatrix, ScalarFunction, check_spec,
+                         comparison_operator, make_potential, term_sum)
 
 CSV_HEADER = "m,nu,norm_diff,admissible,excluded_case"
 
@@ -104,6 +104,13 @@ class ExperimentConfig:
     comparison: str = "free"        # "free" | "corollary-diagonal"
 
     def __post_init__(self):
+        for name, kind, what in [("potential", dict, "a spec object"),
+                                 ("f", dict, "a spec object"),
+                                 ("nu_list", (list, tuple), "a list"),
+                                 ("m_schedule", (list, tuple), "a list")]:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name}={value!r} is not {what}")
         sched = tuple(self.m_schedule)
         if not sched:
             raise ValueError("m schedule must not be empty")
@@ -170,7 +177,11 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     U(f) = 0), bump (indicator), power (|x-x0|^{-1/mu+eps} profile),
     random_trig (seeded random trigonometric pair).
     """
-    family = spec.get("family", "smooth")
+    family = check_spec(spec, "function", {
+        "smooth": ("components",), "bc_smooth": (),
+        "bump": ("center", "width", "component"),
+        "power": ("eps", "x0", "component"), "random_trig": ("n_terms",)},
+        "smooth")
     x = mesh.nodes
     if family == "smooth":
         comps = spec.get("components")
@@ -227,7 +238,6 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
                 b = rng.normal() + 1j * rng.normal()
                 vals[comp] += (a * np.sin(k * x) + b * np.cos(k * x)) / k
         return GridFunction2(mesh, vals)
-    raise ValueError(f"unknown function family {family!r}")
 
 
 @contextmanager

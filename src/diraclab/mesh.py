@@ -28,8 +28,10 @@ class MeshMismatchError(ValueError):
 
 def as_count(value, name, least=0):
     """int(value), or a ValueError naming value unless it is an integer of
-    at least least; an integral float counts as that integer."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+    at least least; an integral float counts as that integer, a bool does
+    not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
         raise ValueError(f"{name}={value!r} is not an integer")
     if value < least:
         raise ValueError(f"{name}={value!r} is negative" if least == 0

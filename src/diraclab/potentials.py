@@ -134,7 +134,10 @@ def term_sum(terms, kinds):
     Every kind must be one of `kinds` (names in TERM_KINDS); k may be
     fractional."""
     parsed = []
-    for kind, k, amp in terms:
+    for term in terms:
+        if not (isinstance(term, (list, tuple)) and len(term) == 3):
+            raise ValueError(f"term {term!r} is not [kind, k, amp]")
+        kind, k, amp = term
         if kind not in kinds:
             raise ValueError(f"unknown term kind {kind!r}, expected one of "
                              f"{', '.join(kinds)}")
@@ -146,6 +149,24 @@ def term_sum(terms, kinds):
             out += amp * term(k, x)
         return out
     return fn
+
+
+def check_spec(spec, what, families, default):
+    """The family of a spec dict (default when it names none).  families
+    maps each family name to the keys it takes besides "family"; a spec
+    that is no dict, of another family or with another key is refused by
+    a ValueError naming it.  what names the kind of spec."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} spec {spec!r} is not an object")
+    family = spec.get("family", default)
+    if not (isinstance(family, str) and family in families):
+        raise ValueError(f"unknown {what} family {family!r}")
+    keys = ["family", *families[family]]
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in a {family} {what} "
+                         f"spec; its keys are {', '.join(keys)}")
+    return family
 
 
 def _single_entry(spec, f):
@@ -167,7 +188,10 @@ def make_potential(spec) -> PotentialMatrix:
     """
     if isinstance(spec, PotentialMatrix):
         return spec
-    family = spec.get("family", "zero")
+    family = check_spec(spec, "potential", {
+        "zero": (), "constant_offdiag": ("c",), "trig": ENTRIES,
+        "power": ("alpha", "x0", "amplitude", "kappa", "entry"),
+        "step": ("breaks", "values", "entry")}, "zero")
     if family == "zero":
         return PotentialMatrix.zero()
     if family == "constant_offdiag":
@@ -208,7 +232,6 @@ def make_potential(spec) -> PotentialMatrix:
             idx = np.searchsorted(_e, x, side="right")
             return _v[idx]
         return _single_entry(spec, ScalarFunction(fn=fn))
-    raise ValueError(f"unknown potential family {family!r}")
 
 
 def gauge_reduce(P: PotentialMatrix, U: BoundaryMatrixPair,

@@ -375,18 +375,12 @@ def _delta_and_slope(P, U, mesh, z):
     return np.stack([vals[:m], (vals[m:2 * m] - vals[2 * m:]) / (2.0 * h)])
 
 
-def _slope(P, U, mesh, z):
-    """The slope of _delta_and_slope alone, from one char_det call on
-    [z + h, z - h]."""
-    h = SLOPE_H
-    vals = char_det(P, U, np.concatenate([z + h, z - h]), mesh)
-    return (vals[:z.size] - vals[z.size:]) / (2.0 * h)
-
-
 def _newton(P, U, mesh, seeds):
-    """Newton iterates from the seeds, and which of them converged.  Equal
-    seeds iterate once: each Delta value is independent of its batch, so
-    the result is bit for bit that of a run per seed.
+    """Newton iterates from the seeds, which of them converged, and Delta
+    and Delta' where each final step started (the doubled point where a
+    doubled step was kept), as a (2, seeds) array.  Equal seeds iterate
+    once: each Delta is independent of its batch, so every output is bit
+    for bit that of a run per seed.
 
     At a double zero Newton only halves the distance with each step.  Once
     three steps in a row halve (each ratio within HALVING_TOL of 1/2), the
@@ -404,15 +398,17 @@ def _newton(P, U, mesh, seeds):
     may_double = np.ones(lam.shape, dtype=bool)
     pending = np.zeros(lam.shape, dtype=bool)
     doubled = np.zeros(lam.shape, dtype=complex)
+    evaluated = np.zeros((2,) + lam.shape, dtype=complex)
     for _ in range(NEWTON_MAX_ITER):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         tried = idx[pending[idx]]
-        f, fp = _delta_and_slope(P, U, mesh,
-                                 np.concatenate([lam[idx], doubled[tried]]))
+        vals = _delta_and_slope(P, U, mesh,
+                                np.concatenate([lam[idx], doubled[tried]]))
+        evaluated[:, idx] = vals[:, :idx.size]
         with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(fp != 0, f / fp, 0.0)
+            steps = np.where(vals[1] != 0, vals[0] / vals[1], 0.0)
         mags = np.abs(steps)
         with np.errstate(divide="ignore", invalid="ignore"):
             clipped = steps / mags * NEWTON_MAX_STEP
@@ -423,6 +419,7 @@ def _newton(P, U, mesh, seeds):
             kept = np.abs(trial) < DOUBLED_STEP_GAIN * 2.0 * sizes[1, tried]
             at = np.searchsorted(idx, tried[kept])
             cur[at], step[at] = doubled[tried[kept]], trial[kept]
+            evaluated[:, tried[kept]] = vals[:, idx.size:][:, kept]
             sizes[1, tried[kept]] *= 2.0       # the step taken was 2s
             may_double[tried[~kept]] = False
             pending[tried] = False
@@ -437,7 +434,7 @@ def _newton(P, U, mesh, seeds):
         sizes[:, idx] = last, mags
         pending[idx[halving]] = True
         doubled[idx[halving]] = cur[halving] - 2.0 * step[halving]
-    return lam[inverse], ~active[inverse]
+    return lam[inverse], ~active[inverse], evaluated[:, inverse]
 
 
 def _pair_moments(circ: Circle, nodes, values):
@@ -497,7 +494,7 @@ def _recover_pairs(P, U, mesh, seed_mids, caps):
                 moments[i] = _pair_moments(circ, *result[1:])
         if moments:
             est = np.array(list(moments.values()))
-            lam, conv = _newton(P, U, mesh, est.ravel())
+            lam, conv, _ = _newton(P, U, mesh, est.ravel())
             for i, zs, zns, cs in zip(moments, est, lam.reshape(-1, 2),
                                       conv.reshape(-1, 2)):
                 out = []
@@ -560,60 +557,51 @@ def localize(P: PotentialMatrix, U: BoundaryMatrixPair, m_max, mesh: Mesh,
              validate=False) -> EigenvalueList:
     """Eigenvalues lambda_n for n in [-2 m_max, 2 m_max + 1], paired to
     their seeds.  With validate, the contour family must pass _validate,
-    or ContourError is raised."""
+    or ContourError is raised.
+
+    Newton's last evaluation (_newton) decides each pair: it is recovered by
+    contour moments around its seed midpoint if a member is unconverged, over
+    0.75 from its seed or over ACCEPT_TOL in scaled |Delta| (AcceptanceScale),
+    or if both collapsed (DOUBLE_TOL) into a simple zero, with member 2k's
+    scaled |Delta'| over 1e-3.  Reading Delta a step before the reported value
+    is no weaker: a converged step is below NEWTON_TOL relative, so |Delta| is
+    smaller there to first order; a zero-slope step is zero, so the points
+    coincide; an unconverged member is recovered anyway."""
     m_max = as_count(m_max, "m_max")
-    ok, _ = is_regular(U)
-    if not ok:
+    if not is_regular(U)[0]:
         raise NotRegularError("localization requires a regular form")
     red = gauge_reduce(P, U, mesh)
     ns = np.arange(-2 * m_max, 2 * m_max + 2)
     seeds = unperturbed_spectrum(red.form).lambda0(ns).astype(complex) \
         + red.gamma
-    lam, converged = _newton(P, U, mesh, seeds)
-    diagnostics = []
-    keys = [int(n) for n in ns]
-    values = dict(zip(keys, map(complex, lam)))
-    seedmap = dict(zip(keys, map(complex, seeds)))
-    mult = dict.fromkeys(keys, 1)
-    # residual-based acceptance against the scale of the seeds; a pair
-    # with an unconverged or failing member, or a collapsed one, is
-    # recovered by contour moments around the seed midpoint
+    lam, converged, (delta, slope) = _newton(P, U, mesh, seeds)
     scale = AcceptanceScale(P, U, seeds, mesh)
-    distinct, inverse = np.unique(lam, return_inverse=True)
-    fails = scale.exceeds(char_det(P, U, distinct, mesh))[inverse]
-    mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1])
-            for k in range(-m_max, m_max + 1)}
     # row k + m_max holds the members 2k and 2k + 1 of pair k
-    off = (~converged | fails | (np.abs(lam - seeds) > 0.75)).reshape(-1, 2)
-    bad = {k: bool(off[k + m_max].any()) for k in range(-m_max, m_max + 1)}
-    # a collapsed pair must sit on a double zero: one batched Delta' check
-    collapsed = [k for k in bad if not bad[k]
-                 and abs(values[2 * k] - values[2 * k + 1]) < DOUBLE_TOL]
-    if collapsed:
-        a = np.array([values[2 * k] for k in collapsed])
-        dp = _slope(P, U, mesh, a)
-        for k, steep in zip(collapsed, scale.exceeds(dp, 1e-3)):
-            if steep:
-                bad[k] = True       # both members fell into one simple zero
-    recover = [k for k in range(-m_max, m_max + 1) if bad[k]]
-    caps = []
-    for k in recover:
-        gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
-        caps.append(max(0.45 * min(gaps) if gaps else 0.9, DELTA))
-    pairs = _recover_pairs(P, U, mesh, [mids[k] for k in recover], caps)
-    for k, pair in zip(recover, pairs):
+    pairs, seed_pairs = lam.reshape(-1, 2), seeds.reshape(-1, 2)
+    bad = (~converged | scale.exceeds(delta)
+           | (np.abs(lam - seeds) > 0.75)).reshape(-1, 2).any(axis=1)
+    collapsed = ~bad & (np.abs(pairs[:, 0] - pairs[:, 1]) < DOUBLE_TOL)
+    bad[collapsed] = scale.exceeds(slope[::2][collapsed], 1e-3)
+    mids = 0.5 * (seed_pairs[:, 0] + seed_pairs[:, 1])
+    gaps = np.abs(np.diff(mids))
+    near = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    caps = np.maximum(np.where(near < np.inf, 0.45 * near, 0.9), DELTA)
+    rows = np.nonzero(bad)[0]
+    diagnostics = []
+    for row, pair in zip(rows.tolist(), _recover_pairs(
+            P, U, mesh, mids[rows].tolist(), caps[rows].tolist())):
+        k = row - m_max
         diagnostics.append(f"pair {k} recovered by contour moments")
+        pairs[row] = [z for z, _ in pair]
         for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
-            values[n] = z
             if not polished:
                 diagnostics.append(
                     f"lambda_{n}: Newton polish did not converge within "
                     f"0.1 of the moment estimate {z}; estimate kept")
-    for k in range(-m_max, m_max + 1):
-        a, b = values[2 * k], values[2 * k + 1]
-        if abs(a - b) < DOUBLE_TOL:
-            values[2 * k] = values[2 * k + 1] = 0.5 * (a + b)
-            mult[2 * k] = mult[2 * k + 1] = 2
+    double = np.abs(pairs[:, 0] - pairs[:, 1]) < DOUBLE_TOL
+    pairs[double] = 0.5 * (pairs[double, :1] + pairs[double, 1:])
+    values, seedmap, mult = (dict(zip(ns.tolist(), a.tolist())) for a in
+                             (lam, seeds, 1 + np.repeat(double, 2)))
     eigs = EigenvalueList(m_max=m_max, values=values, seeds=seedmap,
                           multiplicity=mult, diagnostics=diagnostics)
     if validate:

@@ -101,6 +101,27 @@ def test_sweep_refuses_a_file_that_is_not_a_config(tmp_path, capsys, doc,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("nu_list", 2, "nu_list=2 is not a list"),
+    ("m_schedule", 8, "m_schedule=8 is not a list"),
+    ("nu_list", "inf", "nu_list='inf' is not a list"),
+    ("potential", "zero", "potential='zero' is not a spec object"),
+    ("f", ["smooth"], "f=['smooth'] is not a spec object"),
+    ("mesh_panels", True, "mesh_panels=True is not an integer"),
+])
+def test_equiconv_refuses_a_value_of_the_wrong_type(tmp_path, capsys, key,
+                                                    value, message):
+    # exit 1 with a bare TypeError, nu='i', a StageError [setup]
+    # AttributeError, or a run on one panel
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, key: value}))
+    rc = main(["equiconv", "--config", str(cfg),
+               "--output", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--potential", '{"family": "zero"}',

@@ -99,6 +99,53 @@ def test_config_refuses_bad_counts_by_name(kw, message):
     assert ExperimentConfig(seed=3.0).seed == 3
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nu_list", 2, "nu_list=2 is not a list"),
+    ("m_schedule", 8, "m_schedule=8 is not a list"),
+    ("nu_list", "inf", "nu_list='inf' is not a list"),
+    ("potential", "zero", "potential='zero' is not a spec object"),
+    ("f", ["smooth"], "f=['smooth'] is not a spec object"),
+    ("mesh_panels", True, "mesh_panels=True is not an integer"),
+])
+def test_config_refuses_values_of_the_wrong_type(field, value, message):
+    # a bare TypeError ('int' object is not iterable), "inf" refused as
+    # nu='i', StageError [setup] AttributeError, and true run as 1 panel
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "bump", "widht": 0.1},
+     "unknown key 'widht' in a bump function spec; its keys are family, "
+     "center, width, component"),
+    ({"family": "power", "x_0": 1.0},
+     "unknown key 'x_0' in a power function spec; its keys are family, eps, "
+     "x0, component"),
+    ({"family": "random_trig", "seed": 3},
+     "unknown key 'seed' in a random_trig function spec; its keys are "
+     "family, n_terms"),
+    ({"components": [], "family": "smooth", "amp": 1},
+     "unknown key 'amp' in a smooth function spec; its keys are family, "
+     "components"),
+    ("smooth", "function spec 'smooth' is not an object"),
+    ({"family": "wavelet"}, "unknown function family 'wavelet'"),
+])
+def test_make_function_refuses_unknown_keys_by_name(mesh96, spec, message):
+    # a misspelled key silently took its default: "widht" gave the default
+    # bump of width pi/8
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_function(spec, mesh96)
+
+
+def test_make_function_refuses_a_malformed_term_by_name(mesh96):
+    with pytest.raises(ValueError,
+                       match=re.escape("term ['cos', 2] is not [kind, k, "
+                                       "amp]")):
+        make_function({"family": "smooth",
+                       "components": [[["sin", 1, 1.0]], [["cos", 2]]]},
+                      mesh96)
+
+
 def test_make_function_refuses_fractional_random_trig_terms(mesh96):
     # int() silently truncated 2.5 terms to 2
     with pytest.raises(ValueError,

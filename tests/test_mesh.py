@@ -42,10 +42,12 @@ def test_cumulative_polynomial_exact(mesh):
     ((1.5,), "panels=1.5 is not an integer"),
     (("8",), "panels='8' is not an integer"),
     ((8, 0), "order=0 is below 1"), ((8, 2.5), "order=2.5 is not an integer"),
+    ((True,), "panels=True is not an integer"),
 ])
 def test_build_mesh_refuses_bad_sizes(args, message):
     # these raised IndexError, TypeError and numpy's "deg must be a
-    # positive integer", naming neither the input nor its value
+    # positive integer", naming neither the input nor its value; True
+    # counted as one panel
     with pytest.raises(ValueError, match=re.escape(message)):
         build_mesh(*args)
 

@@ -1,3 +1,7 @@
+import importlib
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,8 @@ from diraclab import (PotentialMatrix, ScalarFunction, boundary_from_config,
                       make_potential)
 
 PI = np.pi
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
 
 
 def test_zero_potential():
@@ -134,3 +140,65 @@ def test_comparison_operator(full_trig_potential, dirichlet):
 def test_make_potential_unknown_family():
     with pytest.raises(ValueError):
         make_potential({"family": "polynomialish"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power", "alpha": 0.4, "xo": 1.0},
+     "unknown key 'xo' in a power potential spec; its keys are family, "
+     "alpha, x0, amplitude, kappa, entry"),
+    ({"family": "constant_offdiag", "c": 0.3, "entry": "p2"},
+     "unknown key 'entry' in a constant_offdiag potential spec; its keys "
+     "are family, c"),
+    ({"family": "trig", "p5": [["sin", 1, 0.5]]},
+     "unknown key 'p5' in a trig potential spec; its keys are family, p1, "
+     "p2, p3, p4"),
+    ({"c": 0.3}, "unknown key 'c' in a zero potential spec; its keys are "
+     "family"),
+    ({"family": "step", "breaks": [1.0], "values": [1, 2], "value": [3]},
+     "unknown key 'value' in a step potential spec; its keys are family, "
+     "breaks, values, entry"),
+])
+def test_unknown_potential_key_refused_by_name(spec, message):
+    # a misspelled key silently took its default: "xo" put the singular
+    # point at pi/2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_potential(spec)
+
+
+@pytest.mark.parametrize("spec", ["zero", ["zero"], None])
+def test_potential_spec_that_is_not_an_object_refused(spec):
+    # spec.get raised a bare AttributeError
+    with pytest.raises(ValueError,
+                       match=re.escape(f"potential spec {spec!r} is not an "
+                                       f"object")):
+        make_potential(spec)
+
+
+@pytest.mark.parametrize("terms, term", [
+    ([["sin", 1]], ["sin", 1]),
+    ([["sin", 1, 0.5], ["cos", 2, 0.1, 0.0]], ["cos", 2, 0.1, 0.0]),
+    (["sin", 1, 0.5], "sin"),
+])
+def test_malformed_trig_term_refused_by_name(terms, term):
+    # "not enough values to unpack (expected 3, got 2)"
+    with pytest.raises(ValueError,
+                       match=re.escape(f"term {term!r} is not [kind, k, "
+                                       f"amp]")):
+        make_potential({"family": "trig", "p2": terms})
+
+
+def test_benchmark_and_readme_potentials_still_build(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = importlib.import_module("workloads")
+    specs = [cfg["potential"] for cfg in workloads.EQUICONV.values()]
+    specs += [spec for _, spec in workloads.SPECTRUM.values()]
+    specs += [cfg["potential"]
+              for cfg in workloads.KNOWN_DEFECTS["equiconv"].values()]
+    specs += [spec for _, spec in workloads.KNOWN_DEFECTS["spectrum"].values()]
+    # README.md
+    specs += [{"family": "constant_offdiag", "c": 0.3},
+              {"family": "trig", "p2": [["sin", 1, 0.8]]},
+              {"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+              {"family": "zero"}]
+    for spec in specs:
+        assert isinstance(make_potential(spec), PotentialMatrix)

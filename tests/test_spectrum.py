@@ -26,6 +26,9 @@ SPECTRUM_PROBLEMS = {
     "dirichlet-power": ({"family": "power", "alpha": 0.6, "x0": 1.1,
                          "amplitude": 0.5}, "dirichlet"),
 }
+# p2 only, jumps on panel boundaries: every antiperiodic pair is double
+STEP = {"family": "step", "breaks": [PI / 4, 3 * PI / 4],
+        "values": [0.5, 1.0, -0.5]}
 # diagonal entries with nonzero means: gamma != 0 and a rescaled D block
 GAUGED_TRIG = {"family": "trig", "p1": [["cos", 0, [0.7, 0.2]]],
                "p2": [["sin", 1, 0.8]], "p3": [["cos", 2, 0.5]],
@@ -348,8 +351,8 @@ def _first_newton_run_fails(monkeypatch):
 
     def failing(P, U, mesh, seeds):
         runs.append(seeds.size)
-        lam, conv = inner(P, U, mesh, seeds)
-        return lam, conv & (len(runs) > 1)
+        lam, conv, vals = inner(P, U, mesh, seeds)
+        return lam, conv & (len(runs) > 1), vals
 
     monkeypatch.setattr(spectrum, "_newton", failing)
     return runs
@@ -512,7 +515,7 @@ def test_pair_moments_match_difference_quotient(pspec, form, center, radius,
     # the oracle's central difference is good to 1e-6 at best; against the
     # zeros that Newton polishes from them, both estimates are exact to
     # roundoff
-    polished, converged = _newton(P, U, mesh96, np.array(got))
+    polished, converged, _ = _newton(P, U, mesh96, np.array(got))
     assert converged.all()
     assert np.max(np.abs(polished - np.array(got))) < 1e-10
 
@@ -546,7 +549,7 @@ def test_newton_iterates_each_distinct_seed_once(const_potential, periodic,
         return inner(P, U, lam, mesh, **kw)
 
     monkeypatch.setattr(spectrum, "char_det", recording)
-    lam, conv = _newton(const_potential, periodic, mesh96, seeds)
+    lam, conv, vals = _newton(const_potential, periodic, mesh96, seeds)
     # each call holds [z, z + h, z - h] for the distinct iterates z
     assert np.array_equal(batches[0][:5], distinct)
     for b in batches:
@@ -554,10 +557,11 @@ def test_newton_iterates_each_distinct_seed_once(const_potential, periodic,
         assert np.unique(z).size == z.size
     monkeypatch.undo()
     for i, seed in enumerate(seeds):
-        lam1, conv1 = _newton(const_potential, periodic, mesh96,
-                              np.array([seed]))
+        lam1, conv1, vals1 = _newton(const_potential, periodic, mesh96,
+                                     np.array([seed]))
         assert lam1.tobytes() == lam[i:i + 1].tobytes()
         assert conv1[0] == conv[i]
+        assert vals1.tobytes() == vals[:, i:i + 1].tobytes()
 
 
 def _plain_newton(P, U, mesh, seeds):
@@ -604,7 +608,7 @@ def test_newton_matches_plain_loop_off_double_zeros(pspec, form, m, tries,
     P, U = make_potential(pspec), request.getfixturevalue(form)
     mesh = build_mesh(96, order=5, singular_points=P.singular_points)
     seeds = _localize_seeds(P, U, mesh, m)
-    lam, conv = _newton(P, U, mesh, seeds)
+    lam, conv, _ = _newton(P, U, mesh, seeds)
     used = sum(size for size, _ in char_det_sizes)
     del char_det_sizes[:]
     want, want_conv = _plain_newton(P, U, mesh, seeds)
@@ -622,12 +626,37 @@ def test_newton_is_quadratic_at_double_zeros(const_potential, periodic,
     # roundoff
     c = 0.3
     seeds = _localize_seeds(const_potential, periodic, mesh96, 3)
-    lam, conv = _newton(const_potential, periodic, mesh96, seeds)
+    lam, conv, _ = _newton(const_potential, periodic, mesh96, seeds)
     assert sum(size for size, _ in char_det_sizes) <= 300
     for k in (-3, -2, -1, 1, 2, 3):
         root = np.sign(k) * np.sqrt(4.0 * k ** 2 + c ** 2)
         for i in (2 * k + 6, 2 * k + 7):
             assert conv[i] and abs(lam[i] - root) < 1e-12 * abs(root)
+
+
+def test_newton_returns_delta_where_each_final_step_started(
+        const_potential, periodic, mesh96, monkeypatch):
+    # the members k != 0 take their last step from a kept doubled point
+    # (test_newton_is_quadratic_at_double_zeros): the Delta and Delta'
+    # returned are the ones evaluated there, within a converged step of
+    # the iterate, not those of the plain iterate beside it
+    seeds = _localize_seeds(const_potential, periodic, mesh96, 3)
+    batches = []
+    inner = spectrum._delta_and_slope
+
+    def recording(P, U, mesh, z):
+        vals = inner(P, U, mesh, z)
+        batches.append((z, vals.copy()))
+        return vals
+
+    monkeypatch.setattr(spectrum, "_delta_and_slope", recording)
+    lam, conv, vals = _newton(const_potential, periodic, mesh96, seeds)
+    assert conv.sum() == 12
+    for i in np.nonzero(conv)[0]:
+        starts = [z[j] for z, v in batches for j in range(z.size)
+                  if v[:, j].tobytes() == vals[:, i].tobytes()]
+        tol = spectrum.NEWTON_TOL * max(1.0, abs(lam[i]))
+        assert min(abs(z - lam[i]) for z in starts) < tol
 
 
 def test_localize_requires_regular_form(mesh96):
@@ -648,6 +677,13 @@ def test_localize_takes_m_max_as_indices_takes_m(dirichlet, mesh96):
                            match=re.escape(f"m_max={m_max!r} is not an "
                                            f"integer")):
             localize(P0, dirichlet, m_max, mesh96)
+
+
+def test_localize_refuses_a_bool_m_max(dirichlet, mesh96):
+    # True counted as 1
+    with pytest.raises(ValueError,
+                       match=re.escape("m_max=True is not an integer")):
+        localize(P0, dirichlet, True, mesh96)
 
 
 def test_localize_rejects_negative_m_max(dirichlet, mesh96):
@@ -708,10 +744,10 @@ def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
 
     def failing(P, U, mesh, seeds):
         runs.append(seeds.size)
-        lam, _ = inner(P, U, mesh, seeds)
+        lam, _, vals = inner(P, U, mesh, seeds)
         if len(runs) > 1:
             lam = seeds.astype(complex)
-        return lam, np.zeros(seeds.shape, dtype=bool)
+        return lam, np.zeros(seeds.shape, dtype=bool), vals
 
     monkeypatch.setattr(spectrum, "_newton", failing)
     eigs = localize(const_potential, periodic, 3, mesh96)
@@ -728,12 +764,130 @@ def test_localize_marks_unconverged_polish(const_potential, periodic, mesh96,
 def test_localize_evaluates_each_distinct_lambda_once(periodic, mesh96,
                                                       char_det_sizes):
     # the free periodic pairs are double, so the 14 seeds are 7 distinct:
-    # one Newton batch [z, z + h, z - h], the acceptance check on the 7
-    # distinct iterates, and the Delta' check of the 7 collapsed pairs at
-    # a + h and a - h only
+    # one Newton batch [z, z + h, z - h], whose Delta and Delta' also make
+    # the acceptance check and the Delta' check of the 7 collapsed pairs
     eigs = localize(P0, periodic, 3, mesh96)
-    assert char_det_sizes == [(21, False), (7, False), (14, False)]
+    assert char_det_sizes == [(21, False)]
     assert all(eigs.multiplicity[n] == 2 for n in eigs.values)
+
+
+def _slope_pass(P, U, mesh, z):
+    """Oracle: Delta' at the points z from a char_det call of its own on
+    [z + h, z - h]."""
+    h = spectrum.SLOPE_H
+    vals = char_det(P, U, np.concatenate([z + h, z - h]), mesh)
+    return (vals[:z.size] - vals[z.size:]) / (2.0 * h)
+
+
+def _localize_by_extra_passes(P, U, m_max, mesh):
+    """Oracle: localize deciding its pairs from two more passes over the
+    Newton results, |Delta| at the distinct final iterates and Delta' at
+    member 2k of each collapsed pair.  Returns (values, multiplicity,
+    diagnostics)."""
+    red = gauge_reduce(P, U, mesh)
+    ns = np.arange(-2 * m_max, 2 * m_max + 2)
+    seeds = (unperturbed_spectrum(red.form).lambda0(ns).astype(complex)
+             + red.gamma)
+    lam, converged, _ = _newton(P, U, mesh, seeds)
+    keys = [int(n) for n in ns]
+    values = dict(zip(keys, map(complex, lam)))
+    seedmap = dict(zip(keys, map(complex, seeds)))
+    mult = dict.fromkeys(keys, 1)
+    scale = spectrum.AcceptanceScale(P, U, seeds, mesh)
+    distinct, inverse = np.unique(lam, return_inverse=True)
+    fails = scale.exceeds(char_det(P, U, distinct, mesh))[inverse]
+    ks = range(-m_max, m_max + 1)
+    mids = {k: 0.5 * (seedmap[2 * k] + seedmap[2 * k + 1]) for k in ks}
+    off = (~converged | fails | (np.abs(lam - seeds) > 0.75)).reshape(-1, 2)
+    bad = {k: bool(off[k + m_max].any()) for k in ks}
+    collapsed = [k for k in ks if not bad[k] and abs(
+        values[2 * k] - values[2 * k + 1]) < spectrum.DOUBLE_TOL]
+    if collapsed:
+        dp = _slope_pass(P, U, mesh,
+                         np.array([values[2 * k] for k in collapsed]))
+        for k, steep in zip(collapsed, scale.exceeds(dp, 1e-3)):
+            bad[k] |= bool(steep)
+    recover = [k for k in ks if bad[k]]
+    caps = []
+    for k in recover:
+        gaps = [abs(mids[k] - mids[j]) for j in (k - 1, k + 1) if j in mids]
+        caps.append(max(0.45 * min(gaps) if gaps else 0.9, spectrum.DELTA))
+    diagnostics = []
+    for k, pair in zip(recover, spectrum._recover_pairs(
+            P, U, mesh, [mids[k] for k in recover], caps)):
+        diagnostics.append(f"pair {k} recovered by contour moments")
+        for n, (z, polished) in zip((2 * k, 2 * k + 1), pair):
+            values[n] = z
+            if not polished:
+                diagnostics.append(
+                    f"lambda_{n}: Newton polish did not converge within "
+                    f"0.1 of the moment estimate {z}; estimate kept")
+    for k in ks:
+        a, b = values[2 * k], values[2 * k + 1]
+        if abs(a - b) < spectrum.DOUBLE_TOL:
+            values[2 * k] = values[2 * k + 1] = 0.5 * (a + b)
+            mult[2 * k] = mult[2 * k + 1] = 2
+    return values, mult, diagnostics
+
+
+@pytest.mark.parametrize("pspec, form, doubles", [
+    *((*SPECTRUM_PROBLEMS[label], None) for label in SPECTRUM_PROBLEMS),
+    (STEP, "antiperiodic", 34)],
+    ids=[*SPECTRUM_PROBLEMS, "antiperiodic-step"])
+def test_localize_decisions_match_extra_passes(pspec, form, doubles,
+                                               request):
+    # the Delta and Delta' of Newton's last evaluation decide every pair
+    # as the separate passes at the final iterates did: the same values,
+    # multiplicities and diagnostics, bit for bit.  Every step pair is a
+    # double zero, so each goes through the collapsed-pair Delta' test
+    P, U, mesh = _problem(pspec, form, request)
+    eigs = localize(P, U, 8, mesh)
+    values, mult, diagnostics = _localize_by_extra_passes(P, U, 8, mesh)
+    n = sorted(values)
+    assert sorted(eigs.values) == n
+    assert (np.array([eigs.values[k] for k in n]).tobytes()
+            == np.array([values[k] for k in n]).tobytes())
+    assert eigs.multiplicity == mult
+    assert eigs.diagnostics == diagnostics
+    if doubles is not None:
+        assert sum(m == 2 for m in mult.values()) == doubles
+
+
+def test_zero_slope_member_is_refused(request, monkeypatch):
+    # a Delta' of 0 makes Newton's step 0, so a member is reported
+    # converged at its seed, where |Delta| is far above ACCEPT_TOL.  The
+    # Delta of that last evaluation refuses it, and its pair is recovered
+    # by contour moments, to the eigenvalues of a normal run
+    P, U, mesh = _problem(*SPECTRUM_PROBLEMS["dirichlet-power"], request)
+    normal = localize(P, U, 2, mesh)
+    assert not any(d.startswith("pair 1 ") for d in normal.diagnostics)
+    seed = _localize_seeds(P, U, mesh, 2)[2 + 4]
+    inner_eval, inner_newton = spectrum._delta_and_slope, spectrum._newton
+    runs = []
+
+    def flat_at_seed(P, U, mesh, z):
+        vals = inner_eval(P, U, mesh, z)
+        if not runs:
+            vals[1, z == seed] = 0.0
+        return vals
+
+    def recording(P, U, mesh, seeds):
+        out = inner_newton(P, U, mesh, seeds)
+        # localize writes its recovered pairs into the iterates
+        runs.append((seeds, *(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(spectrum, "_delta_and_slope", flat_at_seed)
+    monkeypatch.setattr(spectrum, "_newton", recording)
+    eigs = localize(P, U, 2, mesh)
+    seeds, lam, conv, (delta, slope) = runs[0]
+    hit = np.nonzero(seeds == seed)[0]
+    assert hit.tolist() == [6]
+    assert conv[6] and lam[6] == seed and slope[6] == 0.0
+    assert abs(delta[6]) > 1e3 * spectrum.ACCEPT_TOL
+    assert "pair 1 recovered by contour moments" in eigs.diagnostics
+    for n in (2, 3):
+        assert abs(eigs.values[n] - normal.values[n]) < 1e-10
 
 
 def test_localize_antiperiodic_free(antiperiodic, mesh96):

@@ -13,8 +13,9 @@ family's line shows both digests and ``same`` or ``differs``; the exit
 status is 1 when any family differs.  The families are
 
 - equiconv: every report row (m, nu, norm_diff), ``M_est``,
-  ``det_residual`` and the root and dual vectors ``Y``, ``Z`` of both root
-  systems, for the four equiconv configs at f seeds 0 and 5;
+  ``det_residual``, and of both root systems the root and dual vectors
+  ``Y``, ``Z`` and the eigenvalues, multiplicities and diagnostics of
+  their localization, for the four equiconv configs at f seeds 0 and 5;
 - spectrum: the eigenvalues, multiplicities and diagnostics of the three
   spectrum problems, and the winding number and Rouche margin of each
   circle that validation recorded, as sorted (center, radius, winding) and
@@ -65,8 +66,17 @@ def equiconv(workloads):
                                    for r in report.rows],
                           report.metadata["M_est"],
                           report.metadata["det_residual"],
-                          rs.Y, rs.Z, rs0.Y, rs0.Z])
+                          rs.Y, rs.Z, rs0.Y, rs0.Z,
+                          _eigenvalues(rs.eigs), _eigenvalues(rs0.eigs)])
     return h.hexdigest()
+
+
+def _eigenvalues(eigs):
+    """The indices, eigenvalues, multiplicities and diagnostics of an
+    EigenvalueList, in index order."""
+    n = sorted(eigs.values)
+    return [n, [eigs.values[k] for k in n],
+            [eigs.multiplicity[k] for k in n], eigs.diagnostics]
 
 
 def spectrum(workloads):
@@ -74,14 +84,11 @@ def spectrum(workloads):
     w = workloads.Spectrum(0, {})
     for op in w.ops:
         eigs, _ = op.run()
-        n = sorted(eigs.values)
         windings, margins = (sorted(
             ((c.center.real, c.center.imag, c.radius), v)
             for c, v in record.items())
             for record in (eigs.windings, eigs.margins))
-        _feed(h, [op.key, n, [eigs.values[k] for k in n],
-                  [eigs.multiplicity[k] for k in n], eigs.diagnostics,
-                  windings, margins])
+        _feed(h, [op.key, *_eigenvalues(eigs), windings, margins])
     return h.hexdigest()
 
 
