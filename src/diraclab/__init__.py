@@ -22,7 +22,7 @@ from .potentials import (GaugeReduction, PotentialMatrix, ScalarFunction,
                          comparison_operator, gauge_reduce, make_potential)
 from .spectrum import (CLUSTER_TOL, Circle, ContourError, ContourFamily,
                        EigenvalueList, Ellipse, NotAnEigenvalueError,
-                       RectContour, contour_family, localize,
-                       localization_seeds, winding_count)
+                       contour_family, localize, localization_seeds,
+                       winding_count)
 
 __version__ = "0.1.0"

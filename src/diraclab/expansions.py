@@ -7,10 +7,10 @@ each eigenvalue cluster.  The partial sum
 
     S_m f = sum_{n=-2m}^{2m+1} <f, z_n> y_n
 
-then coincides with the Riesz projector over the rectangle Gamma_m around
-the first 2m+1 clusters, which :func:`partial_sum_contour` cross-checks by
-integrating the resolvent with :func:`projector_contour` on the ellipse
-inscribed in Gamma_m.
+then coincides with the Riesz projector over the ellipse Gamma_m around
+the first 2m+1 clusters (spectrum.EigenvalueList.big_contour), which
+:func:`partial_sum_contour` cross-checks by integrating the resolvent on it
+with :func:`projector_contour`.
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from .green import green_kernel  # noqa: F401
 from .ode import fundamental_matrix  # noqa: F401
 from .potentials import PotentialMatrix
 from .spectrum import ACCEPT_TOL, CLUSTER_TOL, AcceptanceScale, ContourError, \
-    Ellipse, EigenvalueList, NotAnEigenvalueError, localize, \
-    trapezoid_angles
+    EigenvalueList, NotAnEigenvalueError, localize, trapezoid_angles
 # propagate is looked up on its module at each call, where bench/spans.py
 # wraps it
 from . import ode
@@ -327,21 +326,21 @@ def projector_contour(P: PotentialMatrix, U: BoundaryMatrixPair, contour,
 def partial_sum_contour(rs: RootSystem, f: GridFunction2,
                         m) -> GridFunction2:
     """Cross-check of partial_sum: the Riesz projector over Gamma_m, one
-    projector_contour call on the ellipse inscribed in Gamma_m's rectangle
-    (EigenvalueList.big_contour, Ellipse.inscribed), where the trapezoid
-    rule converges geometrically in the distance to the nearest eigenvalue.
-    Raises ValueError for an m that partial_sum refuses, and, before any
+    projector_contour call on the ellipse EigenvalueList.big_contour(m)
+    that validation winds, where the trapezoid rule converges
+    geometrically in the distance to the nearest eigenvalue.  Raises
+    ValueError for an m that partial_sum refuses, and, before any
     resolvent is evaluated, ContourError when the ellipse leaves out an
     eigenvalue of an index in [-2m, 2m+1] or encloses any other stored one,
     and MeshMismatchError unless f lives on the root system's mesh."""
     idx = rs.indices(m)
-    ellipse = Ellipse.inscribed(rs.eigs.big_contour(m))
+    ellipse = rs.eigs.big_contour(m)
     ns = np.array(sorted(rs.eigs.values))
     inside = ellipse.contains([rs.eigs.values[n] for n in ns])
     wanted = (ns >= idx[0]) & (ns <= idx[-1])
     if np.any(inside != wanted):
         raise ContourError(
-            f"{ellipse} around Gamma_{idx[-1] // 2} leaves out lambda_n for "
+            f"Gamma_{idx[-1] // 2} {ellipse} leaves out lambda_n for "
             f"n in {ns[wanted & ~inside].tolist()} and encloses lambda_n for "
             f"n in {ns[inside & ~wanted].tolist()}")
     return projector_contour(rs.potential, rs.form, ellipse, f, rs.mesh)

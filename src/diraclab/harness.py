@@ -27,12 +27,17 @@ import numpy as np
 from .boundary import boundary_from_config
 from .expansions import partial_sum, root_system
 from .green import green_kernel, kernel_sup
-from .mesh import GridFunction2, as_count, build_mesh, check_exponent, \
-    lp_norm
+from .mesh import GridFunction2, as_count, as_exponent, build_mesh, \
+    check_exponent, lp_norm
 from .potentials import (PotentialMatrix, ScalarFunction, check_spec,
                          comparison_operator, make_potential, term_sum)
 
 CSV_HEADER = "m,nu,norm_diff,admissible,excluded_case"
+# the test-function families of make_function and the keys each takes
+FUNCTION_FAMILIES = {
+    "smooth": ("components",), "bc_smooth": (),
+    "bump": ("center", "width", "component"),
+    "power": ("eps", "x0", "component"), "random_trig": ("n_terms",)}
 
 
 class OutsideTheoremError(ValueError):
@@ -48,20 +53,9 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _exponent(p, name):
-    """An exponent as given, or as a float when given as a string ("inf"
-    becomes np.inf)."""
-    if not isinstance(p, str):
-        return p
-    try:
-        return float(p)
-    except ValueError:
-        raise ValueError(f"{name}={p!r} is not a number or inf") from None
-
-
 def _inv(p, name):
     """1/p as an exact Fraction; p may be numeric or the string 'inf'."""
-    p = _exponent(p, name)
+    p = as_exponent(p, name)
     check_exponent(p, name)
     if p == np.inf:
         return Fraction(0)
@@ -72,7 +66,7 @@ def _inv(p, name):
 
 def admissible(kappa, mu, nu):
     """(verdict, excluded_case) for the triple; exact arithmetic."""
-    kappa = _exponent(kappa, "kappa")
+    kappa = as_exponent(kappa, "kappa")
     # a number below 1 is outside the theorem; NaN is no exponent at all
     ik = Fraction(1) if kappa < 1 else _inv(kappa, "kappa")
     if ik >= 1:
@@ -111,6 +105,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name}={value!r} is not {what}")
+        # the specs are built (the potential) or parsed (f) here, so that a
+        # bad key or term is refused before any work
+        make_potential(self.potential)
+        if check_spec(self.f, "function", FUNCTION_FAMILIES,
+                      "smooth") == "smooth":
+            _smooth_terms(self.f)
         sched = tuple(self.m_schedule)
         if not sched:
             raise ValueError("m schedule must not be empty")
@@ -125,14 +125,14 @@ class ExperimentConfig:
         as_count(self.mesh_panels, "mesh_panels", 1)
         as_count(self.mesh_order, "mesh_order", 1)
         object.__setattr__(self, "seed", as_count(self.seed, "seed"))
-        object.__setattr__(self, "kappa", _exponent(self.kappa, "kappa"))
+        object.__setattr__(self, "kappa", as_exponent(self.kappa, "kappa"))
         # a finite kappa <= 1 is reported as outside the theorem, but NaN
         # is no exponent at all and would pass as one
         if self.kappa != self.kappa:
             raise ValueError("kappa must be a number or inf, got NaN")
-        object.__setattr__(self, "mu", _exponent(self.mu, "mu"))
+        object.__setattr__(self, "mu", as_exponent(self.mu, "mu"))
         object.__setattr__(self, "nu_list", tuple(
-            _exponent(nu, "nu") for nu in self.nu_list))
+            as_exponent(nu, "nu") for nu in self.nu_list))
         if not self.nu_list:
             raise ValueError("nu list must not be empty")
         check_exponent(self.mu, "mu")
@@ -165,9 +165,23 @@ class EquiconvReport:
 def _component(spec):
     """The component, 0 or 1, that a bump or power function fills."""
     comp = spec.get("component", 0)
-    if comp not in (0, 1):
+    if isinstance(comp, bool) or comp not in (0, 1):
         raise ValueError(f"component must be 0 or 1; got {comp!r}")
     return int(comp)
+
+
+def _smooth_terms(spec):
+    """The two component functions of a smooth spec, each the term_sum of
+    its term list."""
+    comps = spec.get("components")
+    if comps is None:
+        comps = [[["sin", 1, 1.0], ["cos", 3, 0.2]],
+                 [["cos", 2, 0.7], ["sin", 1, 0.4]]]
+    if not (isinstance(comps, (list, tuple)) and len(comps) == 2
+            and all(isinstance(c, (list, tuple)) for c in comps)):
+        raise ValueError(f"smooth components must be two term lists; got "
+                         f"{comps!r}")
+    return [term_sum(c, ("sin", "cos", "pow")) for c in comps]
 
 
 def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
@@ -177,19 +191,11 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     U(f) = 0), bump (indicator), power (|x-x0|^{-1/mu+eps} profile),
     random_trig (seeded random trigonometric pair).
     """
-    family = check_spec(spec, "function", {
-        "smooth": ("components",), "bc_smooth": (),
-        "bump": ("center", "width", "component"),
-        "power": ("eps", "x0", "component"), "random_trig": ("n_terms",)},
-        "smooth")
+    family = check_spec(spec, "function", FUNCTION_FAMILIES, "smooth")
     x = mesh.nodes
     if family == "smooth":
-        comps = spec.get("components")
-        if comps is None:
-            comps = [[["sin", 1, 1.0], ["cos", 3, 0.2]],
-                     [["cos", 2, 0.7], ["sin", 1, 0.4]]]
         return GridFunction2(mesh, np.stack(
-            [term_sum(c, ("sin", "cos", "pow"))(x) for c in comps]))
+            [fn(x) for fn in _smooth_terms(spec)]))
     if family == "bc_smooth":
         if form is None:
             raise ValueError("bc_smooth requires the boundary form")
@@ -218,6 +224,9 @@ def make_function(spec, mesh, mu=2.0, seed=0, form=None) -> GridFunction2:
     if family == "power":
         eps = float(spec.get("eps", 0.05))
         x0 = float(spec.get("x0", np.pi / 3))
+        if not (np.isfinite(eps) and np.isfinite(x0)):
+            raise ValueError(f"power eps={eps!r} and x0={x0!r} must be "
+                             f"finite")
         comp = _component(spec)
         alpha = (0.0 if mu == np.inf else 1.0 / float(mu)) - eps
         if alpha > 0.0 and np.any(x == x0):

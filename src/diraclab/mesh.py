@@ -264,6 +264,17 @@ class GridFunction2:
             raise MeshMismatchError("grid functions live on different meshes")
 
 
+def as_exponent(p, name):
+    """An exponent as given, or as a float when given as a string ("inf"
+    becomes np.inf); a ValueError naming a string that is no number."""
+    if not isinstance(p, str):
+        return p
+    try:
+        return float(p)
+    except ValueError:
+        raise ValueError(f"{name}={p!r} is not a number or inf") from None
+
+
 def check_exponent(p, name):
     """A ValueError naming p unless it is an L_p exponent, >= 1 or inf."""
     if not p >= 1:

@@ -7,13 +7,14 @@ nonzero diagonal.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .boundary import BoundaryMatrixPair
-from .mesh import Mesh, PI
+from .mesh import Mesh, PI, as_exponent
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,13 @@ def check_spec(spec, what, families, default):
     return family
 
 
+def _required(spec, key, family):
+    """spec[key], or a ValueError naming the key and the family."""
+    if key not in spec:
+        raise ValueError(f"a {family} potential spec needs the key {key!r}")
+    return spec[key]
+
+
 def _single_entry(spec, f):
     """The potential with f at spec["entry"] (default p2), zero elsewhere."""
     entry = spec.get("entry", "p2")
@@ -207,24 +215,30 @@ def make_potential(spec) -> PotentialMatrix:
                              if terms else ScalarFunction.zero())
         return PotentialMatrix(**entries)
     if family == "power":
-        alpha = float(spec["alpha"])
+        alpha = float(_required(spec, "alpha", family))
+        if not np.isfinite(alpha):
+            raise ValueError(f"power exponent {alpha} is not finite")
         if alpha >= 1.0:
             raise ValueError(f"power exponent {alpha} is not integrable on [0, pi]")
         x0 = float(spec.get("x0", PI / 2))
         amp = _as_complex(spec.get("amplitude", 1.0))
-        kappa = spec.get("kappa")
+        kappa = as_exponent(spec.get("kappa"), "kappa")
         if kappa is None:
             kappa = max(1.0, float(np.floor((1.0 - 1e-12) / alpha))) if alpha > 0 else np.inf
+        elif (isinstance(kappa, bool) or not isinstance(kappa, numbers.Real)
+              or kappa != kappa):
+            raise ValueError(f"power kappa={kappa!r} is not a number or inf")
         # ScalarFunction refuses a kappa with alpha * kappa >= 1
         return _single_entry(spec, ScalarFunction(
             fn=lambda x: amp * np.abs(x - x0) ** (-alpha),
             singularities=((x0, alpha),), kappa=kappa))
     if family == "step":
-        edges = np.asarray(spec["breaks"], dtype=float)
+        edges = np.asarray(_required(spec, "breaks", family), dtype=float)
         if np.any(np.diff(edges) <= 0) or np.any((edges <= 0) | (edges >= PI)):
             raise ValueError(
                 "step breaks must be strictly increasing inside (0, pi)")
-        vals = np.array([_as_complex(v) for v in spec["values"]])
+        vals = np.array([_as_complex(v)
+                         for v in _required(spec, "values", family)])
         if len(vals) != len(edges) + 1:
             raise ValueError("need one value per interval")
 

@@ -5,14 +5,17 @@ determinant, seeded by the closed-form unperturbed spectrum (shifted by the
 gauge constant gamma when the potential has diagonal entries).  A pair whose
 Newton iterations fail is recovered from argument-principle moments on a
 circle around its seeds.  The paper's contour family comes from the list:
-circles gamma_k around each pair and rectangles Gamma_m around the central
-block, placed from the eigenvalues and seeds (EigenvalueList.big_contour).
+circles gamma_k around each pair and one ellipse Gamma_m around the central
+block, placed from the eigenvalues and seeds (EigenvalueList.big_contour);
+validation winds that ellipse and expansions.partial_sum_contour integrates
+on it.  Every contour is parametrized by angle, z(theta) = at(theta).
 
 Winding counts and recovery moments read one pass of values per contour,
-refined by node doubling: the nodes at n are exactly the even nodes at 2n,
-bit for bit, so each level evaluates only its new odd nodes
-(:func:`_winding_rule`).  A family of contours is evaluated level by level,
-one char_det call per level (:func:`_family_passes`).
+refined by node doubling at the trapezoid angles: the angles at n are
+exactly the even angles at 2n, bit for bit, so each level evaluates only
+its new odd nodes (:func:`_winding_rule`).  A family of contours is
+evaluated level by level, one char_det call per level
+(:func:`_family_passes`).
 
 Validation (:func:`_validate`) winds every gamma_k and Gamma_min(2, m_max)
 as one family, comparing Delta with the free operator as the paper's Rouche
@@ -80,9 +83,6 @@ class Circle:
         unit = np.exp(1j * theta)
         return self.center + self.radius * unit, 1j * self.radius * unit
 
-    def points(self, n):
-        return self.center + self.radius * np.exp(1j * trapezoid_angles(n))
-
     @property
     def arc_length(self):
         return 2.0 * np.pi * self.radius
@@ -96,53 +96,14 @@ class Circle:
 
 
 @dataclass(frozen=True)
-class RectContour:
-    re_min: float
-    re_max: float
-    im_half: float
-
-    def points(self, n):
-        """n equispaced nodes by arc length, counterclockwise from the
-        lower left corner, each computed from the side it falls on."""
-        w = self.re_max - self.re_min
-        h = 2.0 * self.im_half
-        per = 2.0 * (w + h)
-        t = np.linspace(0.0, per, n, endpoint=False)
-        side = np.searchsorted([w, w + h, 2 * w + h], t, side="right")
-        return np.choose(side, [
-            self.re_min + t - 1j * self.im_half,
-            self.re_max + 1j * (t - w - self.im_half),
-            self.re_max - (t - w - h) + 1j * self.im_half,
-            self.re_min - 1j * (t - 2 * w - h - self.im_half)])
-
-    @property
-    def arc_length(self):
-        return 2.0 * (self.re_max - self.re_min + 2.0 * self.im_half)
-
-    @property
-    def real_range(self):
-        return self.re_min, self.re_max
-
-    def contains(self, z):
-        z = np.asarray(z)
-        return ((z.real > self.re_min) & (z.real < self.re_max)
-                & (np.abs(z.imag) < self.im_half))
-
-
-@dataclass(frozen=True)
 class Ellipse:
     """center + a cos(theta) + i b sin(theta), axes along the real and
-    imaginary directions."""
-    center: float
+    imaginary directions: the contour Gamma_m (EigenvalueList.big_contour)
+    that validation winds and the projector integrates, where the
+    trapezoid rule converges geometrically."""
+    center: complex
     a: float
     b: float
-
-    @classmethod
-    def inscribed(cls, rect: RectContour):
-        """The ellipse inscribed in rect: its ends touch the vertical sides
-        on the real axis, its top and bottom the horizontal sides."""
-        return cls(0.5 * (rect.re_min + rect.re_max),
-                   0.5 * (rect.re_max - rect.re_min), rect.im_half)
 
     def at(self, theta):
         """z(theta) and z'(theta)."""
@@ -150,9 +111,21 @@ class Ellipse:
         return (self.center + self.a * c + 1j * self.b * s,
                 -self.a * s + 1j * self.b * c)
 
+    @property
+    def arc_length(self):
+        """Ramanujan's approximation of the perimeter; it only sets where a
+        winding rule starts."""
+        a, b = self.a, self.b
+        return np.pi * (3.0 * (a + b) - np.sqrt((3.0 * a + b) * (a + 3.0 * b)))
+
+    @property
+    def real_range(self):
+        return self.center.real - self.a, self.center.real + self.a
+
     def contains(self, z):
         z = np.asarray(z)
-        u, v = (z.real - self.center) / self.a, z.imag / self.b
+        u = (z.real - self.center.real) / self.a
+        v = (z.imag - self.center.imag) / self.b
         return u * u + v * v < 1.0
 
 
@@ -165,18 +138,19 @@ def _winding_rule(contour, per_unit_arc=16, least=16):
     """The winding rule of one contour, as a generator: it yields the nodes
     whose values it needs next, is sent those values, and returns (winding
     number, nodes, values) at the level it accepts, or raises ContourError.
-    The rule starts at per_unit_arc nodes per unit arc length (at least
-    least) and doubles, at most WINDING_DOUBLINGS times, until every
-    argument increment stays below pi/2.  The nodes at n are exactly the
-    even nodes at 2n, so each level after the first asks only for its new
-    odd nodes and interleaves their values with the previous level's."""
+    The nodes are contour.at(trapezoid_angles(n))[0], from per_unit_arc
+    per unit arc length (at least least), doubled, at most
+    WINDING_DOUBLINGS times, until every argument increment stays below
+    pi/2.  The angles at n are exactly the even angles at 2n, so each level
+    after the first asks only for its new odd nodes and interleaves their
+    values with the previous level's."""
     n = max(least, int(np.ceil(per_unit_arc * contour.arc_length)))
-    pts = contour.points(n)
+    pts = contour.at(trapezoid_angles(n))[0]
     vals = yield pts
     for level in range(WINDING_DOUBLINGS + 1):
         if level:
             n *= 2
-            pts = contour.points(n)
+            pts = contour.at(trapezoid_angles(n))[0]
             vals = np.stack([vals, (yield pts[1::2])], axis=-1).reshape(n)
         closed = np.concatenate([vals, vals[:1]])
         if not np.all(np.isfinite(closed)):
@@ -336,21 +310,27 @@ class EigenvalueList:
         return range(-self.m_max, self.m_max + 1)
 
     def big_contour(self, m):
-        """Gamma_m: the rectangle around lambda_n and its seed for n in
-        indices(m), its vertical sides midway to the nearest other ones (or
-        1/2 out), its horizontal sides 1/2 above every |Im|, at least 1."""
+        """Gamma_m: the ellipse around lambda_n and its seed, n in indices(m).
+        Its ends lie midway to the nearest other eigenvalue or seed (1/2 out
+        where there is none), Im center midway in the block seeds' Im range,
+        and b 1/2 above the height at which it would pass through its
+        farthest block point, at least 1; a point beyond an end is not held."""
         idx = self.indices(m)
         inner, left, right = [], [], []
         for n in self.values:
             side = left if n < idx[0] else right if n > idx[-1] else inner
-            side += [self.values[n].real, self.seeds[n].real]
-        re_min = (0.5 * (min(inner) + max(left)) if left
-                  else min(inner) - 0.5)
-        re_max = (0.5 * (max(inner) + min(right)) if right
-                  else max(inner) + 0.5)
-        im_max = max(abs(z.imag) for z in [*self.values.values(),
-                                           *self.seeds.values()])
-        return RectContour(re_min, re_max, max(1.0, im_max + 0.5))
+            side += [self.values[n], self.seeds[n]]
+        re, im = np.real(inner), np.imag(inner)
+        lo = 0.5 * (re.min() + max(np.real(left))) if left else re.min() - 0.5
+        hi = (0.5 * (re.max() + min(np.real(right))) if right
+              else re.max() + 0.5)
+        block = [self.seeds[n].imag for n in idx]
+        c = complex(0.5 * (lo + hi), 0.5 * (min(block) + max(block)))
+        a = float(0.5 * (hi - lo))
+        u = (re - c.real) / a
+        held = np.abs(u) < 1.0
+        h = np.abs(im[held] - c.imag) / np.sqrt(1.0 - u[held] ** 2)
+        return Ellipse(c, a, float(max(1.0, 0.5 + h.max(initial=0.0))))
 
     def tail_max(self, lo, hi):
         devs = [abs(self.values[n] - self.seeds[n]) for n in self.values
@@ -616,16 +596,17 @@ def _pair_circle(lam_a, lam_b):
 
 
 def _validate(P, U, mesh, red, eigs: EigenvalueList):
-    """Wind every gamma_k and Gamma_m0, m0 = min(2, m_max), as one family
-    (_rouche_windings; red = gauge_reduce(P, U, mesh)).  Raises ContourError
-    at the first gamma_k that fails or does not wind twice, then when
-    Gamma_m0 does not wind 4 m0 + 2 times or leaves out a seed of its block.
+    """Wind every gamma_k and the ellipse Gamma_m0, m0 = min(2, m_max), the
+    one partial_sum_contour integrates on, as one family (_rouche_windings;
+    red = gauge_reduce(P, U, mesh)).  Raises ContourError at the first
+    gamma_k that fails or does not wind twice, then when Gamma_m0 does not
+    wind 4 m0 + 2 times or leaves out a seed of its block.
     Only then records each circle's winding and margin, and (P, U, mesh)."""
     circles = {k: _pair_circle(*eigs.pair(k)) for k in eigs.pair_indices()}
     m0 = min(2, eigs.m_max)
-    rect = eigs.big_contour(m0)
-    *results, last = _rouche_windings(P, U, red, [*circles.values(), rect],
-                                      mesh)
+    ellipse = eigs.big_contour(m0)
+    *results, last = _rouche_windings(P, U, red,
+                                      [*circles.values(), ellipse], mesh)
     for (k, circ), result in zip(circles.items(), results):
         if _accepted(result)[0] != 2:
             raise ContourError(
@@ -634,7 +615,7 @@ def _validate(P, U, mesh, red, eigs: EigenvalueList):
     if _accepted(last)[0] != 4 * m0 + 2:
         raise ContourError(f"Gamma_{m0} winding {last[0]} != {4 * m0 + 2}")
     block = [eigs.seeds[n] for n in eigs.indices(m0)]
-    if not np.all(rect.contains(np.array(block))):
+    if not np.all(ellipse.contains(np.array(block))):
         raise ContourError("Gamma_m fails to enclose the unperturbed block")
     for circ, (w, margin) in zip(circles.values(), results):
         eigs.windings[circ] = w

@@ -132,6 +132,43 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(lines) == 1 + 10       # n in [-4, 5]
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("f", {"family": "bump", "widht": 0.1},
+     "unknown key 'widht' in a bump function spec; its keys are family, "
+     "center, width, component"),
+    ("potential", {"family": "power", "alpha": 0.4, "xo": 1.0},
+     "unknown key 'xo' in a power potential spec; its keys are family, "
+     "alpha, x0, amplitude, kappa, entry"),
+    ("f", {"family": "smooth", "components": [[["sin", 1]], []]},
+     "term ['sin', 1] is not [kind, k, amp]"),
+    ("potential", {"family": "power"},
+     "a power potential spec needs the key 'alpha'"),
+], ids=["f-key", "potential-key", "f-term", "potential-missing"])
+def test_equiconv_refuses_a_bad_spec_by_name(tmp_path, capsys, key, value,
+                                             message):
+    # each printed a StageError [setup] traceback and exited 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, key: value}))
+    rc = main(["equiconv", "--config", str(cfg),
+               "--output", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_spectrum_validate_prints_the_same_table(tmp_path, capsys):
+    # --validate winds every gamma_k and Gamma_2 and changes no row
+    args = ["spectrum", "--boundary", "periodic", "--potential",
+            '{"family": "constant_offdiag", "c": 0.3}', "--m-max", "3",
+            "--panels", "64"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main([*args, "--validate"]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.splitlines()[0] == SPECTRUM_HEADER
+    assert len(plain.splitlines()) == 1 + 14       # n in [-6, 7]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "expand"])
 def test_negative_m_max_rejected(command, capsys):
     # expand died in the cluster grouping, spectrum printed an empty table

@@ -157,7 +157,7 @@ def test_partial_sum_contour_refuses_m_as_partial_sum_does(rs_const_m8,
     # m outside [0, m_max], or a non-integer m, raises partial_sum's
     # ValueError before any contour work
     f = _f_smooth(mesh96)
-    monkeypatch.setattr(expansions, "Ellipse", None)
+    monkeypatch.setattr(spectrum.EigenvalueList, "big_contour", None)
     monkeypatch.setattr(expansions, "projector_contour", None)
     for m in (-1, 9, 1.5):
         with pytest.raises(ValueError) as want:
@@ -245,13 +245,30 @@ def test_partial_sum_contour_matches_partial_sum_at_m_max(rs_const_m8,
 
 
 def test_ellipse_is_inscribed_in_gamma_m(rs_const128):
-    rs = rs_const128
-    rect = rs.eigs.big_contour(2)
-    ellipse = spectrum.Ellipse.inscribed(rect)
+    # Gamma_2 is an ellipse whose ends lie midway between the block's real
+    # parts and its neighbours' (the sides of the rectangle that framed it),
+    # 1/2 above the height at which it would pass through its farthest
+    # block point, at least 1
+    eigs = rs_const128.eigs
+    ellipse = eigs.big_contour(2)
+
+    def reals(ns):
+        return [z.real for n in ns for z in (eigs.values[n], eigs.seeds[n])]
+    lo = 0.5 * (min(reals(range(-4, 6))) + max(reals(range(-8, -4))))
+    hi = 0.5 * (max(reals(range(-4, 6))) + min(reals(range(6, 10))))
+    seeds = [eigs.seeds[n].imag for n in range(-4, 6)]
+    center = complex(0.5 * (lo + hi), 0.5 * (min(seeds) + max(seeds)))
+    block = np.array([z for n in range(-4, 6)
+                      for z in (eigs.values[n], eigs.seeds[n])])
+    u = (block.real - center.real) / (0.5 * (hi - lo))
+    assert np.all(np.abs(u) < 1.0)
+    height = np.max(np.abs(block.imag - center.imag) / np.sqrt(1.0 - u * u))
+    b = max(1.0, 0.5 + height)
     ends = ellipse.at(np.array([0.0, 0.5 * PI, PI, 1.5 * PI]))[0]
-    want = [rect.re_max, ellipse.center + 1j * rect.im_half, rect.re_min,
-            ellipse.center - 1j * rect.im_half]
+    want = [hi + 1j * center.imag, center + 1j * b, lo + 1j * center.imag,
+            center - 1j * b]
     assert np.allclose(ends, want, rtol=0.0, atol=1e-14)
+    assert np.all(ellipse.contains(block))
     # the derivative the trapezoid rule weights by, against a difference
     theta, h = np.linspace(0.1, 6.0, 7), 1e-6
     diff = (ellipse.at(theta + h)[0] - ellipse.at(theta - h)[0]) / (2 * h)
@@ -259,9 +276,10 @@ def test_ellipse_is_inscribed_in_gamma_m(rs_const128):
 
 
 @pytest.mark.parametrize("n, move, phrase", [
-    # lambda_5 closes Gamma_2 on the right; lifted by 3i it sits in the
-    # rectangle's corner, outside the ellipse
-    (5, lambda v: v[5] + 3j, "leaves out lambda_n for n in [5]"),
+    # lambda_5 closes Gamma_2 on the right; moved past lambda_6's real part
+    # it lies beyond the ellipse's right end, which stays midway between
+    # them
+    (5, lambda v: v[6] + 0.5, "leaves out lambda_n for n in [5]"),
     # lambda_6 moved onto lambda_1, in the middle of the ellipse
     (6, lambda v: v[1], "encloses lambda_n for n in [6]"),
 ], ids=["inner-left-out", "outer-enclosed"])
@@ -276,6 +294,25 @@ def test_partial_sum_contour_checks_containment_first(rs_const128, n, move,
     with pytest.raises(ContourError, match=re.escape(phrase)):
         partial_sum_contour(moved, _f_smooth(rs.mesh), 2)
     assert batches == []
+
+
+@pytest.mark.parametrize("form", ["periodic", "antiperiodic", "dirichlet"])
+@pytest.mark.parametrize("s", [1.0, 4.0])
+def test_partial_sum_contour_on_a_shifted_spectrum(s, form, request):
+    # p1 = i s puts the spectrum at Im lambda = s / 2; the ellipse
+    # inscribed in the rectangle Gamma_m left out lambda_n near its ends,
+    # so partial_sum_contour raised.  The ellipse that validation winds
+    # holds the block, and its projector is S_2 f
+    U = request.getfixturevalue(form)
+    P = make_potential({"family": "trig", "p1": [["cos", 0, [0.0, s]]],
+                        "p2": [["sin", 1, 0.5]]})
+    mesh = build_mesh(96, order=5, singular_points=P.singular_points)
+    localize(P, U, 4, mesh, validate=True)
+    rs = root_system(P, U, 4, mesh)
+    f = _f_smooth(mesh)
+    direct = partial_sum(rs, f, 2).values
+    via = partial_sum_contour(rs, f, 2).values
+    assert np.max(np.abs(via - direct)) < 1e-6 * np.max(np.abs(direct))
 
 
 def test_periodic_double_eigenvalues(periodic, const_potential, mesh96):

@@ -146,6 +146,45 @@ def test_make_function_refuses_a_malformed_term_by_name(mesh96):
                       mesh96)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power", "eps": float("nan")}, "power eps=nan and x0="),
+    ({"family": "power", "x0": float("inf")}, "x0=inf must be finite"),
+    ({"family": "smooth", "components": [[["sin", 1, 1.0]]]},
+     "smooth components must be two term lists; got [[['sin', 1, 1.0]]]"),
+    ({"family": "smooth", "components": [[], [], []]},
+     "smooth components must be two term lists"),
+    ({"family": "smooth", "components": [[], 2.0]},
+     "smooth components must be two term lists"),
+], ids=["eps-nan", "x0-inf", "one-list", "three-lists", "not-a-list"])
+def test_make_function_refuses_bad_values_by_name(mesh96, spec, message):
+    # a NaN eps or an infinite x0 built a NaN function, and a single term
+    # list failed as "component length must equal mesh size"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_function(spec, mesh96)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("f", {"family": "bump", "widht": 0.1},
+     "unknown key 'widht' in a bump function spec"),
+    ("f", {"family": "smooth", "components": [[["sin", 1]], []]},
+     "term ['sin', 1] is not [kind, k, amp]"),
+    ("f", {"family": "smooth", "components": [[["tan", 1, 1.0]], []]},
+     "unknown term kind 'tan'"),
+    ("f", {"components": [[]]}, "smooth components must be two term lists"),
+    ("potential", {"family": "power", "alpha": 0.4, "xo": 1.0},
+     "unknown key 'xo' in a power potential spec"),
+    ("potential", {"family": "trig", "p2": [["sin", 1]]},
+     "term ['sin', 1] is not [kind, k, amp]"),
+    ("potential", {"family": "power"},
+     "a power potential spec needs the key 'alpha'"),
+], ids=["f-key", "f-term", "f-kind", "f-components", "potential-key",
+        "potential-term", "potential-missing"])
+def test_config_refuses_bad_specs_by_name(field, value, message):
+    # each was refused only when run_equiconv built it: StageError [setup]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{field: value})
+
+
 def test_make_function_refuses_fractional_random_trig_terms(mesh96):
     # int() silently truncated 2.5 terms to 2
     with pytest.raises(ValueError,
@@ -259,11 +298,14 @@ def test_make_function_families(mesh96, dirichlet):
       for family in ("bump", "power") for comp in (-1, 2)],
     *[({"family": "bump", "width": w}, f"bump width must be positive; got {w}")
       for w in (0.0, -0.5)],
+    *[({"family": family, "component": comp},
+       f"component must be 0 or 1; got {comp}")
+      for family, comp in (("bump", True), ("power", False))],
 ])
 def test_make_function_refuses_bad_component_and_width(mesh96, spec,
                                                        message):
-    # -1 would fill the second component, 2 end in a bare IndexError and a
-    # width <= 0 give f = 0, each without a word
+    # -1 would fill the second component, 2 end in a bare IndexError, a
+    # width <= 0 give f = 0 and true fill component 1, each without a word
     with pytest.raises(ValueError, match=re.escape(message)):
         make_function(spec, mesh96)
 
@@ -351,18 +393,17 @@ def test_run_equiconv_kappa_one_flagged():
 
 
 def test_run_equiconv_stage_error():
-    cfg = ExperimentConfig(potential={"family": "nope"}, m_schedule=(2,),
-                           mesh_panels=64)
-    with pytest.raises(StageError) as ei:
-        run_equiconv(cfg)
-    assert ei.value.stage == "setup"
-    # a bad trig term kind fails when the potential is built, not later
-    cfg = ExperimentConfig(potential={"family": "trig",
-                                      "p2": [["tan", 1, 0.5]]},
-                           m_schedule=(2,), mesh_panels=64)
-    with pytest.raises(StageError) as ei:
-        run_equiconv(cfg)
-    assert ei.value.stage == "setup"
+    # the config refuses these specs when it is built; set on a built
+    # config, they still fail in the setup stage
+    for bad in ({"family": "nope"},
+                {"family": "trig", "p2": [["tan", 1, 0.5]]}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(potential=bad)
+        cfg = ExperimentConfig(m_schedule=(2,), mesh_panels=64)
+        cfg.potential = bad
+        with pytest.raises(StageError) as ei:
+            run_equiconv(cfg)
+        assert ei.value.stage == "setup"
 
 
 def test_run_equiconv_lets_keyboard_interrupt_through(monkeypatch):
@@ -372,8 +413,8 @@ def test_run_equiconv_lets_keyboard_interrupt_through(monkeypatch):
     def interrupted(spec):
         raise interrupt
 
-    monkeypatch.setattr(harness, "make_potential", interrupted)
     cfg = ExperimentConfig(m_schedule=(2,), mesh_panels=64)
+    monkeypatch.setattr(harness, "make_potential", interrupted)
     with pytest.raises(KeyboardInterrupt) as ei:
         run_equiconv(cfg)
     assert ei.value is interrupt

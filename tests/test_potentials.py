@@ -187,6 +187,45 @@ def test_malformed_trig_term_refused_by_name(terms, term):
         make_potential({"family": "trig", "p2": terms})
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power"}, "a power potential spec needs the key 'alpha'"),
+    ({"family": "step", "values": [1, 2]},
+     "a step potential spec needs the key 'breaks'"),
+    ({"family": "step", "breaks": [1.0]},
+     "a step potential spec needs the key 'values'"),
+    ({"family": "power", "alpha": float("nan")},
+     "power exponent nan is not finite"),
+    ({"family": "power", "alpha": float("-inf")},
+     "power exponent -inf is not finite"),
+    ({"family": "power", "alpha": 0.4, "kappa": "two"},
+     "kappa='two' is not a number or inf"),
+    ({"family": "power", "alpha": 0.4, "kappa": float("nan")},
+     "power kappa=nan is not a number or inf"),
+    ({"family": "power", "alpha": 0.4, "kappa": [2]},
+     "power kappa=[2] is not a number or inf"),
+    ({"family": "power", "alpha": 0.4, "kappa": True},
+     "power kappa=True is not a number or inf"),
+], ids=["power-alpha", "step-breaks", "step-values", "alpha-nan",
+        "alpha-inf", "kappa-word", "kappa-nan", "kappa-list", "kappa-bool"])
+def test_power_and_step_specs_refused_by_name(spec, message):
+    # a bare KeyError or TypeError, or a NaN potential
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_potential(spec)
+
+
+def test_power_kappa_string_read_as_an_exponent():
+    # "inf" and "1.5" are read as config exponents are; "inf" then meets
+    # the same class check as the number
+    P = make_potential({"family": "power", "alpha": 0.4, "kappa": "1.5"})
+    assert P.p2.kappa == 1.5
+    P = make_potential({"family": "power", "alpha": 0.0, "kappa": "inf"})
+    assert P.p2.kappa == np.inf
+    for kappa in ("inf", np.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                "exponent 0.4 not in L_inf: alpha*kappa >= 1")):
+            make_potential({"family": "power", "alpha": 0.4, "kappa": kappa})
+
+
 def test_benchmark_and_readme_potentials_still_build(monkeypatch):
     monkeypatch.syspath_prepend(BENCH)
     workloads = importlib.import_module("workloads")

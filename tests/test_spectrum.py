@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diraclab.spectrum as spectrum
-from diraclab import (BoundaryMatrixPair, Circle, ContourError, NotRegularError,
-                      PotentialMatrix, RectContour, build_mesh, contour_family,
+from diraclab import (BoundaryMatrixPair, Circle, ContourError, Ellipse,
+                      NotRegularError, PotentialMatrix, build_mesh,
+                      contour_family,
                       gauge_reduce, localize, localization_seeds,
                       make_potential, unperturbed_spectrum, winding_count)
 from diraclab.ode import char_det
@@ -84,8 +85,8 @@ class Stated:
     contour: object
     arc_length: float
 
-    def points(self, n):
-        return self.contour.points(n)
+    def at(self, theta):
+        return self.contour.at(theta)
 
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
@@ -94,54 +95,22 @@ length = st.floats(1e-3, 50.0, allow_nan=False)
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 2000), re=finite, im=finite, radius=length,
-       width=length, half=length)
-def test_contour_nodes_nest_under_doubling(n, re, im, radius, width, half):
+       a=length, b=length)
+def test_contour_nodes_nest_under_doubling(n, re, im, radius, a, b):
     # the nodes at n are exactly the even nodes at 2n: doubling reuses them
-    circ = Circle(complex(re, im), radius)
-    rect = RectContour(re, re + width, half)
-    for points in (circ.points, rect.points, trapezoid_angles):
+    for contour in (Circle(complex(re, im), radius),
+                    Ellipse(complex(re, im), a, b)):
+        def points(k):
+            return contour.at(trapezoid_angles(k))[0]
         assert np.array_equal(points(2 * n)[::2], points(n))
-
-
-def _rect_points_loop(rect, n):
-    """RectContour.points node by node, side by side: the oracle of the
-    vectorized side selection."""
-    w = rect.re_max - rect.re_min
-    h = 2.0 * rect.im_half
-    t = np.linspace(0.0, 2.0 * (w + h), n, endpoint=False)
-    pts = np.empty(n, dtype=complex)
-    for i, ti in enumerate(t):
-        if ti < w:
-            pts[i] = rect.re_min + ti - 1j * rect.im_half
-        elif ti < w + h:
-            pts[i] = rect.re_max + 1j * (ti - w - rect.im_half)
-        elif ti < 2 * w + h:
-            pts[i] = rect.re_max - (ti - w - h) + 1j * rect.im_half
-        else:
-            pts[i] = rect.re_min - 1j * (ti - 2 * w - h - rect.im_half)
-    return pts
-
-
-@pytest.mark.parametrize("rect", [
-    RectContour(-1.5, 1.5, 1.0), RectContour(-40.25, 40.75, 0.3),
-    RectContour(0.1, 0.7, 12.0), RectContour(-1000.37, 1000.11, 2.5)])
-@pytest.mark.parametrize("n", [16, 400, 1601, 3200, 6400])
-def test_rect_points_match_loop_bitwise(rect, n):
-    pts = rect.points(n)
-    assert pts.dtype == complex and pts.shape == (n,)
-    bits = pts.view(np.uint64)
-    assert np.array_equal(bits, _rect_points_loop(rect, n).view(np.uint64))
-    # the nodes at n are the even nodes at 2n
-    even = np.ascontiguousarray(rect.points(2 * n)[::2])
-    assert np.array_equal(even.view(np.uint64), bits)
+    assert np.array_equal(trapezoid_angles(2 * n)[::2], trapezoid_angles(n))
 
 
 def test_winding_free_dirichlet(dirichlet, mesh96):
     # lambda_n^0 = n, so a circle of radius 2.5 around 0 encloses five zeros
     assert winding_count(P0, dirichlet, Circle(0.0, 0.5), mesh96) == 1
     assert winding_count(P0, dirichlet, Circle(0.0, 2.5), mesh96) == 5
-    assert winding_count(P0, dirichlet, RectContour(-1.5, 1.5, 1.0),
-                         mesh96) == 3
+    assert winding_count(P0, dirichlet, Ellipse(0j, 1.5, 1.0), mesh96) == 3
     assert winding_count(P0, dirichlet, Circle(0.5 + 3.0j, 0.2), mesh96) == 0
 
 
@@ -186,16 +155,16 @@ def test_winding_family_matches_each_contours_own_pass(periodic, mesh96,
     # a family of contours whose rules stop at different levels: each
     # member's winding, nodes and Delta values are bit for bit those of its
     # own pass, and a member whose pass raises carries the same error.  One
-    # char_det call per level: 51 + 21 + 160 + 16 + 16 nodes, then the new
+    # char_det call per level: 51 + 21 + 127 + 16 + 16 nodes, then the new
     # odd nodes of the two Stated circles, the only ones still open
     monkeypatch.setattr(spectrum, "WINDING_DOUBLINGS", 1)
     family = [Circle(0.0, 0.5), Circle(0.5 + 3.0j, 0.2),
-              RectContour(-1.5, 1.5, 1.0), Stated(Circle(0.0, 2.5), 1.0),
+              Ellipse(0j, 1.5, 1.0), Stated(Circle(0.0, 2.5), 1.0),
               Stated(Circle(0.0, 3.5), 1.0)]
     results = spectrum._winding_passes(P0, periodic, family, mesh96)
-    assert char_det_sizes == [(264, True), (32, True)]
+    assert char_det_sizes == [(231, True), (32, True)]
     assert [r[0] for r in results[:4]] == [2, 0, 2, 6]
-    assert [r[1].size for r in results[:4]] == [51, 21, 160, 32]
+    assert [r[1].size for r in results[:4]] == [51, 21, 127, 32]
     for contour, got in zip(family[:4], results):
         want = _winding_pass(P0, periodic, contour, mesh96)
         assert got[0] == want[0]
@@ -280,10 +249,10 @@ def test_rouche_windings_match_delta_rule(pspec, form, request):
     assert eigs.margins.keys() == eigs.windings.keys()
     for circ, w in eigs.windings.items():
         assert winding_count(P, U, circ, mesh) == w == 2
-    rect = eigs.big_contour(2)
+    ellipse = eigs.big_contour(2)
     (w, margin), = spectrum._rouche_windings(P, U, gauge_reduce(P, U, mesh),
-                                             [rect], mesh)
-    assert w == winding_count(P, U, rect, mesh) == 10
+                                             [ellipse], mesh)
+    assert w == winding_count(P, U, ellipse, mesh) == 10
     assert margin is not None
 
 
@@ -314,13 +283,13 @@ def test_rouche_pass_doubles_at_low_k(request, char_det_sizes):
 
 
 @pytest.mark.parametrize("form, contour", [
-    ("periodic", Circle(1.0, 1.0)), ("periodic", RectContour(-2.0, 2.0, 1.0)),
+    ("periodic", Circle(1.0, 1.0)), ("periodic", Ellipse(0j, 2.0, 1.0)),
     ("dirichlet", Circle(0.0, 2.0))])
 def test_free_zero_on_a_node_falls_back_to_delta_rule(form, contour,
                                                       const_potential,
                                                       request, mesh96):
     # free zeros sit on nodes of g's first level: the double zeros 0 and 2
-    # (the periodic circle) and -2 and 2 (the rectangle), where Delta0 is 0
+    # (the periodic circle) and 2 (the ellipse's right end), where Delta0 is 0
     # exactly, and the simple zero 2 (the Dirichlet circle), where it is
     # 1e-16 of its terms and g would wind about its pole unresolved.  g's
     # pass raises without a RuntimeWarning, and the contour gets the
@@ -475,7 +444,7 @@ def test_pair_moments_of_an_analytic_function():
     # back from its values at 32 nodes
     a, b = 0.75 + 0.1j, 0.3 - 0.2j
     circ = Circle(0.5 + 0.0j, 1.0)
-    z = circ.points(32)
+    z = circ.at(trapezoid_angles(32))[0]
     lo, hi = sorted(_pair_moments(circ, z, (z - a) * (z - b) * np.exp(z)),
                     key=lambda g: g.real)
     assert abs(lo - b) < 1e-12 and abs(hi - a) < 1e-12
@@ -484,7 +453,7 @@ def test_pair_moments_of_an_analytic_function():
 def _difference_quotient_moments(P, U, mesh, circ, n=512, h=1e-6):
     """Oracle: both zeros from s_p = (1/2 pi i) oint z^p Delta'/Delta dz
     with a central-difference Delta' on n trapezoid nodes."""
-    z = circ.points(n)
+    z = circ.at(trapezoid_angles(n))[0]
     f = char_det(P, U, z, mesh)
     fp = (char_det(P, U, z + h, mesh) - char_det(P, U, z - h, mesh)) / (2 * h)
     dz = (z - circ.center) * (2j * PI / n)
@@ -923,8 +892,7 @@ def test_contour_family_free(dirichlet, mesh96):
     for k in range(-3, 4):
         circ = fam.gammas[k]
         assert np.all(circ.contains(np.array(eigs.pair(k))))
-    rect = eigs.big_contour(1)
-    assert winding_count(P0, dirichlet, rect, mesh96) == 6
+    assert winding_count(P0, dirichlet, eigs.big_contour(1), mesh96) == 6
 
 
 def test_contour_family_perturbed(const_potential, periodic, mesh96):
@@ -951,7 +919,7 @@ def test_contour_family_reuses_localize_windings(const_potential, periodic,
     del winding_contours[:]
     contour_family(spec0, eigs, P=const_potential, U=periodic,
                    mesh=build_mesh(96, order=5))
-    assert [type(c) for c in winding_contours] == [Circle] * 5 + [RectContour]
+    assert [type(c) for c in winding_contours] == [Circle] * 5 + [Ellipse]
 
 
 @pytest.mark.parametrize("p1", [2.0, 3.2])
@@ -969,10 +937,93 @@ def test_contour_family_places_gamma_m_from_shifted_seeds(p1, dirichlet):
     contour_family(spec0, eigs, P=P, U=dirichlet, mesh=mesh)
     contour_family(spec0, eigs, P=P, U=dirichlet,
                    mesh=build_mesh(96, order=5))
-    rect = eigs.big_contour(2)
+    ellipse = eigs.big_contour(2)
     block = range(-4, 6)
-    assert np.all(rect.contains([eigs.values[n] for n in block]))
-    assert np.all(rect.contains([eigs.seeds[n] for n in block]))
+    assert np.all(ellipse.contains([eigs.values[n] for n in block]))
+    assert np.all(ellipse.contains([eigs.seeds[n] for n in block]))
+
+
+def _inscribed_in_rectangle(eigs, m):
+    """Oracle of big_contour where every block point is low: the ellipse
+    inscribed in the rectangle that was Gamma_m before, whose vertical
+    sides lie midway to the nearest other eigenvalue or seed (1/2 out where
+    there is none) and whose horizontal sides lie 1/2 above every |Im| of
+    the list, at least 1."""
+    idx = eigs.indices(m)
+    inner, left, right = [], [], []
+    for n in eigs.values:
+        side = left if n < idx[0] else right if n > idx[-1] else inner
+        side += [eigs.values[n].real, eigs.seeds[n].real]
+    re_min = (0.5 * (min(inner) + max(left)) if left
+              else min(inner) - 0.5)
+    re_max = (0.5 * (max(inner) + min(right)) if right
+              else max(inner) + 0.5)
+    im_max = max(abs(z.imag) for z in [*eigs.values.values(),
+                                       *eigs.seeds.values()])
+    return Ellipse(complex(0.5 * (re_min + re_max)), 0.5 * (re_max - re_min),
+                   max(1.0, im_max + 0.5))
+
+
+@pytest.mark.parametrize("pspec, form, m_max", [
+    *((pspec, form, 32) for pspec, form in SPECTRUM_PROBLEMS.values()),
+    ({"family": "power", "alpha": 0.4, "x0": 1.1, "amplitude": 0.5},
+     "dirichlet", 4),
+    ({"family": "constant_offdiag", "c": 0.3}, "dirichlet", 4)],
+    ids=[*SPECTRUM_PROBLEMS, "resolvent-power", "resolvent-constant"])
+def test_big_contour_is_the_inscribed_ellipse_on_benchmark_problems(
+        pspec, form, m_max, request):
+    # on the benchmark's spectrum problems and the resolvent's root systems
+    # every block point lies below 0.35, so Gamma_m is bit for bit the
+    # ellipse inscribed in the former rectangle: the projector's nodes and
+    # the resolvent rows stay as they were
+    U = request.getfixturevalue(form)
+    P = make_potential(pspec)
+    mesh = build_mesh(128, order=5, singular_points=P.singular_points)
+    eigs = localize(P, U, m_max, mesh)
+    for m in (0, 1, 2, 4):
+        got, want = eigs.big_contour(m), _inscribed_in_rectangle(eigs, m)
+        assert got == want
+        bits = [np.array([e.center, e.a, e.b], dtype=complex).view(np.uint64)
+                for e in (got, want)]
+        assert np.array_equal(*bits)
+
+
+def _shifted(s):
+    """p1 = i s and p2 = 0.5 sin x: the gauge shift puts the spectrum at
+    Im lambda = s / 2."""
+    return {"family": "trig", "p1": [["cos", 0, [0.0, s]]],
+            "p2": [["sin", 1, 0.5]]}
+
+
+@pytest.mark.parametrize("form", ["periodic", "antiperiodic", "dirichlet"])
+@pytest.mark.parametrize("pspec", [
+    {"family": "constant_offdiag", "c": 0.3},
+    {"family": "trig", "p1": [["cos", 0, 3.2]]}, _shifted(1.0),
+    _shifted(4.0)], ids=["constant", "p1-3.2", "shift-1", "shift-4"])
+def test_big_contour_winds_and_holds_its_block(pspec, form, request):
+    # Gamma_m for every m up to m_max: Delta winds 4m + 2 times along it,
+    # and it holds every eigenvalue and seed of its block, also where the
+    # spectrum sits off the real axis
+    P, U, mesh = _problem(pspec, form, request)
+    eigs = localize(P, U, 6, mesh)
+    for m in range(7):
+        ellipse = eigs.big_contour(m)
+        assert winding_count(P, U, ellipse, mesh) == 4 * m + 2
+        block = [z for n in eigs.indices(m)
+                 for z in (eigs.values[n], eigs.seeds[n])]
+        assert np.all(ellipse.contains(block))
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_validation_holds_an_antiperiodic_block_far_off_the_axis(
+        m_max, request):
+    # p1 = 0.5 + 3i, p4 = i: the rectangle framing this block wound 8 != 6
+    # (m_max = 1) and 11 != 10 (m_max = 2) times; the ellipse winds 4m + 2
+    P, U, mesh = _problem({"family": "trig", "p1": [["cos", 0, [0.5, 3.0]]],
+                           "p4": [["cos", 0, [0.0, 1.0]]],
+                           "p3": [["sin", 2, 0.7]]}, "antiperiodic", request)
+    eigs = localize(P, U, m_max, mesh, validate=True)
+    assert sorted(eigs.windings.values()) == [2] * (2 * m_max + 1)
 
 
 def test_big_contour_refuses_m_by_name(dirichlet, mesh96):
@@ -1017,7 +1068,7 @@ def test_validate_failed_circle_raises(dirichlet, mesh96, monkeypatch,
     with pytest.raises(ContourError, match=r"gamma_1 \(center 3.8500"
                        r"\+0.0000j, r 2.100\) winding 4 != 2"):
         localize(P0, dirichlet, 2, mesh96, validate=True)
-    assert [type(c) for c in winding_contours] == [Circle] * 5 + [RectContour]
+    assert [type(c) for c in winding_contours] == [Circle] * 5 + [Ellipse]
 
 
 def test_failed_validation_records_nothing(dirichlet, mesh96):
