@@ -29,6 +29,7 @@ from .expansions import partial_sum, root_system
 from .green import green_kernel, kernel_sup
 from .mesh import GridFunction2, as_count, as_exponent, build_mesh, \
     check_exponent, lp_norm
+from .ode import _worker_count
 from .potentials import (PotentialMatrix, ScalarFunction, check_spec,
                          comparison_operator, make_potential, term_sum)
 
@@ -324,20 +325,6 @@ def run_equiconv(config: ExperimentConfig) -> EquiconvReport:
     }
     return EquiconvReport(config=config, rows=rows, verdicts=verdicts,
                           warnings=warnings, metadata=metadata)
-
-
-def _worker_count():
-    env = os.environ.get("DIRACLAB_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(env)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"DIRACLAB_THREADS={env!r} is not a positive "
-                         f"integer") from None
-    return n
 
 
 def sweep(configs, out_dir=None):

@@ -6,9 +6,20 @@ the panel propagator is its exact 2x2 exponential.  The free part is inside
 the exponential, so P = 0 (and any constant P) propagates exactly; integrable
 singularities are handled by the graded panels, which sample the potential
 only at interior Gauss points.
+
+char_det shares a batch of more than DET_CHUNK lambdas with helper
+processes (diraclab._det_helper, one per CPU beyond the first within
+DIRACLAB_THREADS): each evaluates a part with the same kernel on the same
+Magnus terms, so every value is the one-process value bit for bit.
 """
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import select
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -25,8 +36,9 @@ IM_CAP = 50.0
 # expansions.eigenfunctions, node_planes in green.resolvent_sum); bounds
 # the node matrices alive at once to a chunk
 EIG_CHUNK = 16
-# spectral parameters per propagate call in char_det; bounds the transfer
-# matrices alive at once, so that memory does not grow with the batch
+# spectral parameters per chunk of char_det's kernel (_det_part); bounds the
+# transfer matrices alive at once, so that memory does not grow with the
+# batch, and is the least part that char_det hands to a helper process
 DET_CHUNK = 64
 _G2 = 1.0 / (2.0 * np.sqrt(3.0))
 _C4 = np.sqrt(3.0) / 12.0
@@ -302,6 +314,22 @@ def propagation_terms(P: PotentialMatrix, mesh: Mesh, nodes=True):
         return entry[1], (entry[2] if nodes else None)
 
 
+def _sequential_products(panels: _MagnusTerms, lams):
+    """Propagate's sequential product: the transfer matrices at the panel
+    breaks for lambdas (L,) from the panel terms, (K + 1, L, 2, 2) in
+    panel-major memory, with [0] = I and [k + 1] = T_k @ [k] for the
+    panel propagators T_k."""
+    # panel-major, so that each step reads and writes contiguous slabs,
+    # one zgemm per 2x2 product as in any layout
+    T = np.ascontiguousarray(
+        _magnus_propagators(panels, lams).transpose(3, 2, 0, 1))
+    Mb = np.empty((T.shape[0] + 1,) + T.shape[1:], dtype=complex)
+    Mb[0] = np.eye(2)
+    for k in range(T.shape[0]):
+        np.matmul(T[k], Mb[k], out=Mb[k + 1])
+    return Mb
+
+
 def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     """Transfer matrices for a batch of spectral parameters.
 
@@ -315,15 +343,7 @@ def propagate(P: PotentialMatrix, lams, mesh: Mesh, nodes=True):
     panels, subs = propagation_terms(P, mesh, nodes)
     K = mesh.n_panels
     L = lams.size
-    # panel-major, so that each step reads and writes contiguous slabs,
-    # one zgemm per 2x2 product as in any layout
-    T = np.ascontiguousarray(
-        _magnus_propagators(panels, lams).transpose(3, 2, 0, 1))
-    Mb = np.empty((K + 1, L, 2, 2), dtype=complex)
-    Mb[0] = np.eye(2)
-    for k in range(K):
-        np.matmul(T[k], Mb[k], out=Mb[k + 1])
-    Mb = Mb.swapaxes(0, 1)
+    Mb = _sequential_products(panels, lams).swapaxes(0, 1)
     if not nodes:
         return Mb, None
     Mn = np.empty((L, K, mesh.order, 2, 2), dtype=complex)
@@ -452,10 +472,34 @@ def node_planes(P: PotentialMatrix, lams, mesh: Mesh):
     return levels[-1][..., 0], Mn.reshape(2, 2, lams.size, mesh.size)
 
 
+def _det_part(panels: _MagnusTerms, C, D, tree, lams):
+    """det(C + D M(pi, lambda)) for lambdas (L,) from the panel terms of
+    propagation_terms, DET_CHUNK at a time: the kernel that char_det runs
+    in its own process and in its helpers.  M(pi) is propagate's
+    sequential product, or with tree the reduction half of the pairwise
+    prefix product."""
+    det = np.empty(lams.shape, dtype=complex)
+    for i in range(0, lams.size, DET_CHUNK):
+        chunk = lams[i:i + DET_CHUNK]
+        if tree:
+            for top in _pairwise_levels(_magnus_propagators(panels, chunk)):
+                pass
+            mono = np.moveaxis(top[..., 0], (0, 1), (-2, -1))
+        else:
+            mono = _sequential_products(panels, chunk)[-1]
+        det[i:i + DET_CHUNK] = det2(C[None] + D[None] @ mono)
+    return det
+
+
 def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
              tree=False):
     """Characteristic determinant det(C + D M(pi, lambda)), propagated
     DET_CHUNK lambdas at a time; each value is independent of the batch.
+
+    A batch of more than DET_CHUNK lambdas is split into equal parts of at
+    least DET_CHUNK, one for this process and one for each helper process
+    that is ready and idle (_HelperPool); every part runs the same kernel,
+    _det_part, so the values are those of one process bit for bit.
 
     With tree, M(pi) is the reduction half of the pairwise prefix product
     (_pairwise_levels) instead of propagate's sequential product: faster,
@@ -466,17 +510,198 @@ def char_det(P: PotentialMatrix, U: BoundaryMatrixPair, lam, mesh: Mesh, *,
     product."""
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    det = np.empty(lams.shape, dtype=complex)
+    _check_cap(lams)
     panels, _ = propagation_terms(P, mesh, nodes=False)
-    for i in range(0, lams.size, DET_CHUNK):
-        chunk = lams[i:i + DET_CHUNK]
-        if tree:
-            _check_cap(chunk)
-            for top in _pairwise_levels(_magnus_propagators(panels, chunk)):
-                pass
-            mono = np.moveaxis(top[..., 0], (0, 1), (-2, -1))
-        else:
-            Mb, _ = propagate(P, chunk, mesh, nodes=False)
-            mono = Mb[:, -1]
-        det[i:i + DET_CHUNK] = det2(U.C[None] + U.D[None] @ mono)
+    task = (panels, U.C, U.D, tree)
+    if lams.size > DET_CHUNK:
+        det = _HELPERS.evaluate(task, lams)
+    else:
+        det = _det_part(*task, lams)
     return complex(det[0]) if scalar else det
+
+
+def _worker_count():
+    """The processes or threads that one computation may use: the positive
+    integer DIRACLAB_THREADS, or min(8, CPU count) when it is unset or
+    empty.  It caps harness.sweep's threads and the processes that share a
+    char_det batch (the caller and its helpers)."""
+    env = os.environ.get("DIRACLAB_THREADS")
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        n = int(env)
+        if n < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"DIRACLAB_THREADS={env!r} is not a positive "
+                         f"integer") from None
+    return n
+
+
+# this module's file, which a helper must report having imported
+_SOURCE = os.path.realpath(__file__)
+# what reading or writing a helper's pipes raises once it has died
+_LOST = (OSError, EOFError, pickle.UnpicklingError)
+
+
+class _Helper:
+    """One helper process (diraclab._det_helper) and its pipes.  Only the
+    holder of lock talks to it, one task and one reply at a time; a
+    helper whose pipes fail is killed and marked dead, and every later
+    reply from it is None."""
+
+    def __init__(self, command):
+        self.lock = threading.Lock()
+        self.alive = True
+        self.ready = False
+        self.waiting = False        # a task was sent, its reply not read
+        # started in the directory that holds this package, so that it
+        # imports these sources
+        self.proc = subprocess.Popen(
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            cwd=os.path.dirname(os.path.dirname(_SOURCE)))
+
+    def is_ready(self):
+        """Whether the helper has said it is ready, from this very module;
+        never waits for it."""
+        if self.alive and not self.ready:
+            try:
+                if select.select([self.proc.stdout], [], [], 0)[0]:
+                    if pickle.load(self.proc.stdout) == ("ready", _SOURCE):
+                        self.ready = True
+                    else:
+                        self._lost()
+            except _LOST:
+                self._lost()
+        return self.ready
+
+    def send(self, task):
+        if self.alive:
+            try:
+                pickle.dump(task, self.proc.stdin,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+                self.proc.stdin.flush()
+                self.waiting = True
+            except _LOST:
+                self._lost()
+
+    def receive(self):
+        """The reply to the task sent: its Delta values, or None when the
+        helper warned or raised on it or died."""
+        if not (self.alive and self.waiting):
+            return None
+        try:
+            det = pickle.load(self.proc.stdout)
+        except _LOST:
+            self._lost()
+            return None
+        self.waiting = False
+        return det
+
+    def release(self):
+        """Frees the helper.  One whose reply is still owed (its caller
+        raised before or while reading it) is killed, so that no later
+        caller reads that reply."""
+        if self.waiting:
+            self._lost()
+        self.lock.release()
+
+    def _lost(self):
+        self.alive = self.ready = self.waiting = False
+        self.close(kill=True)
+
+    def close(self, kill=False):
+        """Ends the process: closing its input makes it exit."""
+        if kill:
+            self.proc.kill()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+class _HelperPool:
+    """The helper processes that take parts of large char_det batches.
+
+    A helper is started by the first batch that could use it and is never
+    waited for: until it has said it is ready, its part is computed by the
+    caller.  Each helper serves one caller at a time; a caller that finds
+    it busy (another sweep thread) computes without it.  One helper per
+    CPU beyond the first, within _worker_count(); none where select cannot
+    poll a pipe (not POSIX) and none in a forked child of the process that
+    started them.  A helper that dies is dropped and not started again.
+    Helpers exit at the end of their input: when close, registered with
+    atexit, closes it, or when the process dies."""
+    command = [sys.executable, "-m", "diraclab._det_helper"]
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.helpers = []
+        self.started = 0
+        self.pid = os.getpid()
+
+    def take(self, n):
+        """Up to n ready, idle helpers, each with its lock held; starts
+        those of the first n not started yet."""
+        if n < 1 or os.name != "posix" or os.getpid() != self.pid:
+            return []
+        with self.lock:
+            if self.started == 0:
+                atexit.register(self.close)
+            for _ in range(self.started, n):
+                self.started += 1
+                try:
+                    self.helpers.append(_Helper(self.command))
+                except OSError:
+                    pass
+            self.helpers = [h for h in self.helpers if h.alive]
+            candidates = self.helpers[:n]
+        taken = []
+        for h in candidates:
+            if h.lock.acquire(blocking=False):
+                if h.is_ready():
+                    taken.append(h)
+                else:
+                    h.lock.release()
+        return taken
+
+    def evaluate(self, task, lams):
+        """_det_part(*task, lams) in parts of at least DET_CHUNK lambdas:
+        the first in this process, each other one in a helper; a part
+        whose helper fails is computed here."""
+        workers = min(_worker_count(), os.cpu_count() or 1,
+                      lams.size // DET_CHUNK)
+        helpers = self.take(workers - 1)
+        n = len(helpers) + 1
+        cuts = [lams.size * i // n for i in range(n + 1)]
+        det = np.empty(lams.shape, dtype=complex)
+        try:
+            for h, a, b in zip(helpers, cuts[1:], cuts[2:]):
+                h.send(task + (lams[a:b],))
+            det[:cuts[1]] = _det_part(*task, lams[:cuts[1]])
+            for h, a, b in zip(helpers, cuts[1:], cuts[2:]):
+                got = h.receive()
+                det[a:b] = (_det_part(*task, lams[a:b]) if got is None
+                            else got)
+        finally:
+            for h in helpers:
+                h.release()
+        return det
+
+    def close(self):
+        """Ends every helper (at exit)."""
+        if os.getpid() != self.pid:
+            return
+        with self.lock:
+            helpers, self.helpers = self.helpers, []
+        for h in helpers:
+            h.close()
+
+
+_HELPERS = _HelperPool()

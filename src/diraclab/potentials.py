@@ -177,6 +177,17 @@ def _required(spec, key, family):
     return spec[key]
 
 
+def _finite(value, key, family):
+    """The complex scalar value (a number or [re, im]), or a ValueError
+    naming the key and the family when it is NaN or infinite (JSON's NaN
+    and Infinity)."""
+    v = _as_complex(value)
+    if not np.isfinite(v):
+        raise ValueError(f"a {family} potential spec has a non-finite "
+                         f"{key}: {value!r}")
+    return v
+
+
 def _single_entry(spec, f):
     """The potential with f at spec["entry"] (default p2), zero elsewhere."""
     entry = spec.get("entry", "p2")
@@ -203,7 +214,7 @@ def make_potential(spec) -> PotentialMatrix:
     if family == "zero":
         return PotentialMatrix.zero()
     if family == "constant_offdiag":
-        c = _as_complex(spec.get("c", 1.0))
+        c = _finite(spec.get("c", 1.0), "'c'", family)
         z = ScalarFunction.zero()
         return PotentialMatrix(z, ScalarFunction.constant(c),
                                ScalarFunction.constant(c), z)
@@ -211,8 +222,13 @@ def make_potential(spec) -> PotentialMatrix:
         entries = {}
         for name in ENTRIES:
             terms = spec.get(name)
-            entries[name] = (ScalarFunction(fn=term_sum(terms, ("sin", "cos")))
-                             if terms else ScalarFunction.zero())
+            if not terms:
+                entries[name] = ScalarFunction.zero()
+                continue
+            fn = term_sum(terms, ("sin", "cos"))
+            for term in terms:
+                _finite(term[2], f"amplitude in {name!r}", family)
+            entries[name] = ScalarFunction(fn=fn)
         return PotentialMatrix(**entries)
     if family == "power":
         alpha = float(_required(spec, "alpha", family))
@@ -221,7 +237,7 @@ def make_potential(spec) -> PotentialMatrix:
         if alpha >= 1.0:
             raise ValueError(f"power exponent {alpha} is not integrable on [0, pi]")
         x0 = float(spec.get("x0", PI / 2))
-        amp = _as_complex(spec.get("amplitude", 1.0))
+        amp = _finite(spec.get("amplitude", 1.0), "'amplitude'", family)
         kappa = as_exponent(spec.get("kappa"), "kappa")
         if kappa is None:
             kappa = max(1.0, float(np.floor((1.0 - 1e-12) / alpha))) if alpha > 0 else np.inf
@@ -237,7 +253,7 @@ def make_potential(spec) -> PotentialMatrix:
         if np.any(np.diff(edges) <= 0) or np.any((edges <= 0) | (edges >= PI)):
             raise ValueError(
                 "step breaks must be strictly increasing inside (0, pi)")
-        vals = np.array([_as_complex(v)
+        vals = np.array([_finite(v, "value in 'values'", family)
                          for v in _required(spec, "values", family)])
         if len(vals) != len(edges) + 1:
             raise ValueError("need one value per interval")

@@ -1,10 +1,11 @@
 import ast
 import json
+import re
 
 import numpy as np
 import pytest
 
-from diraclab import CSV_HEADER, PoleError
+from diraclab import CSV_HEADER, ExperimentConfig, PoleError, make_potential
 from diraclab.cli import SPECTRUM_HEADER, main
 
 CFG = {
@@ -154,6 +155,35 @@ def test_equiconv_refuses_a_bad_spec_by_name(tmp_path, capsys, key, value,
     assert rc == 2
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"family": "constant_offdiag", "c": NaN}',
+     "a constant_offdiag potential spec has a non-finite 'c': nan"),
+    ('{"family": "trig", "p2": [["sin", 1, 0.5], ["cos", 2, [0, Infinity]]]}',
+     "a trig potential spec has a non-finite amplitude in 'p2': [0, inf]"),
+    ('{"family": "step", "breaks": [1.0], "values": [1, NaN]}',
+     "a step potential spec has a non-finite value in 'values': nan"),
+    ('{"family": "power", "alpha": 0.4, "amplitude": Infinity}',
+     "a power potential spec has a non-finite 'amplitude': inf"),
+], ids=["constant-c", "trig-amplitude", "step-value", "power-amplitude"])
+def test_non_finite_potential_values_refused_by_name(tmp_path, capsys, spec,
+                                                      message):
+    # each built a potential with NaN entries (power with a RuntimeWarning)
+    doc = json.loads(spec)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_potential(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{**CFG, "potential": doc})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "potential": doc}))
+    rc = main(["equiconv", "--config", str(cfg),
+               "--output", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
+    assert main(["spectrum", "--potential", spec]) == 2
+    assert capsys.readouterr().err == f"error: --potential: {message}\n"
 
 
 def test_spectrum_validate_prints_the_same_table(tmp_path, capsys):

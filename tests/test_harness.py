@@ -10,7 +10,7 @@ from diraclab import (CSV_HEADER, EquiconvReport, ExperimentConfig,
                       OutsideTheoremError, StageError, admissible,
                       emit_report, lp_norm, make_function, run_equiconv,
                       sweep)
-from diraclab.harness import _worker_count
+from diraclab.ode import _worker_count
 
 PI = np.pi
 

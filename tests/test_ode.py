@@ -519,20 +519,21 @@ def test_char_det_matches_delta0(dirichlet):
 def test_char_det_chunks_match_single_lambdas(trig_potential, periodic,
                                              monkeypatch):
     # 200 lambdas cross three chunk boundaries; every value equals its
-    # one-lambda call bit for bit
+    # one-lambda call bit for bit; one process (no helper) runs every chunk
     mesh = build_mesh(32, order=5)
     rng = np.random.default_rng(3)
     lams = rng.uniform(-40, 40, 200) + 1j * rng.uniform(-3, 3, 200)
     single = np.array([char_det(trig_potential, periodic, lam, mesh)
                        for lam in lams])
     sizes = []
-    inner = ode.propagate
+    inner = ode._sequential_products
 
-    def counting(P, lams, mesh, **kw):
+    def counting(panels, lams):
         sizes.append(np.size(lams))
-        return inner(P, lams, mesh, **kw)
+        return inner(panels, lams)
 
-    monkeypatch.setattr(ode, "propagate", counting)
+    monkeypatch.setenv("DIRACLAB_THREADS", "1")
+    monkeypatch.setattr(ode, "_sequential_products", counting)
     batched = char_det(trig_potential, periodic, lams, mesh)
     assert sizes == [64, 64, 64, 8] and ode.DET_CHUNK == 64
     assert np.array_equal(batched, single)
@@ -630,8 +631,9 @@ def test_node_planes_match_propagate(name, panels, graded):
 
 def test_char_det_tree_matches_sequential(trig_potential, periodic,
                                           monkeypatch):
-    # 200 lambdas in DET_CHUNK chunks without propagate; each value is
-    # independent of its batch and within 1e-12 of the sequential product
+    # 200 lambdas in DET_CHUNK chunks in one process (no helper) without
+    # propagate or its sequential product; each value is independent of
+    # its batch and within 1e-12 of the sequential product
     mesh = build_mesh(32, order=5)
     rng = np.random.default_rng(4)
     lams = rng.uniform(-40, 40, 200) + 1j * rng.uniform(-3, 3, 200)
@@ -645,8 +647,10 @@ def test_char_det_tree_matches_sequential(trig_potential, periodic,
         sizes.append(np.size(lams))
         return inner(terms, lams)
 
+    monkeypatch.setenv("DIRACLAB_THREADS", "1")
     monkeypatch.setattr(ode, "_magnus_propagators", counting)
     monkeypatch.setattr(ode, "propagate", None)
+    monkeypatch.setattr(ode, "_sequential_products", None)
     tree = char_det(trig_potential, periodic, lams, mesh, tree=True)
     assert sizes == [64, 64, 64, 8] and ode.DET_CHUNK == 64
     assert np.array_equal(tree, single)
